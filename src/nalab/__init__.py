@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     DomainError,
     GridRangeError,
+    NalabError,
     PoleError,
     PrecisionError,
     UnsupportedError,
@@ -38,7 +39,7 @@ from .experiments import (
     run_reproduce,
     run_sweep,
 )
-from .fitting import FitResult, fit_linear, fit_log_slope, fit_power_law
+from .fitting import FitResult, fit_linear, fit_log_slope
 from .geometry import (
     DEFAULT_SPACE,
     AnnularGrid,

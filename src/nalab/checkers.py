@@ -198,7 +198,7 @@ def _ap_loc_sweep(
     h = step / 8.0
     n_cells = int(round(t_hi / h))
     ts = (np.arange(n_cells) + 0.5) * h
-    wv = np.asarray([float(w.profile(t)) for t in ts])
+    wv = w.profile(ts)
     if np.any(~np.isfinite(wv)) or np.any(wv <= 0):
         raise DomainError("profile must be positive and finite on the ray")
     dmu = density(grid.params, ts) * h
@@ -266,7 +266,7 @@ def check_ap_loc(
         span = int(round(wit["length"] / h))
         i0 = int(round(wit["start"] / h))
         ts = (np.arange(i0, i0 + span) + 0.5) * h
-        wv = np.asarray([float(w.profile(t)) for t in ts])
+        wv = w.profile(ts)
         dmu = density(grid.params, ts) * h
         mass = float(dmu.sum())
         iw = float(np.dot(wv, dmu))
@@ -329,24 +329,17 @@ def _family_sup(
     return best, witness, sup_by_n, skipped
 
 
-def check_large_scale(
+def _pair_measure_check(
+    report_id: str,
     w: Weight,
     p: float,
     alpha: float,
     beta: float,
-    n_max: int = 25,
-    family: Optional[SetFamily] = None,
+    n_max: int,
+    family: Optional[SetFamily],
+    meta: dict,
 ) -> CheckReport:
-    """Pair-measure condition with exponents (alpha, beta).
-
-    sup over scales n <= n_max and set pairs (E, F) of
-    Q_n^w(E, F) / (e^(2 rho beta n) w(E)^(alpha/p) w(F)^(1-alpha/p)),
-    Q_n^w(E, F) = sum_{i in E, j in F} w_j P_n(i, j) on the raw kernel.
-    """
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"need 0 < beta < 1, got beta={beta}")
-    if not (beta <= alpha < p):
-        raise DomainError(f"need beta <= alpha < p, got alpha={alpha}, p={p}")
+    """Shared body of the pair-measure checks at exponents (alpha, beta)."""
     grid = w.grid
     if family is None:
         family = SetFamily.standard((1, grid.j_max - n_max - 1))
@@ -375,16 +368,14 @@ def check_large_scale(
         )
 
     return CheckReport(
-        id="large-scale",
+        id=report_id,
         constant=best,
         witness=witness,
         verdict=verdict,
         slope=slope,
         r2=r2,
         meta={
-            "p": p,
-            "alpha": alpha,
-            "beta": beta,
+            **meta,
             "n_max": n_max,
             "family": family.label,
             "sup_by_n": sup_by_n,
@@ -392,6 +383,28 @@ def check_large_scale(
         },
         _reeval=reeval,
     )
+
+
+def check_large_scale(
+    w: Weight,
+    p: float,
+    alpha: float,
+    beta: float,
+    n_max: int = 25,
+    family: Optional[SetFamily] = None,
+) -> CheckReport:
+    """Pair-measure condition with exponents (alpha, beta).
+
+    sup over scales n <= n_max and set pairs (E, F) of
+    Q_n^w(E, F) / (e^(2 rho beta n) w(E)^(alpha/p) w(F)^(1-alpha/p)),
+    Q_n^w(E, F) = sum_{i in E, j in F} w_j P_n(i, j) on the raw kernel.
+    """
+    if not (0.0 < beta < 1.0):
+        raise DomainError(f"need 0 < beta < 1, got beta={beta}")
+    if not (beta <= alpha < p):
+        raise DomainError(f"need beta <= alpha < p, got alpha={alpha}, p={p}")
+    meta = {"p": p, "alpha": alpha, "beta": beta}
+    return _pair_measure_check("large-scale", w, p, alpha, beta, n_max, family, meta)
 
 
 def check_necessary(
@@ -403,49 +416,7 @@ def check_necessary(
     """Necessary pair-measure condition: alpha = beta = 1 exponents."""
     if p <= 1:
         raise DomainError(f"need p > 1, got {p}")
-    grid = w.grid
-    if family is None:
-        family = SetFamily.standard((1, grid.j_max - n_max - 1))
-    two_rho = 2.0 * grid.params.rho
-    mass = {id(s): weight_mass(w, s) for s in family.sets}
-
-    def denom(n: int, E: np.ndarray, F: np.ndarray) -> float:
-        return (
-            math.exp(two_rho * n)
-            * mass[id(E)] ** (1.0 / p)
-            * mass[id(F)] ** (1.0 - 1.0 / p)
-        )
-
-    best, witness, sup_by_n, skipped = _family_sup(w, n_max, family, denom)
-    slope, r2, verdict = _growth_verdict(sup_by_n)
-
-    def reeval(wit: dict) -> float:
-        E = np.asarray(wit["E"], dtype=int)
-        F = np.asarray(wit["F"], dtype=int)
-        n = int(wit["n"])
-        q = float(_pair_mass_matrix(w, n)[np.ix_(E - 1, F - 1)].sum())
-        return q / (
-            math.exp(two_rho * n)
-            * weight_mass(w, E) ** (1.0 / p)
-            * weight_mass(w, F) ** (1.0 - 1.0 / p)
-        )
-
-    return CheckReport(
-        id="necessary",
-        constant=best,
-        witness=witness,
-        verdict=verdict,
-        slope=slope,
-        r2=r2,
-        meta={
-            "p": p,
-            "n_max": n_max,
-            "family": family.label,
-            "sup_by_n": sup_by_n,
-            "skipped_pairs": skipped,
-        },
-        _reeval=reeval,
-    )
+    return _pair_measure_check("necessary", w, p, 1.0, 1.0, n_max, family, {"p": p})
 
 
 def check_easy_check(w: Weight, p: float, eta: float, n_max: int = 25) -> CheckReport:

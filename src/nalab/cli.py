@@ -27,13 +27,7 @@ from .checkers import (
     check_msw,
     check_necessary,
 )
-from .errors import (
-    ConfigError,
-    DomainError,
-    GridRangeError,
-    PrecisionError,
-    UnsupportedError,
-)
+from .errors import ConfigError, NalabError
 from .experiments import (
     CANONICAL_J_MAX,
     CANONICAL_N_MAX,
@@ -231,14 +225,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        DomainError,
-        GridRangeError,
-        UnsupportedError,
-        PrecisionError,
-        OSError,
-    ) as exc:
+    except (NalabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

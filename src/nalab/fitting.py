@@ -55,13 +55,3 @@ def fit_log_slope(x, y) -> FitResult:
         raise ValueError("log-slope fit requires strictly positive finite y")
     return _linear_fit(np.asarray(x, dtype=float), np.log(y))
 
-
-def fit_power_law(x, y) -> FitResult:
-    """Fit log(y) = intercept + slope * log(x); slope is a growth exponent."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("power-law fit requires strictly positive x")
-    if np.any(y <= 0) or not np.all(np.isfinite(y)):
-        raise ValueError("power-law fit requires strictly positive finite y")
-    return _linear_fit(np.log(x), np.log(y))

@@ -18,9 +18,8 @@ explicitly and the numerics confirm that exponent.)
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -230,20 +229,14 @@ def _phi_ode_at(jp: JacobiParams, ts: np.ndarray):
 
 def jacobi_phi(jp: JacobiParams, t: float) -> complex:
     """The even Jacobi-equation solution with phi(0) = 1, phi'(0) = 0."""
-    if t < 0:
-        raise DomainError(f"argument must be nonnegative, got {t}")
-    if t == 0.0:
-        return 1.0 + 0.0j
-    if t <= SERIES_SWITCH:
-        val, _ = _phi_series_at(jp, [t])
-        return complex(val[0])
-    vals, _ = _phi_ode_at(jp, np.array([float(t)]))
-    return complex(vals[0])
+    return complex(jacobi_phi_trace(jp, [t]).values[0])
 
 
 def jacobi_phi_trace(jp: JacobiParams, ts) -> FunctionTrace:
     """Evaluate phi_lam on an increasing grid with one shared continuation."""
     ts = np.asarray(ts, dtype=float)
+    if np.any(ts < 0):
+        raise DomainError(f"argument must be nonnegative, got {ts.min()}")
     values = np.empty(ts.shape, dtype=complex)
     err = np.empty(ts.shape, dtype=float)
     method = ["series"] * len(ts)
@@ -296,11 +289,7 @@ def _second_pieces(jp: JacobiParams, t: float, max_terms=40000):
 
 def jacobi_phi_second(jp: JacobiParams, t: float) -> complex:
     """The companion solution Phi_lam, singular at 0, recessive at infinity."""
-    _check_second_pole(jp.lam)
-    if t <= 0:
-        raise DomainError(f"second solution needs t > 0, got {t}")
-    val, _ = _second_pieces(jp, float(t))
-    return val
+    return complex(jacobi_phi_second_trace(jp, [t]).values[0])
 
 
 def jacobi_phi_second_trace(jp: JacobiParams, ts) -> FunctionTrace:

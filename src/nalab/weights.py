@@ -1,9 +1,12 @@
 """Weight families on the annular grid.
 
 Every weight the experiments use is radial: a positive profile of the
-distance, sampled at annulus midpoints.  Closed-form families (constant and
-exponential) are evaluated directly; the spherical-function families route
-through the Jacobi evaluators with per-point error below 1e-8.
+distance, sampled at annulus midpoints.  A profile takes a float or a
+strictly increasing 1-d array of distances and returns values of the same
+shape, and a weight's values are its profile at the midpoints.  Closed-form
+families (constant and exponential) are evaluated through numpy; the
+spherical-function families route through the Jacobi traces with per-point
+error below 1e-8.
 
 Midpoint sampling (rather than annular averaging) keeps pointwise powers
 exact: (w^s)_j == (w_j)^s, which the power-mean comparisons rely on.
@@ -12,21 +15,17 @@ exact: (w^s)_j == (w_j)^s, which the power-mean comparisons rely on.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, GridRangeError
 from .geometry import AnnularGrid
-from .specfun import (
-    JacobiParams,
-    jacobi_phi,
-    jacobi_phi_second,
-    jacobi_phi_trace,
-    jacobi_phi_second_trace,
-)
+from .specfun import JacobiParams, jacobi_phi_second_trace, jacobi_phi_trace
+
+# float -> float, or strictly increasing 1-d array -> array of its shape
+Profile = Callable[[Union[float, np.ndarray]], Union[float, np.ndarray]]
 
 _VARIANTS = (
     "constant",
@@ -84,6 +83,11 @@ class WeightSpec:
 
     @classmethod
     def custom(cls, profile: Callable[[float], float]) -> "WeightSpec":
+        """User profile taking one float distance and returning one float.
+
+        materialize wraps it once with np.vectorize, so the resulting
+        Weight.profile accepts arrays like every built-in family.
+        """
         return cls("custom", profile=profile)
 
     def to_json(self) -> dict:
@@ -121,11 +125,16 @@ class WeightSpec:
 
 @dataclass
 class Weight:
-    """Positive radial weight sampled on a grid's annulus midpoints."""
+    """Positive radial weight sampled on a grid's annulus midpoints.
+
+    profile, when present, is the continuum weight: it maps a float to a
+    float and a strictly increasing 1-d array of distances to an array of
+    the same shape.
+    """
 
     grid: AnnularGrid
     values: np.ndarray
-    profile: Optional[Callable[[float], float]] = None
+    profile: Optional[Profile] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -133,23 +142,6 @@ class Weight:
             raise DomainError("weight values must cover every annulus")
         if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0):
             raise DomainError("weight values must be positive and finite")
-
-
-def _closed_profile(spec: WeightSpec, grid: AnnularGrid):
-    two_rho = 2.0 * grid.params.rho
-    if spec.variant == "constant":
-        return lambda t: 1.0
-    if spec.variant == "exp_radial":
-        if spec.gamma is None:
-            raise ConfigError("exp_radial needs gamma")
-        g = spec.gamma
-        return lambda t: math.exp(two_rho * g * t)
-    if spec.variant == "exp_strong":
-        if spec.p is None:
-            raise ConfigError("exp_strong needs p")
-        q = spec.p - 1.0
-        return lambda t: math.exp(two_rho * q * t)
-    return None
 
 
 def _spherical_params(spec: WeightSpec, grid: AnnularGrid) -> JacobiParams:
@@ -170,65 +162,68 @@ def _spherical_params(spec: WeightSpec, grid: AnnularGrid) -> JacobiParams:
     return JacobiParams(params.sigma, params.tau, 1j * theta)
 
 
-def materialize(spec: WeightSpec, grid: AnnularGrid) -> Weight:
-    """Sample a weight spec at the grid's annulus midpoints.
-
-    The stored continuum profile re-evaluates through the same machinery as
-    the sampled values, so the two agree at midpoints to float accuracy.
-    For jacobi_v the innermost annulus sits closest to the singular origin
-    and carries the largest (still sub-1e-8) evaluation error.
-    """
-    mids = grid.midpoints
-    closed = _closed_profile(spec, grid)
-    if closed is not None:
-        return Weight(grid, np.array([closed(t) for t in mids]), profile=closed)
-
+def _evaluator(
+    spec: WeightSpec, grid: AnnularGrid
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Array-in, array-out evaluator of a spec on increasing 1-d distances."""
+    two_rho = 2.0 * grid.params.rho
+    if spec.variant == "constant":
+        return np.ones_like
+    if spec.variant == "exp_radial":
+        if spec.gamma is None:
+            raise ConfigError("exp_radial needs gamma")
+        g = spec.gamma
+        return lambda ts: np.exp(two_rho * g * ts)
+    if spec.variant == "exp_strong":
+        if spec.p is None:
+            raise ConfigError("exp_strong needs p")
+        q = spec.p - 1.0
+        return lambda ts: np.exp(two_rho * q * ts)
     if spec.variant == "spherical_u":
         jp = _spherical_params(spec, grid)
-        vals = jacobi_phi_trace(jp, mids).values.real
-
-        def profile(t, jp=jp):
-            return float(jacobi_phi(jp, t).real)
-
-        return Weight(grid, vals, profile=profile)
-
+        return lambda ts: jacobi_phi_trace(jp, ts).values.real
     if spec.variant == "jacobi_v":
         jp = _spherical_params(spec, grid)
         two_sigma = 2.0 * grid.params.sigma
-        damp = mids**two_sigma / (1.0 + mids**two_sigma)
-        # the companion solution changes sign once at moderate t for the
-        # spectral points this family uses; the weight takes its modulus,
-        # which is what the defining asymptotic comparisons control
-        vals = damp * np.abs(jacobi_phi_second_trace(jp, mids).values)
 
-        def profile(t, jp=jp, two_sigma=two_sigma):
-            d = t**two_sigma / (1.0 + t**two_sigma)
-            return float(d * abs(jacobi_phi_second(jp, t)))
+        def jacobi_v(ts):
+            damp = ts**two_sigma / (1.0 + ts**two_sigma)
+            # the companion solution changes sign once at moderate t for the
+            # spectral points this family uses; the weight takes its modulus,
+            # which is what the defining asymptotic comparisons control
+            return damp * np.abs(jacobi_phi_second_trace(jp, ts).values)
 
-        return Weight(grid, vals, profile=profile)
-
+        return jacobi_v
     if spec.variant == "eta_product":
         if spec.base is None:
             raise ConfigError("eta_product needs a base spec")
-        inner = materialize(spec.base, grid)
-        bump = np.exp(1.0 / (1.0 + mids))
-        if inner.profile is not None:
-            base_profile = inner.profile
-
-            def profile(t, base_profile=base_profile):
-                return base_profile(t) * math.exp(1.0 / (1.0 + t))
-
-        else:  # pragma: no cover - every built-in base carries a profile
-            profile = None
-        return Weight(grid, inner.values * bump, profile=profile)
-
+        base = _evaluator(spec.base, grid)
+        return lambda ts: base(ts) * np.exp(1.0 / (1.0 + ts))
     if spec.variant == "custom":
         if spec.profile is None:
             raise ConfigError("custom weight needs a profile callable")
-        vals = np.array([float(spec.profile(t)) for t in mids])
-        return Weight(grid, vals, profile=spec.profile)
-
+        return np.vectorize(spec.profile, otypes=[float])
     raise ConfigError(f"unhandled weight variant {spec.variant!r}")
+
+
+def materialize(spec: WeightSpec, grid: AnnularGrid) -> Weight:
+    """Sample a weight spec at the grid's annulus midpoints.
+
+    The stored profile is the one evaluation path: the values are
+    profile(grid.midpoints), so the two agree exactly at midpoints.  The
+    profile maps a float to a float and a strictly increasing 1-d array of
+    distances to an array of its shape, through the same closed form,
+    Jacobi trace or user callable.  For jacobi_v the innermost annulus sits
+    closest to the singular origin and carries the largest (still sub-1e-8)
+    error.
+    """
+    evaluate = _evaluator(spec, grid)
+
+    def profile(t):
+        ts = np.asarray(t, dtype=float)
+        return evaluate(ts.reshape(-1)).reshape(ts.shape)[()]
+
+    return Weight(grid, profile(grid.midpoints), profile=profile)
 
 
 def weight_mass(w: Weight, annuli: Iterable[int]) -> float:
@@ -251,9 +246,9 @@ def weight_power(w: Weight, s: float) -> Weight:
         raise DomainError(f"power must be positive, got {s}")
     profile = None
     if w.profile is not None:
-        base_profile = w.profile
+        base = w.profile
 
-        def profile(t, base_profile=base_profile, s=s):
-            return base_profile(t) ** s
+        def profile(t):
+            return base(t) ** s
 
     return Weight(w.grid, w.values**s, profile=profile)

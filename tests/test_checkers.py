@@ -176,6 +176,15 @@ def test_ap_loc_decaying_weight():
     assert rep.constant == approx_frozen(1.497896)
 
 
+def test_ap_loc_spherical_weight():
+    # frozen from the scalar profile path this array path replaced
+    grid20 = AnnularGrid(DEFAULT_SPACE, 20)
+    w = materialize(WeightSpec.spherical_u(2.0), grid20)
+    rep = check_ap_loc(w, 2.0, step=0.5, refinements=1)
+    assert rep.constant == approx_frozen(2.073954)
+    assert rep.witness == {"start": 18.0, "length": 2.0, "step": 0.25}
+
+
 def test_ap_loc_flags_nonintegrable_singularity():
     # t^(-ell) at the origin: sups keep climbing under refinement
     singular = WeightSpec.custom(lambda t: min(t, 1.0) ** (-4.0))
@@ -385,6 +394,7 @@ def test_witness_reproduction(notstrong_reports, fs_s1_reports):
         check_easy_check(materialize(WeightSpec.exp_strong(2.0), GRID80), 2.0, -1.0),
         check_classical_ap(materialize(WeightSpec.exp_radial(-0.75), GRID80), 2.0),
         check_ap_loc(materialize(WeightSpec.exp_radial(-0.75), GRID80), 2.0),
+        check_ap_loc(materialize(WeightSpec.spherical_u(2.0), GRID80), 2.0),
         check_large_scale(materialize(WeightSpec.exp_radial(1.0), GRID80), 2.0, 0.5, 0.5),
         check_necessary(materialize(WeightSpec.exp_radial(-1.0), GRID80), 2.0),
         notstrong_reports[0],

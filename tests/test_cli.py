@@ -178,6 +178,19 @@ def test_cli_weight_check(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "weight-classical-ap.json").read_text())["verdict"] == "fail"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"variant": "jacobi_v", "gamma": -0.5}',  # spectral point on a pole
+        '{"variant": "exp_radial", "gamma": 5}',  # overflows the float range
+    ],
+)
+def test_cli_weight_check_crash_exits_two(tmp_path, monkeypatch, capsys, spec):
+    monkeypatch.setenv("NALAB_OUTDIR", str(tmp_path))
+    assert main(["weight", "check", "--spec", spec, "--condition", "msw"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_reproduce(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NALAB_OUTDIR", str(tmp_path))
     assert main(["reproduce", "ex-beta-eq-alpha"]) == 0

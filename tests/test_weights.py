@@ -101,6 +101,23 @@ def test_profile_matches_values_at_midpoints():
             rel = abs(w.profile(MIDS[idx]) - w.values[idx]) / abs(w.values[idx])
             assert rel < 1e-12, spec.variant
 
+    # the array call is the path that produced the values: exact agreement
+    weights = [
+        materialize(spec, GRID)
+        for spec in (
+            WeightSpec.constant(),
+            WeightSpec.exp_radial(-0.75),
+            WeightSpec.exp_strong(2.0),
+            WeightSpec.spherical_u(2.0),
+            WeightSpec.jacobi_v(-0.3),
+            WeightSpec.eta_product(WeightSpec.jacobi_v(-0.45)),
+            WeightSpec.custom(lambda t: 1.0 + math.sin(t) ** 2),
+        )
+    ]
+    weights.append(weight_power(weights[3], 0.5))
+    for w in weights:
+        assert np.array_equal(w.profile(MIDS), w.values)
+
 
 def test_json_round_trip():
     spec = WeightSpec.eta_product(WeightSpec.jacobi_v(-0.45))
