@@ -11,16 +11,19 @@ truncation-free radius attains its maximum; downstream statistics drop
 flagged vertices rather than silently absorbing edge bias.
 
 Layout: vertices are numbered in breadth-first order, the root is 0 and the
-children of v are k*v + 1 .. k*v + k.  Ball sums decompose along the
-ancestor path into per-subtree distance profiles, which are precomputed in
-one bottom-up pass; this keeps the full maximal function at
-O(V * depth^2) numpy work instead of O(V^2) graph searches.
+children of v are k*v + 1 .. k*v + k.  Per-subtree distance profiles come
+from one bottom-up pass, and ball sums from one top-down rerooting
+recurrence over the radii: B(v, r) is v's own profile plus the parent's
+ball of radius r - 1, less the part of subtree(v) counted twice.  Because
+the children of consecutive parents are consecutive, each radius is a
+single O(V) vector step, so the full maximal function costs O(V * depth)
+numpy work instead of O(V^2) graph searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -257,57 +260,51 @@ def _subtree_profiles(tree: TreeSpace, values: np.ndarray) -> np.ndarray:
     return np.cumsum(sub, axis=1)
 
 
-def _ball_sums_all(tree: TreeSpace, cum: np.ndarray, r: int) -> np.ndarray:
-    """Sum over B(v, r) for every v at once, via ancestor decomposition."""
-    D = tree.depth
+def _ball_sums(tree: TreeSpace, values: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the sums of values over B(v, r) for every v, for r = 0 .. 2*depth.
 
-    def cum_at(vert: np.ndarray, rad: int) -> np.ndarray:
-        if rad < 0:
-            return np.zeros(vert.shape)
-        return cum[vert, min(rad, D)]
-
-    allv = np.arange(tree.size, dtype=np.int64)
-    total = cum_at(allv, r)
-    prev = allv
-    for t in range(1, min(r, D) + 1):
-        a_t = tree.anc_at[np.maximum(tree.depths - t, 0), allv]
-        live = tree.depths >= t
-        contrib = cum_at(np.maximum(a_t, 0), r - t) - cum_at(
-            np.maximum(prev, 0), r - t - 1
-        )
-        total += np.where(live, contrib, 0.0)
-        prev = a_t
-    return total
+    Rerooting: off the root, B(v, r) is down(v, r) plus B(parent, r - 1)
+    minus down(v, r - 2), the part of subtree(v) the parent's ball already
+    holds; down(v, r) = 0 for r < 0 and is clipped at r = depth.  The root's
+    ball is down(0, r).  Each radius is one O(V) pass over the previous one,
+    so all radii cost O(V * depth).  On nonnegative data the subtraction
+    cancels nothing large: the subtracted part lies inside both
+    B(parent, r - 1) and the result, so every term is at most the result
+    and each step adds only a few ulps of it to the relative error.
+    """
+    D, k = tree.depth, tree.k
+    down = _subtree_profiles(tree, values)
+    prev = None
+    for r in range(2 * D + 1):
+        cur = down[:, min(r, D)].copy()
+        if r >= 1:
+            cur[1:] += np.repeat(prev[: (tree.size - 1) // k], k)
+        if r >= 2:
+            cur[1:] -= down[1:, min(r - 2, D)]
+        yield cur
+        prev = cur
 
 
 def _ball_counts(tree: TreeSpace) -> np.ndarray:
     """counts[r, v] = |B(v, r)|, cached on the tree."""
     if tree._count_cum is None:
-        cum1 = _subtree_profiles(tree, np.ones(tree.size))
-        counts = np.empty((2 * tree.depth + 1, tree.size))
-        for r in range(2 * tree.depth + 1):
-            counts[r] = _ball_sums_all(tree, cum1, r)
-        tree._count_cum = counts
+        tree._count_cum = np.stack(list(_ball_sums(tree, np.ones(tree.size))))
     return tree._count_cum
 
 
 def tree_maximal(f: VertexFunction) -> TreeMaximal:
     """Exact centered maximal function over integer radii 0..2*depth."""
     tree = f.tree
-    D = tree.depth
-    cum = _subtree_profiles(tree, f.values)
     counts = _ball_counts(tree)
-
-    best = f.values.copy()  # r = 0
+    best = np.full(tree.size, -np.inf)
+    best_interior = best.copy()
     arg = np.zeros(tree.size, dtype=np.int64)
-    interior0 = tree.depths < D
-    best_interior = np.where(interior0, f.values, -np.inf)
-    for r in range(1, 2 * D + 1):
-        a = _ball_sums_all(tree, cum, r) / counts[r]
+    for r, sums in enumerate(_ball_sums(tree, f.values)):
+        a = sums / counts[r]
         upd = a > best
         best = np.where(upd, a, best)
         arg = np.where(upd, r, arg)
-        interior = tree.depths + r < D
+        interior = tree.depths + r < tree.depth
         better_int = interior & (a > best_interior)
         best_interior = np.where(better_int, a, best_interior)
     boundary = best_interior < best

@@ -15,6 +15,7 @@ exact: (w^s)_j == (w_j)^s, which the power-mean comparisons rely on.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
@@ -114,6 +115,18 @@ class WeightSpec:
             raise ConfigError(f"unknown weight spec fields: {sorted(extra)}")
         if "variant" not in obj:
             raise ConfigError("weight spec needs a 'variant' field")
+        for key in ("gamma", "p"):
+            x = obj.get(key)
+            # bool is an int subclass; comparing to float max rejects nan and
+            # inf, and ints too large for a float, without converting them
+            if x is not None and (
+                isinstance(x, bool)
+                or not isinstance(x, (int, float))
+                or not abs(x) <= sys.float_info.max
+            ):
+                raise ConfigError(
+                    f"weight spec {key!r} must be a finite number, got {x!r}"
+                )
         base = cls.from_json(obj["base"]) if "base" in obj else None
         return cls(
             variant=obj["variant"],

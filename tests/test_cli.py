@@ -183,6 +183,9 @@ def test_cli_weight_check(tmp_path, monkeypatch, capsys):
     [
         '{"variant": "jacobi_v", "gamma": -0.5}',  # spectral point on a pole
         '{"variant": "exp_radial", "gamma": 5}',  # overflows the float range
+        '{"variant": "exp_radial", "gamma": "x"}',  # malformed numbers
+        '{"variant": "exp_strong", "p": "2"}',
+        '{"variant": "spherical_u", "p": true}',
     ],
 )
 def test_cli_weight_check_crash_exits_two(tmp_path, monkeypatch, capsys, spec):

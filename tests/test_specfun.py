@@ -7,6 +7,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from nalab.errors import DomainError
 from nalab.geometry import SpaceParams
@@ -195,6 +196,35 @@ def test_connection_coefficients_reconstruct_phi():
         for t in (5.0, 7.0, 12.0):
             recon = cp * jacobi_phi_second(jp, t) + cm * jacobi_phi_second(jm, t)
             assert abs(jacobi_phi(jp, t) - recon) < 1e-8
+
+
+def harish_chandra_c(sigma, tau, lam):
+    """Closed-form c-function (Koornwinder 1984), from log-gamma values."""
+    rho = sigma + tau + 1.0
+    il = 1j * complex(lam)
+    return np.exp(
+        (rho - il) * math.log(2.0)
+        + loggamma(sigma + 1.0)
+        + loggamma(il)
+        - loggamma((il + rho) / 2.0)
+        - loggamma((il + sigma - tau + 1.0) / 2.0)
+    )
+
+
+@pytest.mark.parametrize(
+    "sg,ta,lam",
+    [
+        (0.5, 0.0, 1.3),
+        (1.0, 0.5, 0.7 + 0.2j),
+        (2.0, 0.0, 2.5),
+        (0.5, 0.5, 0.4 - 0.3j),
+        (3.5, 0.5, 1.0),
+    ],
+)
+def test_connection_coefficients_closed_form(sg, ta, lam):
+    cp, cm = connection_coefficients(JacobiParams(sg, ta, lam))
+    assert abs(cp - harish_chandra_c(sg, ta, lam)) <= 1e-10 * abs(cp)
+    assert abs(cm - harish_chandra_c(sg, ta, -lam)) <= 1e-10 * abs(cm)
 
 
 def test_spherical_profile_bound_and_slope():

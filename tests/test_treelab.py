@@ -97,6 +97,36 @@ def test_maximal_equals_naive_exactly():
             assert np.array_equal(fast.boundary, slow.boundary)
 
 
+@st.composite
+def _tree_data(draw, elements):
+    tree = TreeSpace(draw(st.integers(2, 4)), draw(st.integers(1, 4)))
+    return tree, np.array(draw(st.lists(elements, min_size=tree.size, max_size=tree.size)))
+
+
+@given(data=_tree_data(st.integers(0, 1000).map(float)))
+@settings(max_examples=100, deadline=None)
+def test_maximal_matches_naive_on_integer_data(data):
+    # integer sums are exact, so the recurrence's subtraction loses nothing
+    tree, vals = data
+    fast = tree_maximal(VertexFunction(tree, vals))
+    slow = tree_maximal_naive(VertexFunction(tree, vals))
+    assert np.array_equal(fast.values, slow.values)
+    assert np.array_equal(fast.argmax_radius, slow.argmax_radius)
+    assert np.array_equal(fast.boundary, slow.boundary)
+
+
+@given(data=_tree_data(st.floats(0.0, 1e6)))
+@settings(max_examples=100, deadline=None)
+def test_maximal_matches_naive_on_float_data(data):
+    # the rerooting step subtracts; this bounds its cancellation on floats.
+    # argmax and boundary are not compared: a last-bit difference between
+    # summation orders can flip a near-tie between radii
+    tree, vals = data
+    fast = tree_maximal(VertexFunction(tree, vals))
+    slow = tree_maximal_naive(VertexFunction(tree, vals))
+    np.testing.assert_allclose(fast.values, slow.values, rtol=1e-12, atol=0.0)
+
+
 def test_weak11_point_mass_family_k2():
     tree = TreeSpace(2, 8)
     rng = np.random.default_rng(1234)
