@@ -300,35 +300,6 @@ def _pair_mass_matrix(w: Weight, n: int) -> np.ndarray:
     return kern.matrix * w.values[None, :]
 
 
-def _family_sup(
-    w: Weight,
-    n_max: int,
-    family: SetFamily,
-    denom: Callable[[int, np.ndarray, np.ndarray], float],
-) -> tuple:
-    best, witness = -np.inf, None
-    sup_by_n = []
-    skipped = 0
-    for n in range(1, n_max + 1):
-        qmat = _pair_mass_matrix(w, n)
-        sup_n = 0.0
-        for E in family.sets:
-            rows = qmat[E - 1]
-            for F in family.sets:
-                q = float(rows[:, F - 1].sum())
-                d = denom(n, E, F)
-                if d == 0.0 or not math.isfinite(d):
-                    skipped += 1
-                    continue
-                val = q / d
-                sup_n = max(sup_n, val)
-                if val > best:
-                    best = val
-                    witness = {"n": n, "E": E.tolist(), "F": F.tolist()}
-        sup_by_n.append(sup_n)
-    return best, witness, sup_by_n, skipped
-
-
 def _pair_measure_check(
     report_id: str,
     w: Weight,
@@ -339,21 +310,53 @@ def _pair_measure_check(
     family: Optional[SetFamily],
     meta: dict,
 ) -> CheckReport:
-    """Shared body of the pair-measure checks at exponents (alpha, beta)."""
+    """Shared body of the pair-measure checks at exponents (alpha, beta).
+
+    With S the 0/1 indicator matrix of the family (sets x annuli), every
+    Q_n(E, F) at one scale is an entry of S (P_n o w) S^T, and the
+    denominators are the outer product of e^(2 rho beta n) w(E)^(alpha/p)
+    with w(F)^(1 - alpha/p), multiplied in that order.  Pairs whose
+    denominator is zero or not finite are left out and counted in
+    skipped_pairs.  The witness is the first strict maximum in (n, E, F)
+    order: the first row-major maximum of a scale replaces the best only
+    when it is strictly larger.  reevaluate() recomputes the witness pair
+    by a direct gather and sum, independently of the matrix product.
+    """
     grid = w.grid
     if family is None:
         family = SetFamily.standard((1, grid.j_max - n_max - 1))
     two_rho = 2.0 * grid.params.rho
-    mass = {id(s): weight_mass(w, s) for s in family.sets}
+    sets = family.sets
+    ind = np.zeros((len(sets), w.values.size))
+    rows = np.repeat(np.arange(len(sets)), [s.size for s in sets])
+    ind[rows, np.concatenate(sets) - 1] = 1.0
+    # the scalar pow that reevaluate() uses: numpy's vectorized pow can
+    # differ from it in the last bit, enough to reorder exact ties
+    mass = [weight_mass(w, s) for s in sets]
+    m_e = np.array([m ** (alpha / p) for m in mass])
+    m_f = np.array([m ** (1.0 - alpha / p) for m in mass])
 
-    def denom(n: int, E: np.ndarray, F: np.ndarray) -> float:
-        return (
-            math.exp(two_rho * beta * n)
-            * mass[id(E)] ** (alpha / p)
-            * mass[id(F)] ** (1.0 - alpha / p)
-        )
-
-    best, witness, sup_by_n, skipped = _family_sup(w, n_max, family, denom)
+    best, witness = -np.inf, None
+    sup_by_n = []
+    skipped = 0
+    for n in range(1, n_max + 1):
+        pm = _pair_mass_matrix(w, n)
+        big = np.isinf(pm)
+        q = ind @ np.where(big, 0.0, pm) @ ind.T
+        if big.any():
+            # an overflowed entry makes the pairs that hold it infinite, as a
+            # direct sum would; left in the product, its 0 * inf is nan
+            q[ind @ big @ ind.T > 0] = np.inf
+        d = (math.exp(two_rho * beta * n) * m_e)[:, None] * m_f[None, :]
+        ok = (d != 0.0) & np.isfinite(d)
+        skipped += int(d.size - ok.sum())
+        vals = np.full(d.shape, -np.inf)
+        np.divide(q, d, out=vals, where=ok)
+        e, f = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        sup_by_n.append(max(0.0, float(vals[e, f])))
+        if vals[e, f] > best:
+            best = float(vals[e, f])
+            witness = {"n": n, "E": sets[e].tolist(), "F": sets[f].tolist()}
     slope, r2, verdict = _growth_verdict(sup_by_n)
 
     def reeval(wit: dict) -> float:

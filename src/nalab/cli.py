@@ -5,7 +5,7 @@ expose the model geometry and special functions, `weight check` runs one
 weight-condition checker, `reproduce` runs a canonical experiment by id,
 and `sweep` runs a config-driven parameter sweep.  Exit codes: 0 all
 verdicts pass, 1 some verdict failed (reports are still written), 2 bad
-usage or configuration.
+usage or configuration, 70 an unexpected crash (traceback on stderr).
 
 Reports land in the directory named by $NALAB_OUTDIR (default: cwd).
 """
@@ -16,6 +16,7 @@ import argparse
 import csv
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -43,6 +44,9 @@ from .experiments import (
 from .geometry import AnnularGrid, SpaceParams, ball_volume
 from .specfun import JacobiParams, jacobi_phi_trace
 from .weights import WeightSpec, materialize
+
+# sysexits.h EX_SOFTWARE: an internal error, never a verdict or a usage code
+EXIT_CRASH = 70
 
 _WEIGHT_CONDITIONS = (
     "msw",
@@ -228,6 +232,9 @@ def main(argv=None) -> int:
     except (NalabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ from .treelab import (
     VertexFunction,
     tree_ball,
     tree_kolmogorov,
+    tree_maximal,
     weak11_constant,
 )
 from .weights import WeightSpec, materialize
@@ -307,8 +308,9 @@ def _pipe_kolmogorov(seed: int) -> List[CheckReport]:
         center = int(rng.integers(0, tree.size))
         radius = int(rng.integers(0, 2 * tree.depth + 1))
         B = tree_ball(tree, center, radius).vertices
+        mf = tree_maximal(f)
         for q in qs:
-            rep = tree_kolmogorov(q, f, B)
+            rep = tree_kolmogorov(q, f, B, result=mf)
             holds_all = holds_all and rep.holds
             ratio = rep.lhs / rep.rhs if rep.rhs > 0 else 0.0
             ratios.append(ratio)

@@ -252,11 +252,11 @@ def _subtree_profiles(tree: TreeSpace, values: np.ndarray) -> np.ndarray:
     D = tree.depth
     sub = np.zeros((tree.size, D + 1))
     sub[:, 0] = values
+    starts = tree._level_starts
     for d in range(D - 1, -1, -1):
-        lvl = tree.level(d)
-        child0 = tree.k * lvl + 1
-        for c in range(tree.k):
-            sub[lvl, 1:] += sub[child0 + c, :-1]
+        # the children of level d are level d + 1, k consecutive per parent
+        a, b, c = starts[d], starts[d + 1], starts[d + 2]
+        sub[a:b, 1:] += sub[b:c, :-1].reshape(b - a, tree.k, D).sum(axis=1)
     return np.cumsum(sub, axis=1)
 
 
@@ -419,19 +419,21 @@ def tree_kolmogorov(
     f: VertexFunction,
     B: Iterable[int],
     weak_constant: Optional[float] = None,
+    result: Optional[TreeMaximal] = None,
 ) -> KolmogorovReport:
     """Check sum_B (Mf)^q <= c^q/(1-q) * |B|^(1-q) * ||f||_1^q exactly.
 
     c defaults to the weak-(1,1) quotient measured for this very f, which
     makes the inequality a theorem about the finite tree; pass a tree-level
     constant to test uniformity instead.  The left side runs over trusted
-    vertices of B.
+    vertices of B.  result, when given, must be tree_maximal(f); it saves
+    recomputing Mf when several exponents share one f.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"Kolmogorov exponent must lie in (0,1), got {q}")
     tree = f.tree
     bv = _as_vertex_array(tree, B)
-    res = tree_maximal(f)
+    res = tree_maximal(f) if result is None else result
     if weak_constant is None:
         weak_constant = weak11_constant(f, res)
     trusted = res.trusted()[bv]

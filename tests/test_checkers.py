@@ -23,11 +23,12 @@ from nalab.checkers import (
     weak_type_ratio,
 )
 from nalab.errors import DomainError, UnsupportedError
-from nalab.geometry import DEFAULT_SPACE, AnnularGrid
+from nalab.geometry import DEFAULT_SPACE, AnnularGrid, product_kernel
 from nalab.radialops import RadialFunction
 from nalab.treelab import TreeSpace, VertexFunction
-from nalab.weights import Weight, WeightSpec, materialize
+from nalab.weights import Weight, WeightSpec, materialize, weight_mass
 
+GRID40 = AnnularGrid(DEFAULT_SPACE, 40)
 GRID60 = AnnularGrid(DEFAULT_SPACE, 60)
 GRID80 = AnnularGrid(DEFAULT_SPACE, 80)
 GRID120 = AnnularGrid(DEFAULT_SPACE, 120)
@@ -271,6 +272,82 @@ def test_necessary_constant_weight():
     rep = check_necessary(materialize(WeightSpec.constant(), GRID80), 2.0)
     assert rep.verdict == "pass"
     assert rep.constant == approx_frozen(0.366759)
+
+
+# ---------------------------------------------------------------- pair-measure core
+
+
+def _pair_measure_loop_oracle(w, p, alpha, beta, n_max, family):
+    """The pair-measure sup by a direct loop over (n, E, F): a gather and a
+    sum per pair, the first strict maximum as witness."""
+    mass = [weight_mass(w, s) for s in family.sets]
+    two_rho = 2.0 * w.grid.params.rho
+    best, witness, sup_by_n, skipped = -np.inf, None, [], 0
+    for n in range(1, n_max + 1):
+        qmat = product_kernel(w.grid, n, normalize=False).matrix * w.values
+        sup_n = 0.0
+        for E, mass_e in zip(family.sets, mass):
+            for F, mass_f in zip(family.sets, mass):
+                q = float(qmat[np.ix_(E - 1, F - 1)].sum())
+                d = (
+                    math.exp(two_rho * beta * n)
+                    * mass_e ** (alpha / p)
+                    * mass_f ** (1.0 - alpha / p)
+                )
+                if d == 0.0 or not math.isfinite(d):
+                    skipped += 1
+                    continue
+                sup_n = max(sup_n, q / d)
+                if q / d > best:
+                    best = q / d
+                    witness = {"n": n, "E": E.tolist(), "F": F.tolist()}
+        sup_by_n.append(sup_n)
+    return best, witness, sup_by_n, skipped
+
+
+def _overflowing_weight(grid):
+    # annulus 25's mass and pair masses overflow: every pair holding it has
+    # an infinite denominator and is skipped, and the infinite entries must
+    # not leak into the other pairs
+    values = np.ones(grid.j_max)
+    values[24] = 1e308
+    return Weight(grid, values)
+
+
+@pytest.mark.parametrize("weight", ["exp+1", "overflow"])
+@pytest.mark.parametrize("family", ["standard", "random-unions"])
+@pytest.mark.parametrize("exponents", [None, (2.0, 0.5, 0.5)])
+def test_pair_measure_matches_loop_oracle(weight, family, exponents):
+    grid, n_max = GRID40, 8
+    window = (1, grid.j_max - n_max - 1)
+    if weight == "exp+1":
+        w = materialize(WeightSpec.exp_radial(1.0), grid)
+    else:
+        w = _overflowing_weight(grid)
+    if family == "standard":
+        fam = SetFamily.standard(window)
+    else:
+        fam = SetFamily.random_unions(window, seed=3, count=40)
+    with np.errstate(over="ignore"):
+        if exponents is None:
+            p, alpha, beta = 2.0, 1.0, 1.0
+            rep = check_necessary(w, p, n_max=n_max, family=fam)
+        else:
+            p, alpha, beta = exponents
+            rep = check_large_scale(w, p, alpha, beta, n_max=n_max, family=fam)
+        best, witness, sup_by_n, skipped = _pair_measure_loop_oracle(
+            w, p, alpha, beta, n_max, fam
+        )
+    assert rep.constant == pytest.approx(best, rel=1e-12)
+    assert rep.meta["sup_by_n"] == pytest.approx(sup_by_n, rel=1e-12)
+    assert rep.meta["skipped_pairs"] == skipped
+    if rep.witness != witness:
+        # two pairs that tie to rounding (here the same sets at scales where
+        # Q_n grows exactly like the denominator) may swap places; the
+        # checker's witness must then attain the oracle's sup
+        assert rep.reevaluate() == pytest.approx(best, rel=1e-12)
+    if weight == "overflow":
+        assert skipped > 0 and math.isfinite(best)
 
 
 # ---------------------------------------------------------------- weak/strong

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from nalab import cli
 from nalab.cli import main
 from nalab.errors import ConfigError
 from nalab.experiments import (
@@ -192,6 +193,17 @@ def test_cli_weight_check_crash_exits_two(tmp_path, monkeypatch, capsys, spec):
     monkeypatch.setenv("NALAB_OUTDIR", str(tmp_path))
     assert main(["weight", "check", "--spec", spec, "--condition", "msw"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_crash_exits_seventy(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("simulated internal fault")
+
+    monkeypatch.setattr(cli, "_cmd_space_info", broken)
+    assert main(["space", "info"]) == cli.EXIT_CRASH == 70
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "RuntimeError: simulated internal fault" in err
 
 
 def test_cli_reproduce(tmp_path, monkeypatch, capsys):
