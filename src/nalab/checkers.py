@@ -175,6 +175,9 @@ def _jsonable(obj):
 def _growth_verdict(sup_by_n: Sequence[float]) -> tuple:
     """Fit the exponential rate of per-scale sups; positive rate = divergent."""
     arr = np.asarray(sup_by_n, dtype=float)
+    if np.isinf(arr).any():
+        # an infinite per-scale sup: the condition is unbounded, no rate to fit
+        return None, None, "fail"
     ns = np.arange(1, arr.size + 1, dtype=float)
     pos = arr > 0
     if pos.sum() < 2:
@@ -300,6 +303,20 @@ def _pair_mass_matrix(w: Weight, n: int) -> np.ndarray:
     return kern.matrix * w.values[None, :]
 
 
+def _nonneg_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for nonnegative a and b, with 0 * inf = 0 as in a direct sum.
+
+    An infinite entry makes every product entry it enters infinite; left in
+    a plain product, its 0 * inf terms would make those entries nan.
+    """
+    a_inf, b_inf = np.isinf(a), np.isinf(b)
+    if not (a_inf.any() or b_inf.any()):
+        return a @ b
+    out = np.where(a_inf, 0.0, a) @ np.where(b_inf, 0.0, b)
+    out[(a_inf @ (b > 0)) | ((a > 0) @ b_inf)] = np.inf
+    return out
+
+
 def _pair_measure_check(
     report_id: str,
     w: Weight,
@@ -340,13 +357,8 @@ def _pair_measure_check(
     sup_by_n = []
     skipped = 0
     for n in range(1, n_max + 1):
-        pm = _pair_mass_matrix(w, n)
-        big = np.isinf(pm)
-        q = ind @ np.where(big, 0.0, pm) @ ind.T
-        if big.any():
-            # an overflowed entry makes the pairs that hold it infinite, as a
-            # direct sum would; left in the product, its 0 * inf is nan
-            q[ind @ big @ ind.T > 0] = np.inf
+        # an overflowed pair mass, or a sum of them, makes its pairs infinite
+        q = _nonneg_matmul(_nonneg_matmul(ind, _pair_mass_matrix(w, n)), ind.T)
         d = (math.exp(two_rho * beta * n) * m_e)[:, None] * m_f[None, :]
         ok = (d != 0.0) & np.isfinite(d)
         skipped += int(d.size - ok.sum())
@@ -580,6 +592,46 @@ def check_classical_ap(
 # ---------------------------------------------------------------------------
 
 
+def _zero_report(report_id: str, witness: dict, verdict: str, meta: dict) -> CheckReport:
+    """Report of a quotient whose denominator vanishes: constant 0."""
+    return CheckReport(report_id, 0.0, witness, verdict, meta=meta, _reeval=lambda wit: 0.0)
+
+
+def _level_set_ratio(
+    report_id: str,
+    w: Weight,
+    f: RadialFunction,
+    power: float,
+    den: float,
+    lambda_grid: Optional[np.ndarray],
+    n_max: int,
+    meta: Callable,
+) -> CheckReport:
+    """Shared body of the level-set quotients sup_l l^power w({Mf > l}) / den.
+
+    The sup runs over lambda_grid (default_lambda_grid() when None) and its
+    first maximizer is the witness; meta(res) builds the report's meta from
+    the maximal result res of f.
+    """
+    if lambda_grid is None:
+        lambda_grid = default_lambda_grid()
+    res = maximal_dis(f, n_max)
+
+    def ratio_at(lam: float) -> float:
+        return lam**power * distribution_mass(w, res, lam) / den
+
+    vals = np.array([ratio_at(float(l)) for l in lambda_grid])
+    k = int(np.argmax(vals))
+    return CheckReport(
+        id=report_id,
+        constant=float(vals[k]),
+        witness={"lambda": float(lambda_grid[k])},
+        verdict="pass" if np.isfinite(vals[k]) else "fail",
+        meta=meta(res),
+        _reeval=lambda wit: ratio_at(float(wit["lambda"])),
+    )
+
+
 def weak_type_ratio(
     w: Weight,
     p: float,
@@ -590,33 +642,13 @@ def weak_type_ratio(
     """Weak-(p,p) quotient sup_l l^p w({Mf > l}) / ||f||_{L^p(w)}^p."""
     if p < 1:
         raise DomainError(f"need p >= 1, got {p}")
-    grid = w.grid
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
-    norm_p = float(np.dot(w.values * grid.measures, f.values**p))
+    norm_p = float(np.dot(w.values * w.grid.measures, f.values**p))
     if norm_p == 0.0:
-        return CheckReport(
-            id="weak-type",
-            constant=0.0,
-            witness={"lambda": None},
-            verdict="pass",
-            meta={"p": p, "degenerate": "zero function"},
-            _reeval=lambda wit: 0.0,
-        )
-    res = maximal_dis(f, n_max)
-
-    def ratio_at(lam: float) -> float:
-        return lam**p * distribution_mass(w, res, lam) / norm_p
-
-    vals = np.array([ratio_at(float(l)) for l in lambda_grid])
-    k = int(np.argmax(vals))
-    return CheckReport(
-        id="weak-type",
-        constant=float(vals[k]),
-        witness={"lambda": float(lambda_grid[k])},
-        verdict="pass" if np.isfinite(vals[k]) else "fail",
-        meta={"p": p, "n_max": n_max, "window": res.window},
-        _reeval=lambda wit: ratio_at(float(wit["lambda"])),
+        meta = {"p": p, "degenerate": "zero function"}
+        return _zero_report("weak-type", {"lambda": None}, "pass", meta)
+    return _level_set_ratio(
+        "weak-type", w, f, p, norm_p, lambda_grid, n_max,
+        lambda res: {"p": p, "n_max": n_max, "window": res.window},
     )
 
 
@@ -642,14 +674,8 @@ def strong_type_ratio(
     grid = w.grid
     norm_p = float(np.dot(w.values * grid.measures, f.values**p))
     if norm_p == 0.0:
-        return CheckReport(
-            id="strong-type",
-            constant=0.0,
-            witness={"j_cut": j_cut},
-            verdict="pass",
-            meta={"p": p, "degenerate": "zero function"},
-            _reeval=lambda wit: 0.0,
-        )
+        meta = {"p": p, "degenerate": "zero function"}
+        return _zero_report("strong-type", {"j_cut": j_cut}, "pass", meta)
     res = maximal_dis(f, n_max)
     hi = min(j_cut, res.window[1])
     terms = res.values[:hi] ** p * w.values[:hi] * grid.measures[:hi]
@@ -707,8 +733,6 @@ def fs_ratio(
     if s < 1.0:
         raise DomainError(f"need s >= 1, got {s}")
     grid = w.grid
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
     if s > 1.0:
         g_vals = maximal_s(w, s, n_max).values
         g_hi = grid.j_max - (n_max + 1)
@@ -722,34 +746,12 @@ def fs_ratio(
     )
     if den == 0.0:
         verdict = "pass" if support_hi == 0 else "info"
-        return CheckReport(
-            id="fs-ratio",
-            constant=0.0,
-            witness={"lambda": None},
-            verdict=verdict,
-            meta={"s": s, "k": k, "degenerate": "zero denominator"},
-            _reeval=lambda wit: 0.0,
-        )
-    res = maximal_dis(f, n_max)
-
-    def ratio_at(lam: float) -> float:
-        return lam * distribution_mass(w, res, lam) / den
-
-    vals = np.array([ratio_at(float(l)) for l in lambda_grid])
-    kk = int(np.argmax(vals))
-    return CheckReport(
-        id="fs-ratio",
-        constant=float(vals[kk]),
-        witness={"lambda": float(lambda_grid[kk])},
-        verdict="pass" if np.isfinite(vals[kk]) else "fail",
-        meta={
-            "s": s,
-            "k": k,
-            "n_max": n_max,
-            "g_window": (1, g_hi),
-            "support_inside_window": support_hi <= g_hi,
-        },
-        _reeval=lambda wit: ratio_at(float(wit["lambda"])),
+        meta = {"s": s, "k": k, "degenerate": "zero denominator"}
+        return _zero_report("fs-ratio", {"lambda": None}, verdict, meta)
+    return _level_set_ratio(
+        "fs-ratio", w, f, 1.0, den, lambda_grid, n_max,
+        lambda res: {"s": s, "k": k, "n_max": n_max, "g_window": (1, g_hi),
+                     "support_inside_window": support_hi <= g_hi},
     )
 
 
@@ -775,50 +777,32 @@ def vector_valued_ratio(
     if backend not in ("tree", "radial"):
         raise UnsupportedError(f"unknown backend {backend!r}")
 
+    fmat = np.stack([f.values for f in functions])
     if backend == "tree":
-        tree = functions[0].tree
-        fmat = np.stack([f.values for f in functions])
-        results = [tree_maximal(f) for f in functions]
-        mmat = np.stack([res.values for res in results])
-        mu = np.ones(tree.size)
-        num_mask = np.ones(tree.size, dtype=bool)
+        mmat = np.stack([tree_maximal(f).values for f in functions])
+        mu = np.ones(fmat.shape[1])
+        num_keep = slice(None)
     else:
-        grid = functions[0].grid
-        fmat = np.stack([f.values for f in functions])
         results = [maximal_dis(f, n_max) for f in functions]
         mmat = np.stack([res.values for res in results])
-        hi = results[0].window[1]
-        mu = grid.measures
-        num_mask = np.zeros(grid.j_max, dtype=bool)
-        num_mask[:hi] = True
+        mu = functions[0].grid.measures
+        num_keep = slice(0, results[0].window[1])
 
-    denom_body = (fmat**r).sum(axis=0) ** (1.0 / r)
-    num_body = (mmat**r).sum(axis=0) ** (1.0 / r)
-    denom = float(np.dot(mu, denom_body**p)) ** (1.0 / p)
+    def norm(mat: np.ndarray, keep: slice = slice(None)) -> float:
+        """||(sum_n g_n^r)^(1/r)||_p over the annuli or vertices kept."""
+        body = (mat**r).sum(axis=0) ** (1.0 / r)
+        return float(np.dot(mu[keep], body[keep] ** p)) ** (1.0 / p)
+
+    denom = norm(fmat)
     if denom == 0.0:
-        return CheckReport(
-            id="vector-valued",
-            constant=0.0,
-            witness={"count": len(functions)},
-            verdict="pass",
-            meta={"p": p, "r": r, "backend": backend, "degenerate": "zero input"},
-            _reeval=lambda wit: 0.0,
-        )
-    num = float(np.dot(mu[num_mask], num_body[num_mask] ** p)) ** (1.0 / p)
-    constant = num / denom
-
-    def reeval(wit: dict) -> float:
-        nb = (mmat**r).sum(axis=0) ** (1.0 / r)
-        db = (fmat**r).sum(axis=0) ** (1.0 / r)
-        top = float(np.dot(mu[num_mask], nb[num_mask] ** p)) ** (1.0 / p)
-        bot = float(np.dot(mu, db**p)) ** (1.0 / p)
-        return top / bot
-
+        meta = {"p": p, "r": r, "backend": backend, "degenerate": "zero input"}
+        return _zero_report("vector-valued", {"count": len(functions)}, "pass", meta)
+    constant = norm(mmat, num_keep) / denom
     return CheckReport(
         id="vector-valued",
         constant=constant,
         witness={"count": len(functions)},
         verdict="pass" if np.isfinite(constant) else "fail",
         meta={"p": p, "r": r, "backend": backend},
-        _reeval=reeval,
+        _reeval=lambda wit: norm(mmat, num_keep) / norm(fmat),
     )

@@ -20,23 +20,17 @@ import traceback
 
 import numpy as np
 
-from .checkers import (
-    check_ap_loc,
-    check_classical_ap,
-    check_easy_check,
-    check_large_scale,
-    check_msw,
-    check_necessary,
-)
 from .errors import ConfigError, NalabError
 from .experiments import (
     CANONICAL_J_MAX,
     CANONICAL_N_MAX,
     CANONICAL_SEED,
+    CHECKERS,
     ExperimentConfig,
     REPRODUCE_IDS,
     make_envelope,
     report_dir,
+    run_checker,
     run_reproduce,
     run_sweep,
     write_json_report,
@@ -47,15 +41,6 @@ from .weights import WeightSpec, materialize
 
 # sysexits.h EX_SOFTWARE: an internal error, never a verdict or a usage code
 EXIT_CRASH = 70
-
-_WEIGHT_CONDITIONS = (
-    "msw",
-    "easy-check",
-    "large-scale",
-    "necessary",
-    "ap-loc",
-    "classical-ap",
-)
 
 
 def _seed(args) -> int:
@@ -107,19 +92,8 @@ def _cmd_weight_check(args) -> int:
     w = materialize(spec, grid)
 
     cond = args.condition
-    if cond == "msw":
-        rep = check_msw(w, args.s, n_max=args.n_max)
-    elif cond == "easy-check":
-        rep = check_easy_check(w, args.p, args.eta, n_max=args.n_max)
-    elif cond == "large-scale":
-        rep = check_large_scale(w, args.p, args.alpha, args.beta, n_max=args.n_max)
-    elif cond == "necessary":
-        rep = check_necessary(w, args.p, n_max=args.n_max)
-    elif cond == "ap-loc":
-        rep = check_ap_loc(w, args.p)
-    else:
-        rep = check_classical_ap(w, args.p)
-
+    params = {k: getattr(args, k) for k in ("p", "s", "eta", "alpha", "beta", "n_max")}
+    rep = run_checker(cond, w, params, _seed(args))
     env = make_envelope(f"weight-{cond}", _seed(args), [rep])
     env["weight"] = spec.to_json()
     path = os.path.join(report_dir(), f"weight-{cond}.json")
@@ -195,7 +169,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--spec", required=True, help="weight spec: JSON text or a path to it"
     )
-    p_check.add_argument("--condition", required=True, choices=_WEIGHT_CONDITIONS)
+    p_check.add_argument(
+        "--condition",
+        required=True,
+        choices=[cid for cid, c in CHECKERS.items() if "f" not in c.params],
+    )
     p_check.add_argument("--p", type=float, default=2.0)
     p_check.add_argument("--s", type=float, default=2.0)
     p_check.add_argument("--eta", type=float, default=0.0)

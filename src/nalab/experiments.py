@@ -19,7 +19,7 @@ import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .treelab import (
 from .weights import WeightSpec, materialize
 
 __all__ = [
+    "CHECKERS",
     "CANONICAL_SEED",
     "CANONICAL_J_MAX",
     "CANONICAL_N_MAX",
@@ -60,6 +61,7 @@ __all__ = [
     "ExperimentConfig",
     "make_envelope",
     "report_dir",
+    "run_checker",
     "run_reproduce",
     "run_sweep",
     "write_json_report",
@@ -169,63 +171,58 @@ def _pipe_apnot(seed: int) -> List[CheckReport]:
     return [check_classical_ap(w, 2.0)]
 
 
+def _divergence_sequence(
+    report_id: str,
+    ratio: Callable[[object, RadialFunction], CheckReport],
+    witness: dict,
+    meta: dict,
+    relative: bool,
+) -> CheckReport:
+    """Constants c_j of ratio(w, 1_(Omega_j)) for j = 10..40 and their growth.
+
+    w is exp_radial(-1) on a j_max 120 grid.  The linear rate is fitted to
+    c_j / c_10 when relative, else to c_j; reevaluate() recomputes
+    c_(j_hi) through ratio.
+    """
+    grid = _canonical_grid(120)
+    w = materialize(WeightSpec.exp_radial(-1.0), grid)
+
+    def constant_at(j: int) -> float:
+        return ratio(w, RadialFunction.indicator(grid, [j])).constant
+
+    js = np.arange(10, 41)
+    consts = np.array([constant_at(int(j)) for j in js])
+    growth = float(consts[-1] / consts[0])
+    fit = fit_linear(js.astype(float), consts / consts[0] if relative else consts)
+    return CheckReport(
+        id=report_id,
+        constant=float(consts[-1]),
+        witness={"j_lo": 10, "j_hi": 40, **witness},
+        verdict="fail" if growth >= 2.0 else "info",
+        slope=fit.slope,
+        r2=fit.r2,
+        meta={**meta, "growth_ratio": growth, "constants": [float(c) for c in consts]},
+        _reeval=lambda wit: constant_at(int(wit["j_hi"])),
+    )
+
+
 def _pipe_growthnec(seed: int) -> List[CheckReport]:
     """Growth condition passes, yet weak-type constants diverge along j."""
     nec = check_necessary(
         materialize(WeightSpec.exp_radial(-1.0), _canonical_grid()), 2.0
     )
-    grid = _canonical_grid(120)
-    w = materialize(WeightSpec.exp_radial(-1.0), grid)
-    js = np.arange(10, 41)
-    consts = np.array(
-        [
-            weak_type_ratio(
-                w, 2.0, RadialFunction.indicator(grid, [int(j)]), n_max=42
-            ).constant
-            for j in js
-        ]
-    )
-    ratio = float(consts[-1] / consts[0])
-    fit = fit_linear(js.astype(float), consts / consts[0])
-    growth = CheckReport(
-        id="weak-type-growth",
-        constant=float(consts[-1]),
-        witness={"j_lo": 10, "j_hi": 40, "n_max": 42},
-        verdict="fail" if ratio >= 2.0 else "info",
-        slope=fit.slope,
-        r2=fit.r2,
-        meta={
-            "p": 2.0,
-            "growth_ratio": ratio,
-            "constants": [float(c) for c in consts],
-        },
-        _reeval=lambda wit, arr=consts: float(arr[wit["j_hi"] - wit["j_lo"]]),
+    growth = _divergence_sequence(
+        "weak-type-growth", lambda w, f: weak_type_ratio(w, 2.0, f, n_max=42),
+        {"n_max": 42}, {"p": 2.0}, relative=True,
     )
     return [nec, growth]
 
 
 def _pipe_fs_failure(seed: int) -> List[CheckReport]:
     """s = 1 two-weight constants c_j grow linearly: no uniform bound."""
-    grid = _canonical_grid(120)
-    w = materialize(WeightSpec.exp_radial(-1.0), grid)
-    js = np.arange(10, 41)
-    consts = np.array(
-        [
-            fs_ratio(w, 1.0, RadialFunction.indicator(grid, [int(j)]), k=1).constant
-            for j in js
-        ]
-    )
-    ratio = float(consts[-1] / consts[0])
-    fit = fit_linear(js.astype(float), consts)
-    rep = CheckReport(
-        id="fs-divergence",
-        constant=float(consts[-1]),
-        witness={"j_lo": 10, "j_hi": 40, "s": 1.0, "k": 1},
-        verdict="fail" if ratio >= 2.0 else "info",
-        slope=fit.slope,
-        r2=fit.r2,
-        meta={"growth_ratio": ratio, "constants": [float(c) for c in consts]},
-        _reeval=lambda wit, arr=consts: float(arr[wit["j_hi"] - wit["j_lo"]]),
+    rep = _divergence_sequence(
+        "fs-divergence", lambda w, f: fs_ratio(w, 1.0, f, k=1),
+        {"s": 1.0, "k": 1}, {}, relative=False,
     )
     return [rep]
 
@@ -233,7 +230,8 @@ def _pipe_fs_failure(seed: int) -> List[CheckReport]:
 def _pipe_mf_lower(seed: int) -> List[CheckReport]:
     """Decay rate of M applied to the innermost-annulus indicator."""
     grid = _canonical_grid()
-    res = maximal_dis(RadialFunction.indicator(grid, [1]), 30)
+    f = RadialFunction.indicator(grid, [1])
+    res = maximal_dis(f, 30)
     js = np.arange(5, 31)
     vals = res.values[js - 1]
     fit = fit_log_slope(js.astype(float), vals)
@@ -244,7 +242,7 @@ def _pipe_mf_lower(seed: int) -> List[CheckReport]:
     rep = CheckReport(
         id="maximal-lower-rate",
         constant=float(comp.min()),
-        witness={"j_lo": 5, "j_hi": 30, "n_max": 30},
+        witness={"j_lo": 5, "j_hi": 30, "n_max": 30, "j": int(js[np.argmin(comp)])},
         verdict="pass" if ok else "fail",
         slope=fit.slope,
         r2=fit.r2,
@@ -252,7 +250,11 @@ def _pipe_mf_lower(seed: int) -> List[CheckReport]:
             "target_slope": target,
             "compensated_band": [float(comp.min()), float(comp.max())],
         },
-        _reeval=lambda wit, arr=comp: float(arr.min()),
+        # M(1_(Omega_1)) at annulus j, recomputed and compensated
+        _reeval=lambda wit: float(
+            maximal_dis(f, int(wit["n_max"])).values[wit["j"] - 1]
+            * np.exp(DEFAULT_SPACE.homogeneous_dim * wit["j"])
+        ),
     )
     return [rep]
 
@@ -331,28 +333,34 @@ def _pipe_kolmogorov(seed: int) -> List[CheckReport]:
 
 def _pipe_vector_valued(seed: int) -> List[CheckReport]:
     """Square-function quotient over seeded point-mass batches on the tree."""
-    tree = TreeSpace(TREE_K, TREE_DEPTH)
-    consts = []
-    for i in range(10):
-        rng = np.random.default_rng(seed + i)
+
+    def quotient(tree: TreeSpace, batch: int, p: float, r: float) -> float:
+        # batch i is drawn from seed + i, so a witness can redraw it
+        rng = np.random.default_rng(seed + batch)
         funcs = [
             VertexFunction.dirac(tree, rng.integers(0, tree.size, size=10))
             for _ in range(20)
         ]
-        consts.append(vector_valued_ratio(3.0, 2.0, funcs, backend="tree").constant)
+        return vector_valued_ratio(p, r, funcs, backend="tree").constant
+
+    tree = TreeSpace(TREE_K, TREE_DEPTH)
+    consts = [quotient(tree, i, 3.0, 2.0) for i in range(10)]
     consts_arr = np.array(consts)
     spread = float(consts_arr.max() / consts_arr.min())
     rep = CheckReport(
         id="vector-valued",
         constant=float(consts_arr.max()),
-        witness={"p": 3.0, "r": 2.0, "k": TREE_K, "depth": TREE_DEPTH, "batches": 10},
+        witness={"p": 3.0, "r": 2.0, "k": TREE_K, "depth": TREE_DEPTH, "batches": 10,
+                 "batch": int(np.argmax(consts_arr))},
         verdict="pass" if spread < 2.0 and np.all(np.isfinite(consts_arr)) else "fail",
         meta={
             "spread": spread,
             "constants": [float(c) for c in consts],
             "seed": seed,
         },
-        _reeval=lambda wit, arr=consts_arr: float(arr.max()),
+        _reeval=lambda wit: quotient(
+            TreeSpace(wit["k"], wit["depth"]), int(wit["batch"]), wit["p"], wit["r"]
+        ),
     )
     return [rep]
 
@@ -393,31 +401,6 @@ def run_reproduce(
 # ---------------------------------------------------------------------------
 # config-driven sweeps
 # ---------------------------------------------------------------------------
-
-# parameter surface per sweepable checker; n_max defaults to the grid block
-_CHECKER_PARAMS = {
-    "msw": {"s", "n_max"},
-    "easy-check": {"p", "eta", "n_max"},
-    "large-scale": {"p", "alpha", "beta", "n_max", "family"},
-    "necessary": {"p", "n_max", "family"},
-    "ap-loc": {"p", "step", "refinements"},
-    "classical-ap": {"p"},
-    "weak-type": {"p", "f", "n_max"},
-    "strong-type": {"p", "f", "j_cut", "n_max"},
-    "fs-ratio": {"s", "f", "k", "n_max"},
-}
-
-_CHECKER_DEFAULTS = {
-    "msw": {"s": 2.0},
-    "easy-check": {"p": 2.0, "eta": 0.0},
-    "large-scale": {"p": 2.0, "alpha": 0.5, "beta": 0.5},
-    "necessary": {"p": 2.0},
-    "ap-loc": {"p": 2.0},
-    "classical-ap": {"p": 2.0},
-    "weak-type": {"p": 2.0, "f": {"indicator": [1]}},
-    "strong-type": {"p": 2.0, "f": {"indicator": [1]}},
-    "fs-ratio": {"s": 2.0, "f": {"indicator": [5]}},
-}
 
 _FAMILY_KINDS = ("standard", "singletons", "dyadic", "random")
 
@@ -493,14 +476,13 @@ class ExperimentConfig:
         checker_block = _expect_object(obj.get("checker"), "checker")
         _reject_unknown(checker_block, {"id", "params"}, "checker")
         cid = checker_block.get("id")
-        if cid not in _CHECKER_PARAMS:
+        if cid not in CHECKERS:
             raise ConfigError(
-                f"unknown checker {cid!r}; known: {', '.join(sorted(_CHECKER_PARAMS))}"
+                f"unknown checker {cid!r}; known: {', '.join(sorted(CHECKERS))}"
             )
-        params = dict(_CHECKER_DEFAULTS[cid])
         given = _expect_object(checker_block.get("params", {}), "checker params")
-        _reject_unknown(given, _CHECKER_PARAMS[cid], f"{cid} params")
-        params.update(given)
+        _reject_unknown(given, CHECKERS[cid].params, f"{cid} params")
+        params = {**CHECKERS[cid].defaults, **given}
         params.setdefault("n_max", n_max)
 
         if "weight" not in obj:
@@ -509,7 +491,7 @@ class ExperimentConfig:
 
         axes = _expect_object(obj.get("axes", {}), "axes")
         for name, values in axes.items():
-            if name not in _CHECKER_PARAMS[cid]:
+            if name not in CHECKERS[cid].params:
                 raise ConfigError(f"axis {name!r} is not a parameter of {cid}")
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"axis {name!r} needs a nonempty list of values")
@@ -555,42 +537,67 @@ def _build_f(grid: AnnularGrid, spec) -> RadialFunction:
     return RadialFunction.indicator(grid, [int(j) for j in spec["indicator"]])
 
 
-def _run_cell(cfg: ExperimentConfig, w, grid, params: dict) -> CheckReport:
-    cid = cfg.checker
-    n_max = int(params.get("n_max", cfg.n_max))
-    if cid == "msw":
-        return check_msw(w, float(params["s"]), n_max=n_max)
-    if cid == "easy-check":
-        return check_easy_check(w, float(params["p"]), float(params["eta"]), n_max=n_max)
-    if cid == "large-scale":
-        family = None
-        if "family" in params:
-            family = _build_family(params["family"], w, n_max, cfg.seed)
-        return check_large_scale(
-            w, float(params["p"]), float(params["alpha"]), float(params["beta"]),
-            n_max=n_max, family=family,
-        )
-    if cid == "necessary":
-        family = None
-        if "family" in params:
-            family = _build_family(params["family"], w, n_max, cfg.seed)
-        return check_necessary(w, float(params["p"]), n_max=n_max, family=family)
-    if cid == "ap-loc":
-        return check_ap_loc(
-            w, float(params["p"]),
-            step=float(params.get("step", 0.1)),
-            refinements=int(params.get("refinements", 3)),
-        )
-    if cid == "classical-ap":
-        return check_classical_ap(w, float(params["p"]))
-    f = _build_f(grid, params["f"])
-    if cid == "weak-type":
-        return weak_type_ratio(w, float(params["p"]), f, n_max=n_max)
-    if cid == "strong-type":
-        return strong_type_ratio(
-            w, float(params["p"]), f, j_cut=int(params.get("j_cut", 60)), n_max=n_max
-        )
-    return fs_ratio(w, float(params["s"]), f, k=int(params.get("k", 1)), n_max=n_max)
+class Checker(NamedTuple):
+    """One row of the checker table that sweeps and `weight check` share."""
+
+    run: Callable  # run(weight, **params) -> CheckReport
+    params: set  # the parameter names a config may set
+    defaults: dict  # sweep values of the parameters a config leaves out
+
+
+# Parameters are keyword names of the checker; n_max defaults to the grid
+# block, family to the standard one, others to the checker's own defaults.
+# The ids without f are the `weight check` conditions, in this order.  Each
+# lambda looks its checker up at call time, so wrappers on the name apply.
+CHECKERS = {
+    "msw": Checker(lambda w, **a: check_msw(w, **a), {"s", "n_max"}, {"s": 2.0}),
+    "easy-check": Checker(
+        lambda w, **a: check_easy_check(w, **a),
+        {"p", "eta", "n_max"}, {"p": 2.0, "eta": 0.0},
+    ),
+    "large-scale": Checker(
+        lambda w, **a: check_large_scale(w, **a),
+        {"p", "alpha", "beta", "n_max", "family"}, {"p": 2.0, "alpha": 0.5, "beta": 0.5},
+    ),
+    "necessary": Checker(
+        lambda w, **a: check_necessary(w, **a), {"p", "n_max", "family"}, {"p": 2.0}
+    ),
+    "ap-loc": Checker(
+        lambda w, **a: check_ap_loc(w, **a), {"p", "step", "refinements"}, {"p": 2.0}
+    ),
+    "classical-ap": Checker(lambda w, **a: check_classical_ap(w, **a), {"p"}, {"p": 2.0}),
+    "weak-type": Checker(
+        lambda w, **a: weak_type_ratio(w, **a),
+        {"p", "f", "n_max"}, {"p": 2.0, "f": {"indicator": [1]}},
+    ),
+    "strong-type": Checker(
+        lambda w, **a: strong_type_ratio(w, **a),
+        {"p", "f", "j_cut", "n_max"}, {"p": 2.0, "f": {"indicator": [1]}},
+    ),
+    "fs-ratio": Checker(
+        lambda w, **a: fs_ratio(w, **a),
+        {"s", "f", "k", "n_max"}, {"s": 2.0, "f": {"indicator": [5]}},
+    ),
+}
+
+_INT_PARAMS = ("n_max", "refinements", "k", "j_cut")  # the other numbers are floats
+
+
+def run_checker(cid: str, w, params: dict, seed: int) -> CheckReport:
+    """Run checker cid on w; names in params that cid lacks are ignored."""
+    checker = CHECKERS[cid]
+    given = {**checker.defaults, **params}
+    kwargs = {}
+    for name in checker.params & given.keys():
+        value = given[name]
+        if name == "family":
+            value = _build_family(value, w, int(given["n_max"]), seed)
+        elif name == "f":
+            value = _build_f(w.grid, value)
+        else:
+            value = (int if name in _INT_PARAMS else float)(value)
+        kwargs[name] = value
+    return checker.run(w, **kwargs)
 
 
 def _csv_cell(v) -> str:
@@ -611,7 +618,7 @@ def run_sweep(cfg: ExperimentConfig, outdir: Optional[str] = None):
     for combo in itertools.product(*(cfg.axes[a] for a in axis_names)):
         params = dict(cfg.params)
         params.update(zip(axis_names, combo))
-        rep = _run_cell(cfg, w, grid, params)
+        rep = run_checker(cfg.checker, w, params, cfg.seed)
         reports.append((dict(zip(axis_names, combo)), rep))
         rows.append(
             [cfg.checker, *combo, rep.constant, rep.slope, rep.r2, rep.verdict]

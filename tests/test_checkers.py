@@ -314,7 +314,15 @@ def _overflowing_weight(grid):
     return Weight(grid, values)
 
 
-@pytest.mark.parametrize("weight", ["exp+1", "overflow"])
+def _overflowing_sum_weight(grid):
+    # annulus 10 holds mass 1e306: every pair mass stays finite, but from
+    # n = 3 on some sums over a set overflow to inf inside the product
+    values = np.ones(grid.j_max)
+    values[9] = 1e306 / grid.measures[9]
+    return Weight(grid, values)
+
+
+@pytest.mark.parametrize("weight", ["exp+1", "overflow", "overflow-sum"])
 @pytest.mark.parametrize("family", ["standard", "random-unions"])
 @pytest.mark.parametrize("exponents", [None, (2.0, 0.5, 0.5)])
 def test_pair_measure_matches_loop_oracle(weight, family, exponents):
@@ -322,8 +330,10 @@ def test_pair_measure_matches_loop_oracle(weight, family, exponents):
     window = (1, grid.j_max - n_max - 1)
     if weight == "exp+1":
         w = materialize(WeightSpec.exp_radial(1.0), grid)
-    else:
+    elif weight == "overflow":
         w = _overflowing_weight(grid)
+    else:
+        w = _overflowing_sum_weight(grid)
     if family == "standard":
         fam = SetFamily.standard(window)
     else:
@@ -348,6 +358,19 @@ def test_pair_measure_matches_loop_oracle(weight, family, exponents):
         assert rep.reevaluate() == pytest.approx(best, rel=1e-12)
     if weight == "overflow":
         assert skipped > 0 and math.isfinite(best)
+
+
+def test_pair_measure_infinite_sup_fails():
+    # an infinite per-scale sup means the condition is unbounded: no rate
+    # fit, verdict "fail", and the witness pair recomputes to inf
+    with np.errstate(over="ignore"):
+        rep = check_necessary(_overflowing_sum_weight(GRID40), 2.0, n_max=8)
+        assert rep.reevaluate() == math.inf
+    assert rep.constant == math.inf and rep.verdict == "fail"
+    assert rep.slope is None and rep.r2 is None
+    assert rep.witness["n"] == 4
+    assert rep.meta["sup_by_n"][:3] == pytest.approx([2.03e147, 7.10e147, 7.95e147], rel=1e-2)
+    assert rep.meta["sup_by_n"][3:] == [math.inf] * 5
 
 
 # ---------------------------------------------------------------- weak/strong

@@ -2,22 +2,41 @@
 command-line front end.  Pipelines that reproduce negative results exit 1 by
 design; usage and config problems exit 2."""
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nalab import cli
+from nalab.checkers import (
+    check_ap_loc,
+    check_classical_ap,
+    check_easy_check,
+    check_large_scale,
+    check_msw,
+    check_necessary,
+    fs_ratio,
+    vector_valued_ratio,
+    weak_type_ratio,
+)
 from nalab.cli import main
 from nalab.errors import ConfigError
 from nalab.experiments import (
+    _PIPELINES,
     CANONICAL_SEED,
+    CHECKERS,
     ExperimentConfig,
     REPRODUCE_IDS,
     run_reproduce,
     run_sweep,
 )
+from nalab.geometry import DEFAULT_SPACE, AnnularGrid, SpaceParams
+from nalab.radialops import RadialFunction, maximal_dis
+from nalab.treelab import TreeSpace, VertexFunction
+from nalab.weights import WeightSpec, materialize
 
 ENVELOPE_KEYS = {"id", "created", "seed", "space", "verdict", "reports"}
 
@@ -76,6 +95,48 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     code, path, _ = run_reproduce("ex-beta-eq-alpha")
     assert code == 0
     assert (tmp_path / "ex-beta-eq-alpha.json").exists()
+
+
+@pytest.fixture(scope="module")
+def pipeline_reports():
+    ids = ("ex-growthnec", "thm-fs-failure", "mf-lower", "vector-valued")
+    return {i: _PIPELINES[i](CANONICAL_SEED)[-1] for i in ids}
+
+
+def _grid120_case(j):
+    grid = AnnularGrid(DEFAULT_SPACE, 120)
+    return materialize(WeightSpec.exp_radial(-1.0), grid), RadialFunction.indicator(grid, [j])
+
+
+def _other_case(exp_id):
+    """A witness case the pipeline did not pick, and its value by direct call."""
+    if exp_id == "ex-growthnec":
+        w, f = _grid120_case(41)
+        return {"j_hi": 41}, weak_type_ratio(w, 2.0, f, n_max=42).constant
+    if exp_id == "thm-fs-failure":
+        w, f = _grid120_case(41)
+        return {"j_hi": 41}, fs_ratio(w, 1.0, f, k=1).constant
+    if exp_id == "mf-lower":
+        grid = AnnularGrid(DEFAULT_SPACE, 80)
+        res = maximal_dis(RadialFunction.indicator(grid, [1]), 30)
+        return {"j": 12}, res.values[11] * np.exp(DEFAULT_SPACE.homogeneous_dim * 12)
+    tree = TreeSpace(2, 8)
+    rng = np.random.default_rng(CANONICAL_SEED + 3)
+    funcs = [VertexFunction.dirac(tree, rng.integers(0, tree.size, size=10)) for _ in range(20)]
+    return {"batch": 3}, vector_valued_ratio(3.0, 2.0, funcs, backend="tree").constant
+
+
+@pytest.mark.parametrize(
+    "exp_id", ["ex-growthnec", "thm-fs-failure", "mf-lower", "vector-valued"]
+)
+def test_pipeline_reevaluate_recomputes_the_witness(pipeline_reports, exp_id):
+    rep = pipeline_reports[exp_id]
+    assert abs(rep.reevaluate() - rep.constant) <= 1e-10 * abs(rep.constant)
+    # a witness naming another case recomputes that case, not the stored pick
+    change, expected = _other_case(exp_id)
+    other = dataclasses.replace(rep, witness={**rep.witness, **change})
+    assert abs(other.reevaluate() - expected) <= 1e-10 * abs(expected)
+    assert expected != rep.constant
 
 
 # ---------------------------------------------------------------- sweeps
@@ -177,6 +238,39 @@ def test_cli_weight_check(tmp_path, monkeypatch, capsys):
                  "--condition", "classical-ap"])
     assert code == 1  # Ap products diverge for this weight
     assert json.loads((tmp_path / "weight-classical-ap.json").read_text())["verdict"] == "fail"
+
+
+# each condition called directly with the CLI's defaults
+CLI_CONDITIONS = {
+    "msw": lambda w: check_msw(w, 2.0, n_max=25),
+    "easy-check": lambda w: check_easy_check(w, 2.0, 0.0, n_max=25),
+    "large-scale": lambda w: check_large_scale(w, 2.0, 0.5, 0.5, n_max=25),
+    "necessary": lambda w: check_necessary(w, 2.0, n_max=25),
+    "ap-loc": lambda w: check_ap_loc(w, 2.0),
+    "classical-ap": lambda w: check_classical_ap(w, 2.0),
+}
+
+
+def test_cli_conditions_are_the_checkers_without_f(capsys):
+    assert [c for c, ch in CHECKERS.items() if "f" not in ch.params] == list(CLI_CONDITIONS)
+    spec = '{"variant": "constant"}'
+    assert main(["weight", "check", "--spec", spec, "--condition", "weak-type"]) == 2
+
+
+@pytest.mark.parametrize("cond", list(CLI_CONDITIONS))
+def test_cli_weight_check_matches_direct_call(tmp_path, monkeypatch, capsys, cond):
+    monkeypatch.setenv("NALAB_OUTDIR", str(tmp_path))
+    spec = {"variant": "exp_radial", "gamma": -0.3}
+    code = main(["weight", "check", "--spec", json.dumps(spec), "--condition", cond])
+    payload = json.loads((tmp_path / f"weight-{cond}.json").read_text())
+    grid = AnnularGrid(SpaceParams.from_mk(2, 1), 80)
+    rep = CLI_CONDITIONS[cond](materialize(WeightSpec.from_json(spec), grid)).to_json()
+    (got,) = payload["reports"]
+    assert payload["id"] == f"weight-{cond}"
+    assert (got["id"], got["constant"], got["witness"], got["verdict"]) == (
+        rep["id"], rep["constant"], rep["witness"], rep["verdict"]
+    )
+    assert code == (1 if rep["verdict"] == "fail" else 0)
 
 
 @pytest.mark.parametrize(
