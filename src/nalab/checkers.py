@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, GridRangeError, UnsupportedError
 from .fitting import fit_linear, fit_log_slope
-from .geometry import annular_intersection, density, product_kernel
+from .geometry import annular_intersection, density, product_kernel, valid_upper
 from .radialops import (
     RadialFunction,
     distribution_mass,
@@ -51,6 +51,11 @@ __all__ = [
 # per-scale sups whose fitted exponential rate exceeds this are reported as
 # divergent; genuine growth rates in the examples are O(rho), far above it
 _GROWTH_SLOPE_TOL = 0.1
+
+_AP_LOC_LENGTHS = (0.5, 1.0, 2.0)  # interval lengths of the local sweep
+_CLASSICAL_AP_RADII = range(5, 31)  # ball radii j of the classical product
+_STRONG_FIT_RANGE = (20, 60)  # J range of the strong-type rate fit
+_STRONG_SLOPE_TOL = 0.5  # fitted rates at or above this are divergent
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -192,9 +197,7 @@ def _growth_verdict(sup_by_n: Sequence[float]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _ap_loc_sweep(
-    w: Weight, p: float, step: float, lengths: Sequence[float]
-) -> tuple:
+def _ap_loc_sweep(w: Weight, p: float, step: float) -> tuple:
     """One interval sweep at quadrature resolution step/8; returns (sup, witness)."""
     grid = w.grid
     t_hi = float(grid.j_max)
@@ -212,7 +215,7 @@ def _ap_loc_sweep(
 
     stride = max(1, int(round(step / h)))
     best, best_witness = -np.inf, None
-    for length in lengths:
+    for length in _AP_LOC_LENGTHS:
         span = int(round(length / h))
         if span < 1 or span > n_cells:
             continue
@@ -236,13 +239,12 @@ def check_ap_loc(
     w: Weight,
     p: float,
     step: float = 0.1,
-    lengths: Sequence[float] = (0.5, 1.0, 2.0),
     refinements: int = 3,
 ) -> CheckReport:
     """Local Muckenhoupt-type product over short intervals of the ray.
 
-    Surrogate: sup over intervals I of length <= 2 inside [0, j_max] of
-    (avg_I w dmu) * (avg_I w^(-1/(p-1)) dmu)^(p-1), dmu = density(t) dt,
+    Surrogate: sup over intervals I of length 0.5, 1 or 2 inside [0, j_max]
+    of (avg_I w dmu) * (avg_I w^(-1/(p-1)) dmu)^(p-1), dmu = density(t) dt,
     by midpoint quadrature and a sweep of interval starts at the given
     step.  The sweep is repeated at halved steps; the verdict is the
     drift between coarsest and finest sup (a locally integrable profile
@@ -256,7 +258,7 @@ def check_ap_loc(
     steps = [step / 2**a for a in range(refinements + 1)]
     sups, witness = [], None
     for st in steps:
-        sup, wit = _ap_loc_sweep(w, p, st, lengths)
+        sup, wit = _ap_loc_sweep(w, p, st)
         sups.append(sup)
         witness = wit
     best = sups[-1]
@@ -283,7 +285,7 @@ def check_ap_loc(
         verdict=verdict,
         meta={
             "p": p,
-            "lengths": list(lengths),
+            "lengths": list(_AP_LOC_LENGTHS),
             "steps": steps,
             "sup_by_step": sups,
             "drift": drift,
@@ -341,7 +343,7 @@ def _pair_measure_check(
     """
     grid = w.grid
     if family is None:
-        family = SetFamily.standard((1, grid.j_max - n_max - 1))
+        family = SetFamily.standard((1, valid_upper(grid.j_max, n_max)))
     two_rho = 2.0 * grid.params.rho
     sets = family.sets
     ind = np.zeros((len(sets), w.values.size))
@@ -516,7 +518,7 @@ def check_msw(w: Weight, s: float, n_max: int = 25) -> CheckReport:
         raise DomainError(f"power-adjusted domination needs s >= 1, got {s}")
     grid = w.grid
     ms = maximal_s(w, s, n_max)
-    hi = grid.j_max - (n_max + 1)
+    hi = valid_upper(grid.j_max, n_max)
     ratios = ms.values[:hi] / w.values[:hi]
     k = int(np.argmax(ratios))
     best = float(ratios[k])
@@ -540,13 +542,11 @@ def check_msw(w: Weight, s: float, n_max: int = 25) -> CheckReport:
     )
 
 
-def check_classical_ap(
-    w: Weight, p: float, j_range: Sequence[int] = range(5, 31)
-) -> CheckReport:
+def check_classical_ap(w: Weight, p: float) -> CheckReport:
     """Classical two-factor product along growing model balls.
 
-    For each j the ball B(x_j, j) with x_j at midpoint distance of annulus
-    j is decomposed into annular slices; the product
+    For each j = 5 .. 30 the ball B(x_j, j) with x_j at midpoint distance
+    of annulus j is decomposed into annular slices; the product
     (avg_B w) * (avg_B w^(-1/(p-1)))^(p-1) is evaluated through
     intersection measures, and its exponential rate in j is fitted.
     A positive rate is the classical-condition failure detector.
@@ -564,7 +564,7 @@ def check_classical_ap(
         avg_d = float(np.dot(pieces, dual)) / vol
         return avg_w * avg_d ** (p - 1.0)
 
-    js = [int(j) for j in j_range]
+    js = list(_CLASSICAL_AP_RADII)
     if js[-1] > grid.j_max:
         raise GridRangeError("ball radius leaves the grid")
     prods = np.array([product_at(j) for j in js])
@@ -603,18 +603,16 @@ def _level_set_ratio(
     f: RadialFunction,
     power: float,
     den: float,
-    lambda_grid: Optional[np.ndarray],
     n_max: int,
     meta: Callable,
 ) -> CheckReport:
     """Shared body of the level-set quotients sup_l l^power w({Mf > l}) / den.
 
-    The sup runs over lambda_grid (default_lambda_grid() when None) and its
-    first maximizer is the witness; meta(res) builds the report's meta from
-    the maximal result res of f.
+    The sup runs over default_lambda_grid() and its first maximizer is the
+    witness; meta(res) builds the report's meta from the maximal result res
+    of f.
     """
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
+    lambda_grid = default_lambda_grid()
     res = maximal_dis(f, n_max)
 
     def ratio_at(lam: float) -> float:
@@ -636,7 +634,6 @@ def weak_type_ratio(
     w: Weight,
     p: float,
     f: RadialFunction,
-    lambda_grid: Optional[np.ndarray] = None,
     n_max: int = 25,
 ) -> CheckReport:
     """Weak-(p,p) quotient sup_l l^p w({Mf > l}) / ||f||_{L^p(w)}^p."""
@@ -647,7 +644,7 @@ def weak_type_ratio(
         meta = {"p": p, "degenerate": "zero function"}
         return _zero_report("weak-type", {"lambda": None}, "pass", meta)
     return _level_set_ratio(
-        "weak-type", w, f, p, norm_p, lambda_grid, n_max,
+        "weak-type", w, f, p, norm_p, n_max,
         lambda res: {"p": p, "n_max": n_max, "window": res.window},
     )
 
@@ -658,30 +655,32 @@ def strong_type_ratio(
     f: RadialFunction,
     j_cut: int = 60,
     n_max: int = 25,
-    fit_range: tuple = (20, 60),
-    slope_threshold: float = 0.5,
 ) -> CheckReport:
     """Partial strong-(p,p) quotients and their linear growth rate.
 
     Partial sums S(J) = sum_{j <= J} (Mf)_j^p w_j |Omega_j| are fitted
-    linearly in J over fit_range, measured in units of the per-annulus
+    linearly in J over 20 .. 60, measured in units of the per-annulus
     term at the start of the fit range so that model constants cancel:
     annulus terms of constant size fit a rate near 1 (one term per unit
-    J), a convergent tail fits a rate near 0, and a rate at or above
-    slope_threshold is reported as divergence.  The reported constant is
-    the quotient S(j_cut) / ||f||_{L^p(w)}^p.
+    J), a convergent tail fits a rate near 0, and a rate at or above 0.5
+    is reported as divergence.  The reported constant is the quotient
+    S(j_cut) / ||f||_{L^p(w)}^p.
     """
     grid = w.grid
     norm_p = float(np.dot(w.values * grid.measures, f.values**p))
     if norm_p == 0.0:
         meta = {"p": p, "degenerate": "zero function"}
         return _zero_report("strong-type", {"j_cut": j_cut}, "pass", meta)
+
+    def terms_upto(j: int, mf: np.ndarray) -> np.ndarray:
+        return mf[:j] ** p * w.values[:j] * grid.measures[:j]
+
     res = maximal_dis(f, n_max)
     hi = min(j_cut, res.window[1])
-    terms = res.values[:hi] ** p * w.values[:hi] * grid.measures[:hi]
+    terms = terms_upto(hi, res.values)
     partial = np.cumsum(terms) / norm_p
-    lo_fit = max(2, fit_range[0])
-    hi_fit = min(hi, fit_range[1])
+    lo_fit = max(2, _STRONG_FIT_RANGE[0])
+    hi_fit = min(hi, _STRONG_FIT_RANGE[1])
     js = np.arange(lo_fit, hi_fit + 1, dtype=float)
     t_ref = terms[lo_fit - 1] / norm_p
     if t_ref > 0:
@@ -689,14 +688,15 @@ def strong_type_ratio(
         # window would otherwise drown the unit-term rescaling
         seg = (partial[lo_fit - 1 : hi_fit] - partial[lo_fit - 2]) / t_ref
         fit = fit_linear(js, seg)
-        verdict = "fail" if fit.slope >= slope_threshold else "pass"
+        verdict = "fail" if fit.slope >= _STRONG_SLOPE_TOL else "pass"
         slope, r2 = fit.slope, fit.r2
     else:  # maximal function already zero at the fit window
         slope, r2, verdict = None, None, "info"
 
     def reeval(wit: dict) -> float:
         j = min(int(wit["j_cut"]), hi)
-        return float(partial[j - 1])
+        partial_j = np.cumsum(terms_upto(j, maximal_dis(f, n_max).values))[-1]
+        return float(partial_j / norm_p)
 
     return CheckReport(
         id="strong-type",
@@ -720,7 +720,6 @@ def fs_ratio(
     w: Weight,
     s: float,
     f: RadialFunction,
-    lambda_grid: Optional[np.ndarray] = None,
     k: int = 1,
     n_max: int = 25,
 ) -> CheckReport:
@@ -735,7 +734,7 @@ def fs_ratio(
     grid = w.grid
     if s > 1.0:
         g_vals = maximal_s(w, s, n_max).values
-        g_hi = grid.j_max - (n_max + 1)
+        g_hi = valid_upper(grid.j_max, n_max)
     else:
         it = iterate_maximal(w, k, n_max)
         g_vals = it.values
@@ -749,7 +748,7 @@ def fs_ratio(
         meta = {"s": s, "k": k, "degenerate": "zero denominator"}
         return _zero_report("fs-ratio", {"lambda": None}, verdict, meta)
     return _level_set_ratio(
-        "fs-ratio", w, f, 1.0, den, lambda_grid, n_max,
+        "fs-ratio", w, f, 1.0, den, n_max,
         lambda res: {"s": s, "k": k, "n_max": n_max, "g_window": (1, g_hi),
                      "support_inside_window": support_hi <= g_hi},
     )
@@ -778,31 +777,31 @@ def vector_valued_ratio(
         raise UnsupportedError(f"unknown backend {backend!r}")
 
     fmat = np.stack([f.values for f in functions])
-    if backend == "tree":
-        mmat = np.stack([tree_maximal(f).values for f in functions])
-        mu = np.ones(fmat.shape[1])
-        num_keep = slice(None)
-    else:
-        results = [maximal_dis(f, n_max) for f in functions]
-        mmat = np.stack([res.values for res in results])
-        mu = functions[0].grid.measures
-        num_keep = slice(0, results[0].window[1])
+    mu = np.ones(fmat.shape[1]) if backend == "tree" else functions[0].grid.measures
 
     def norm(mat: np.ndarray, keep: slice = slice(None)) -> float:
         """||(sum_n g_n^r)^(1/r)||_p over the annuli or vertices kept."""
         body = (mat**r).sum(axis=0) ** (1.0 / r)
         return float(np.dot(mu[keep], body[keep] ** p)) ** (1.0 / p)
 
+    def maximal_norm() -> float:
+        """The numerator, from freshly computed maximal functions."""
+        if backend == "tree":
+            return norm(np.stack([tree_maximal(f).values for f in functions]))
+        results = [maximal_dis(f, n_max) for f in functions]
+        mmat = np.stack([res.values for res in results])
+        return norm(mmat, slice(0, results[0].window[1]))
+
     denom = norm(fmat)
     if denom == 0.0:
         meta = {"p": p, "r": r, "backend": backend, "degenerate": "zero input"}
         return _zero_report("vector-valued", {"count": len(functions)}, "pass", meta)
-    constant = norm(mmat, num_keep) / denom
+    constant = maximal_norm() / denom
     return CheckReport(
         id="vector-valued",
         constant=constant,
         witness={"count": len(functions)},
         verdict="pass" if np.isfinite(constant) else "fail",
         meta={"p": p, "r": r, "backend": backend},
-        _reeval=lambda wit: norm(mmat, num_keep) / norm(fmat),
+        _reeval=lambda wit: maximal_norm() / norm(fmat),
     )

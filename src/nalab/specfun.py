@@ -35,6 +35,7 @@ _TAYLOR_START = 1e-3
 # tight enough that two independent solves of the same trajectory (a scalar
 # call vs a shared trace) agree within the 1e-12 midpoint-consistency budget
 _ODE_RTOL = 2e-13
+_CONNECTION_ARGS = (8.0, 8.5)  # the two arguments of the connection system
 
 
 @dataclass(frozen=True)
@@ -306,9 +307,7 @@ def jacobi_phi_second_trace(jp: JacobiParams, ts) -> FunctionTrace:
     )
 
 
-def connection_coefficients(
-    jp: JacobiParams, t_pair: tuple[float, float] = (8.0, 8.5)
-) -> tuple[complex, complex]:
+def connection_coefficients(jp: JacobiParams) -> tuple[complex, complex]:
     """Coefficients (c_plus, c_minus) with phi = c_plus Phi_lam + c_minus Phi_{-lam}.
 
     Solved from a 2x2 linear system at two large arguments; no closed form of
@@ -318,7 +317,7 @@ def connection_coefficients(
     if complex(jp.lam) == 0:
         raise PoleError("connection system is singular at lam = 0")
     jm = JacobiParams(jp.sigma, jp.tau, -complex(jp.lam))
-    t1, t2 = t_pair
+    t1, t2 = _CONNECTION_ARGS
     mat = np.array(
         [
             [jacobi_phi_second(jp, t1), jacobi_phi_second(jm, t1)],

@@ -11,7 +11,11 @@ truncation-free radius attains its maximum; downstream statistics drop
 flagged vertices rather than silently absorbing edge bias.
 
 Layout: vertices are numbered in breadth-first order, the root is 0 and the
-children of v are k*v + 1 .. k*v + k.  Per-subtree distance profiles come
+children of v are k*v + 1 .. k*v + k.  Level L starts at s_L = (k^L - 1) /
+(k - 1), and the subtree of a vertex a at depth e covers, on each level
+L >= e, the k^(L-e) consecutive vertices from s_L + (a - s_e) k^(L-e).
+distances_from finds lowest common ancestors by writing into these blocks,
+one per ancestor and level.  Per-subtree distance profiles come
 from one bottom-up pass, and ball sums from one top-down rerooting
 recurrence over the radii: B(v, r) is v's own profile plus the parent's
 ball of radius r - 1, less the part of subtree(v) counted twice.  Because
@@ -60,33 +64,12 @@ class TreeSpace:
         self.depth = int(depth)
         self.size = (k ** (depth + 1) - 1) // (k - 1)
 
-        parent = np.empty(self.size, dtype=np.int64)
-        parent[0] = -1
-        idx = np.arange(1, self.size, dtype=np.int64)
-        parent[1:] = (idx - 1) // k
-
-        depths = np.zeros(self.size, dtype=np.int64)
-        start, width = 0, 1
-        for d in range(depth + 1):
-            depths[start : start + width] = d
-            start += width
-            width *= k
-        self.parent = parent
-        self.depths = depths
-        self._level_starts = np.concatenate(
-            [[0], np.cumsum(k ** np.arange(depth + 1))]
+        self.parent = np.concatenate(
+            [[-1], (np.arange(1, self.size, dtype=np.int64) - 1) // k]
         )
-
-        # ancestor-at-depth table: anc_at[d, v] is v's ancestor at depth d,
-        # or -1 when v itself is shallower than d
-        anc = np.full((depth + 1, self.size), -1, dtype=np.int64)
-        allv = np.arange(self.size, dtype=np.int64)
-        for d in range(depth + 1):
-            anc[d, depths == d] = allv[depths == d]
-        for d in range(depth - 1, -1, -1):
-            deeper = depths > d
-            anc[d, deeper] = parent[anc[d + 1, deeper]]
-        self.anc_at = anc
+        widths = k ** np.arange(depth + 1, dtype=np.int64)
+        self.depths = np.repeat(np.arange(depth + 1, dtype=np.int64), widths)
+        self._level_starts = np.concatenate([[0], np.cumsum(widths)])
 
         self._count_cum: Optional[np.ndarray] = None
 
@@ -143,17 +126,24 @@ class TreeSpace:
         return d
 
     def distances_from(self, x: int) -> np.ndarray:
-        """Distances from x to every vertex, via the ancestor table."""
+        """Distances from x to every vertex.
+
+        Writing e into the level blocks of x's ancestor at depth e, for
+        e = 1 .. depth(x), leaves at every vertex the depth of its lowest
+        common ancestor with x: a deeper ancestor's blocks lie inside the
+        shallower ones' and overwrite them.
+        """
         self.check_vertex(x)
-        lca_depth = np.zeros(self.size, dtype=np.int64)
-        agree = np.ones(self.size, dtype=bool)
-        for d in range(1, self.depth + 1):
-            ax = self.anc_at[d, x]
-            if ax < 0:
-                break
-            agree &= self.anc_at[d] == ax
-            lca_depth[agree] = d
-        return self.depths[x] + self.depths - 2 * lca_depth
+        s, k, dx = self._level_starts.tolist(), self.k, int(self.depths[x])
+        lca = np.zeros(self.size, dtype=np.int64)
+        for e in range(1, dx + 1):
+            # the ancestor's place on level e
+            offset = (int(x) - s[dx]) // k ** (dx - e)
+            for lvl in range(e, self.depth + 1):
+                width = k ** (lvl - e)
+                lo = s[lvl] + offset * width
+                lca[lo : lo + width] = e
+        return dx + self.depths - 2 * lca
 
     def __repr__(self):
         return f"TreeSpace(k={self.k}, depth={self.depth}, size={self.size})"
@@ -334,20 +324,6 @@ def tree_maximal_naive(f: VertexFunction) -> TreeMaximal:
     return TreeMaximal(tree, best, arg, boundary)
 
 
-def _pairwise_distances(tree: TreeSpace, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Distance matrix between two vertex arrays via the ancestor table."""
-    X = xs[:, None]
-    Y = ys[None, :]
-    lca = np.zeros((xs.size, ys.size), dtype=np.int64)
-    agree = np.ones((xs.size, ys.size), dtype=bool)
-    for d in range(1, tree.depth + 1):
-        ax = tree.anc_at[d][X]
-        ay = tree.anc_at[d][Y]
-        agree = agree & (ax == ay) & (ax >= 0)
-        lca[agree] = d
-    return tree.depths[X] + tree.depths[Y] - 2 * lca
-
-
 def _as_vertex_array(tree: TreeSpace, E: Iterable[int]) -> np.ndarray:
     arr = np.asarray(sorted(set(int(v) for v in E)), dtype=np.int64)
     if arr.size and (arr.min() < 0 or arr.max() >= tree.size):
@@ -376,7 +352,7 @@ def tree_product_measure(
     fy = _as_vertex_array(tree, F)
     if ex.size == 0 or fy.size == 0:
         return 0.0
-    dm = _pairwise_distances(tree, ex, fy)
+    dm = np.stack([tree.distances_from(int(x))[fy] for x in ex])
     hit = (dm == n) if mode == "exact-distance" else (dm < n)
     return float((hit * w.values[fy][None, :]).sum())
 

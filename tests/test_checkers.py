@@ -5,6 +5,8 @@ outright."""
 import json
 import math
 
+import nalab.checkers
+
 import numpy as np
 import pytest
 
@@ -509,3 +511,27 @@ def test_witness_reproduction(notstrong_reports, fs_s1_reports):
             continue
         again = rep.reevaluate()
         assert abs(again - rep.constant) / abs(rep.constant) <= 1e-10, rep.id
+
+
+@pytest.mark.parametrize("case", ["strong-type", "vector-radial", "vector-tree"])
+def test_reevaluate_recomputes_maximal_functions(monkeypatch, notstrong_reports, case):
+    if case == "strong-type":
+        rep = notstrong_reports[1]
+    elif case == "vector-radial":
+        fs = [RadialFunction.indicator(GRID80, [j]) for j in (3, 5)]
+        rep = vector_valued_ratio(2.0, 2.0, fs, backend="radial")
+    else:
+        tree = TreeSpace(2, 5)
+        rng = np.random.default_rng(5)
+        fs = [VertexFunction.dirac(tree, rng.integers(0, tree.size, 4)) for _ in range(3)]
+        rep = vector_valued_ratio(3.0, 2.0, fs, backend="tree")
+    maximal = "tree_maximal" if case == "vector-tree" else "maximal_dis"
+    real, calls = getattr(nalab.checkers, maximal), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nalab.checkers, maximal, counting)
+    assert abs(rep.reevaluate() - rep.constant) <= 1e-10 * abs(rep.constant)
+    assert calls, f"{rep.id} replayed a stored maximal function"

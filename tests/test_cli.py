@@ -35,7 +35,7 @@ from nalab.experiments import (
 )
 from nalab.geometry import DEFAULT_SPACE, AnnularGrid, SpaceParams
 from nalab.radialops import RadialFunction, maximal_dis
-from nalab.treelab import TreeSpace, VertexFunction
+from nalab.treelab import TreeSpace, VertexFunction, tree_ball, tree_kolmogorov
 from nalab.weights import WeightSpec, materialize
 
 ENVELOPE_KEYS = {"id", "created", "seed", "space", "verdict", "reports"}
@@ -99,7 +99,7 @@ def test_outdir_env_var(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def pipeline_reports():
-    ids = ("ex-growthnec", "thm-fs-failure", "mf-lower", "vector-valued")
+    ids = ("ex-growthnec", "thm-fs-failure", "mf-lower", "kolmogorov", "vector-valued")
     return {i: _PIPELINES[i](CANONICAL_SEED)[-1] for i in ids}
 
 
@@ -121,13 +121,20 @@ def _other_case(exp_id):
         res = maximal_dis(RadialFunction.indicator(grid, [1]), 30)
         return {"j": 12}, res.values[11] * np.exp(DEFAULT_SPACE.homogeneous_dim * 12)
     tree = TreeSpace(2, 8)
+    if exp_id == "kolmogorov":
+        rng = np.random.default_rng(CANONICAL_SEED)
+        for _ in range(6):  # draws 0 .. 5
+            f = VertexFunction(tree, rng.uniform(0.0, 1.0, tree.size))
+            center, radius = int(rng.integers(0, tree.size)), int(rng.integers(0, 17))
+        rep = tree_kolmogorov(0.5, f, tree_ball(tree, center, radius).vertices)
+        return {"draw": 5, "q": 0.5}, rep.lhs / rep.rhs
     rng = np.random.default_rng(CANONICAL_SEED + 3)
     funcs = [VertexFunction.dirac(tree, rng.integers(0, tree.size, size=10)) for _ in range(20)]
     return {"batch": 3}, vector_valued_ratio(3.0, 2.0, funcs, backend="tree").constant
 
 
 @pytest.mark.parametrize(
-    "exp_id", ["ex-growthnec", "thm-fs-failure", "mf-lower", "vector-valued"]
+    "exp_id", ["ex-growthnec", "thm-fs-failure", "mf-lower", "kolmogorov", "vector-valued"]
 )
 def test_pipeline_reevaluate_recomputes_the_witness(pipeline_reports, exp_id):
     rep = pipeline_reports[exp_id]

@@ -43,8 +43,13 @@ def test_distance_symmetry_and_table():
     for _ in range(100):
         x, y = (int(a) for a in rng.integers(0, t.size, 2))
         assert t.distance(x, y) == t.distance(y, x)
-        assert t.distance(x, y) == t.distances_from(x)[y]
     assert t.distance(0, t.size - 1) == 5
+    # the level-block distances against the parent walk, on every pair
+    for k, depth in ((2, 5), (3, 4), (4, 3)):
+        t = TreeSpace(k, depth)
+        for x in range(t.size):
+            row = t.distances_from(x)
+            assert row.tolist() == [t.distance(x, y) for y in range(t.size)], (k, depth, x)
 
 
 def test_ball_counts():
@@ -138,21 +143,21 @@ def test_weak11_point_mass_family_k2():
 
 
 def test_product_measure_brute_force():
-    t = TreeSpace(2, 3)
-    w = VertexWeight(t, np.linspace(1.0, 2.0, t.size))
-    sets = ([0, 1, 2], [3, 4, 5, 6], list(range(t.size)))
-    for E in sets:
-        for F in sets:
-            for n in (0, 1, 2, 3, 6):
-                for mode in ("exact-distance", "less-than"):
-                    got = tree_product_measure(w, E, F, n, mode=mode)
-                    brute = 0.0
-                    for x in set(E):
-                        for y in set(F):
-                            d = t.distance(x, y)
-                            if (d == n) if mode == "exact-distance" else (d < n):
-                                brute += w.values[y]
-                    assert abs(got - brute) < 1e-12, (E, F, n, mode)
+    for t in (TreeSpace(2, 3), TreeSpace(3, 2)):
+        w = VertexWeight(t, np.linspace(1.0, 2.0, t.size))
+        sets = ([0, 1, 2], [3, 4, 5, 6], list(range(t.size)))
+        for E in sets:
+            for F in sets:
+                for n in (0, 1, 2, 3, 6):
+                    for mode in ("exact-distance", "less-than"):
+                        got = tree_product_measure(w, E, F, n, mode=mode)
+                        brute = 0.0
+                        for x in set(E):
+                            for y in set(F):
+                                d = t.distance(x, y)
+                                if (d == n) if mode == "exact-distance" else (d < n):
+                                    brute += w.values[y]
+                        assert abs(got - brute) < 1e-12, (t.k, E, F, n, mode)
 
 
 def test_product_measure_edge_count():
