@@ -561,16 +561,22 @@ def check_classical_ap(w: Weight, p: float) -> CheckReport:
         pieces = annular_intersection(grid, cols, j, j - 0.5)
         vol = grid.ball_volume_at(j)
         avg_w = float(np.dot(pieces, w.values)) / vol
-        avg_d = float(np.dot(pieces, dual)) / vol
+        # annuli outside the ball add nothing, also where the dual overflowed
+        avg_d = float(np.dot(pieces, np.where(pieces > 0, dual, 0.0))) / vol
         return avg_w * avg_d ** (p - 1.0)
 
     js = list(_CLASSICAL_AP_RADII)
     if js[-1] > grid.j_max:
         raise GridRangeError("ball radius leaves the grid")
     prods = np.array([product_at(j) for j in js])
-    fit = fit_log_slope(np.asarray(js, dtype=float), prods)
     k = int(np.argmax(prods))
-    verdict = "fail" if fit.slope > _GROWTH_SLOPE_TOL else "pass"
+    if np.isinf(prods).any():
+        # an overflowed average: the product is unbounded, no rate to fit
+        slope, r2, verdict = None, None, "fail"
+    else:
+        fit = fit_log_slope(np.asarray(js, dtype=float), prods)
+        slope, r2 = fit.slope, fit.r2
+        verdict = "fail" if slope > _GROWTH_SLOPE_TOL else "pass"
 
     def reeval(wit: dict) -> float:
         return product_at(int(wit["j"]))
@@ -580,8 +586,8 @@ def check_classical_ap(w: Weight, p: float) -> CheckReport:
         constant=float(prods[k]),
         witness={"j": js[k]},
         verdict=verdict,
-        slope=fit.slope,
-        r2=fit.r2,
+        slope=slope,
+        r2=r2,
         meta={"p": p, "j_range": js, "products": prods.tolist()},
         _reeval=reeval,
     )

@@ -35,7 +35,7 @@ from .experiments import (
     run_sweep,
     write_json_report,
 )
-from .geometry import AnnularGrid, SpaceParams, ball_volume
+from .geometry import DEFAULT_SPACE, AnnularGrid, SpaceParams, ball_volume
 from .specfun import JacobiParams, jacobi_phi_trace
 from .weights import WeightSpec, materialize
 
@@ -88,7 +88,7 @@ def _cmd_weight_check(args) -> int:
         with open(text) as fh:
             text = fh.read()
     spec = WeightSpec.from_json(text)
-    grid = AnnularGrid(SpaceParams.from_mk(2, 1), args.j_max)
+    grid = AnnularGrid(DEFAULT_SPACE, args.j_max)
     w = materialize(spec, grid)
 
     cond = args.condition

@@ -261,36 +261,50 @@ def _pipe_mf_lower(seed: int) -> List[CheckReport]:
 
 def _pipe_tree_weak11(seed: int) -> List[CheckReport]:
     """Weak-(1,1) family sups across branching numbers; spread must stay < 2."""
-    sups = {}
+
+    def draw(tree: TreeSpace, rng) -> VertexFunction:
+        return VertexFunction.dirac(tree, rng.integers(0, tree.size, 10))
+
+    def case(k: int, index: int) -> float:
+        # replay the generator of tree k through the witness draw
+        tree = TreeSpace(k, TREE_DEPTH)
+        rng = np.random.default_rng(seed)
+        for _ in range(index + 1):
+            f = draw(tree, rng)
+        return weak11_constant(f)
+
+    def spread(sups) -> float:
+        return max(sups) / min(sups)
+
     reports = []
     for k in (2, 3, 4):
         tree = TreeSpace(k, TREE_DEPTH)
         rng = np.random.default_rng(seed)
-        cs = np.empty(100)
-        for i in range(100):
-            pos = rng.integers(0, tree.size, 10)
-            cs[i] = weak11_constant(VertexFunction.dirac(tree, pos))
-        sups[k] = float(cs.max())
+        cs = np.array([weak11_constant(draw(tree, rng)) for _ in range(100)])
         reports.append(
             CheckReport(
                 id=f"tree-weak11-k{k}",
-                constant=sups[k],
-                witness={"k": k, "depth": TREE_DEPTH, "draws": 100, "masses": 10},
+                constant=float(cs.max()),
+                witness={"k": k, "depth": TREE_DEPTH, "draws": 100, "masses": 10,
+                         "draw": int(np.argmax(cs))},
                 verdict="pass" if np.all(np.isfinite(cs)) else "fail",
                 meta={"min": float(cs.min()), "mean": float(cs.mean()), "seed": seed},
-                _reeval=lambda wit, arr=cs: float(arr.max()),
+                _reeval=lambda wit: case(int(wit["k"]), int(wit["draw"])),
             )
         )
-    spread = max(sups.values()) / min(sups.values())
-    sups_arr = np.array([sups[k] for k in (2, 3, 4)])
+    sups = {rep.witness["k"]: rep.constant for rep in reports}
+    value = spread(list(sups.values()))
     reports.append(
         CheckReport(
             id="tree-weak11-spread",
-            constant=float(spread),
-            witness={"ks": [2, 3, 4], "depth": TREE_DEPTH},
-            verdict="pass" if spread < 2.0 else "fail",
+            constant=float(value),
+            witness={"ks": [2, 3, 4], "depth": TREE_DEPTH,
+                     "draw": [rep.witness["draw"] for rep in reports]},
+            verdict="pass" if value < 2.0 else "fail",
             meta={"sup_by_k": {str(k): sups[k] for k in (2, 3, 4)}, "seed": seed},
-            _reeval=lambda wit, arr=sups_arr: float(arr.max() / arr.min()),
+            _reeval=lambda wit: spread(
+                [case(int(k), int(i)) for k, i in zip(wit["ks"], wit["draw"])]
+            ),
         )
     )
     return reports

@@ -191,18 +191,16 @@ def distribution_mass(
     w: Weight,
     g: Union[RadialFunction, MaximalResult],
     lam: float,
-    window: Optional[tuple] = None,
 ) -> float:
     """Weighted mass of the superlevel set {g > lam}.
 
-    Maximal results restrict the sum to their valid window by default; an
-    explicit window overrides.  Nonincreasing in lam.
+    Maximal results restrict the sum to their valid window.  Nonincreasing
+    in lam.
     """
     if lam <= 0:
         raise DomainError(f"level must be positive, got {lam}")
     grid, gvals = _data_values(g, grid=w.grid)
-    if window is None:
-        window = g.window if isinstance(g, MaximalResult) else (1, grid.j_max)
+    window = g.window if isinstance(g, MaximalResult) else (1, grid.j_max)
     lo, hi = int(window[0]), int(window[1])
     if lo < 1 or hi > grid.j_max:
         raise GridRangeError(f"window {window} outside 1..{grid.j_max}")

@@ -72,11 +72,10 @@ class JacobiParams:
 
 @dataclass
 class FunctionTrace:
-    """Sampled complex-valued function with per-point error and method tags."""
+    """Sampled complex-valued function with per-point error estimates."""
 
     grid: np.ndarray
     values: np.ndarray
-    method: list[str]
     err: np.ndarray
 
     def __post_init__(self):
@@ -111,7 +110,6 @@ def _gauss_series(a, b, c, z, tol=SERIES_TOL, max_terms=SERIES_MAX_TERMS):
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
-    err = 0.0
     for n in range(max_terms):
         if a + n == 0 or b + n == 0:
             # terminating series: the next factor is exactly zero
@@ -140,34 +138,11 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     return val
 
 
-def _series_grid(a, b, c, zs, tol=SERIES_TOL, max_terms=SERIES_MAX_TERMS):
-    """Vectorized Gauss series over an array of arguments."""
-    zs = np.asarray(zs, dtype=complex)
-    total = np.ones_like(zs)
-    term = np.ones_like(zs)
-    last = np.zeros_like(zs)
-    active = np.ones(zs.shape, dtype=bool)
-    n = 0
-    while active.any() and n < max_terms:
-        if a + n == 0 or b + n == 0:
-            # terminating series: the tail is exactly zero everywhere
-            last = np.zeros_like(last)
-            break
-        factor = (a + n) * (b + n) / ((c + n) * (n + 1.0))
-        term = np.where(active, term * factor * zs, term)
-        last = np.where(active, term, last)
-        total = np.where(active, total + term, total)
-        active = active & (np.abs(term) > tol * np.maximum(np.abs(total), 1e-300))
-        n += 1
-    tails = 1.0 / np.maximum(1.0 - np.abs(zs), 1e-3)
-    err = np.abs(last) * tails + 1e-16 * np.abs(total) * (n + 2)
-    return total, err
-
-
 def _phi_series_at(jp: JacobiParams, ts):
     a, b, c = jp.series_abc()
     zs = -np.sinh(np.asarray(ts, dtype=float)) ** 2
-    return _series_grid(a, b, c, zs)
+    vals, errs = zip(*(_gauss_series(a, b, c, z) for z in zs))
+    return np.array(vals), np.array(errs)
 
 
 def _phi_ode_rhs(jp: JacobiParams):
@@ -183,22 +158,16 @@ def _phi_ode_rhs(jp: JacobiParams):
 
 
 def _phi_taylor_start(jp: JacobiParams, t0: float = _TAYLOR_START):
-    """Series value and derivative at t0, truncated to 6 terms.
+    """Series value and t-derivative at t0, off the coth singularity at 0.
 
-    At t0 = 1e-3 the argument is ~ -1e-6, so 6 terms carry far more accuracy
-    than the integrator tolerance downstream.
+    The derivative uses d/dz F(a, b; c; z) = (ab/c) F(a+1, b+1; c+1; z).
     """
     a, b, c = jp.series_abc()
     z0 = -math.sinh(t0) ** 2
-    coeff = 1.0 + 0.0j
-    val = 1.0 + 0.0j
-    dval_dz = 0.0 + 0.0j
-    for n in range(1, 6):
-        coeff = coeff * (a + n - 1) * (b + n - 1) / ((c + n - 1) * n)
-        val += coeff * z0**n
-        dval_dz += n * coeff * z0 ** (n - 1)
+    val, _ = _gauss_series(a, b, c, z0)
+    shifted, _ = _gauss_series(a + 1.0, b + 1.0, c + 1.0, z0)
     dz_dt = -math.sinh(2.0 * t0)
-    return val, dval_dz * dz_dt
+    return val, a * b / c * shifted * dz_dt
 
 
 def _ode_atol(jp: JacobiParams, t_max: float) -> float:
@@ -240,7 +209,6 @@ def jacobi_phi_trace(jp: JacobiParams, ts) -> FunctionTrace:
         raise DomainError(f"argument must be nonnegative, got {ts.min()}")
     values = np.empty(ts.shape, dtype=complex)
     err = np.empty(ts.shape, dtype=float)
-    method = ["series"] * len(ts)
 
     series_mask = ts <= SERIES_SWITCH
     if series_mask.any():
@@ -256,9 +224,7 @@ def jacobi_phi_trace(jp: JacobiParams, ts) -> FunctionTrace:
         ov, oe = _phi_ode_at(jp, ts[ode_mask])
         values[ode_mask] = ov
         err[ode_mask] = oe
-        for i in np.nonzero(ode_mask)[0]:
-            method[i] = "ode"
-    return FunctionTrace(grid=ts, values=values, method=method, err=err)
+    return FunctionTrace(grid=ts, values=values, err=err)
 
 
 def _check_second_pole(lam: complex):
@@ -302,9 +268,7 @@ def jacobi_phi_second_trace(jp: JacobiParams, ts) -> FunctionTrace:
     err = np.empty(ts.shape, dtype=float)
     for i, t in enumerate(ts):
         values[i], err[i] = _second_pieces(jp, float(t))
-    return FunctionTrace(
-        grid=ts, values=values, method=["second-solution"] * len(ts), err=err
-    )
+    return FunctionTrace(grid=ts, values=values, err=err)
 
 
 def connection_coefficients(jp: JacobiParams) -> tuple[complex, complex]:
@@ -317,16 +281,13 @@ def connection_coefficients(jp: JacobiParams) -> tuple[complex, complex]:
     if complex(jp.lam) == 0:
         raise PoleError("connection system is singular at lam = 0")
     jm = JacobiParams(jp.sigma, jp.tau, -complex(jp.lam))
-    t1, t2 = _CONNECTION_ARGS
-    mat = np.array(
+    mat = np.column_stack(
         [
-            [jacobi_phi_second(jp, t1), jacobi_phi_second(jm, t1)],
-            [jacobi_phi_second(jp, t2), jacobi_phi_second(jm, t2)],
-        ],
-        dtype=complex,
+            jacobi_phi_second_trace(jp, _CONNECTION_ARGS).values,
+            jacobi_phi_second_trace(jm, _CONNECTION_ARGS).values,
+        ]
     )
-    rhs = np.array([jacobi_phi(jp, t1), jacobi_phi(jp, t2)], dtype=complex)
-    c = np.linalg.solve(mat, rhs)
+    c = np.linalg.solve(mat, jacobi_phi_trace(jp, _CONNECTION_ARGS).values)
     return complex(c[0]), complex(c[1])
 
 
@@ -369,6 +330,4 @@ def spherical_profile(params: SpaceParams, lam: complex, d_grid) -> FunctionTrac
         raise DomainError("distance grid must be nonnegative")
     jp = JacobiParams(params.sigma, params.tau, 2.0 * complex(lam))
     inner = jacobi_phi_trace(jp, d_grid / 2.0)
-    return FunctionTrace(
-        grid=d_grid, values=inner.values, method=inner.method, err=inner.err
-    )
+    return FunctionTrace(grid=d_grid, values=inner.values, err=inner.err)

@@ -394,24 +394,21 @@ def tree_kolmogorov(
     q: float,
     f: VertexFunction,
     B: Iterable[int],
-    weak_constant: Optional[float] = None,
     result: Optional[TreeMaximal] = None,
 ) -> KolmogorovReport:
     """Check sum_B (Mf)^q <= c^q/(1-q) * |B|^(1-q) * ||f||_1^q exactly.
 
-    c defaults to the weak-(1,1) quotient measured for this very f, which
-    makes the inequality a theorem about the finite tree; pass a tree-level
-    constant to test uniformity instead.  The left side runs over trusted
-    vertices of B.  result, when given, must be tree_maximal(f); it saves
-    recomputing Mf when several exponents share one f.
+    c is the weak-(1,1) quotient measured for this very f, which makes the
+    inequality a theorem about the finite tree.  The left side runs over
+    trusted vertices of B.  result, when given, must be tree_maximal(f); it
+    saves recomputing Mf when several exponents share one f.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"Kolmogorov exponent must lie in (0,1), got {q}")
     tree = f.tree
     bv = _as_vertex_array(tree, B)
     res = tree_maximal(f) if result is None else result
-    if weak_constant is None:
-        weak_constant = weak11_constant(f, res)
+    weak_constant = weak11_constant(f, res)
     trusted = res.trusted()[bv]
     lhs = float(np.sum(res.values[bv[trusted]] ** q))
     rhs = (

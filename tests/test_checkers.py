@@ -163,6 +163,21 @@ def test_classical_ap_mild_decay_passes():
     assert rep.verdict == "pass" and rep.slope <= 0.0
 
 
+def test_classical_ap_overflowed_dual_fails():
+    # w^(-2) overflows on the outer annuli: the balls reaching them have an
+    # infinite product, which is a failure with no rate to fit
+    w = materialize(WeightSpec.exp_radial(-3.0), GRID80)
+    with np.errstate(over="ignore"):
+        rep = check_classical_ap(w, 1.5)
+        again = rep.reevaluate()
+    prods = np.array(rep.meta["products"])
+    assert np.isinf(prods).any() and np.isfinite(prods[0])
+    assert rep.constant == np.inf and rep.verdict == "fail"
+    assert rep.slope is None and rep.r2 is None
+    assert rep.witness == {"j": 5 + int(np.argmax(np.isinf(prods)))}
+    assert again == np.inf
+
+
 # ---------------------------------------------------------------- local Ap
 
 

@@ -4,12 +4,14 @@ design; usage and config problems exit 2."""
 import csv
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import nalab
 from nalab import cli
 from nalab.checkers import (
     check_ap_loc,
@@ -35,7 +37,13 @@ from nalab.experiments import (
 )
 from nalab.geometry import DEFAULT_SPACE, AnnularGrid, SpaceParams
 from nalab.radialops import RadialFunction, maximal_dis
-from nalab.treelab import TreeSpace, VertexFunction, tree_ball, tree_kolmogorov
+from nalab.treelab import (
+    TreeSpace,
+    VertexFunction,
+    tree_ball,
+    tree_kolmogorov,
+    weak11_constant,
+)
 from nalab.weights import WeightSpec, materialize
 
 ENVELOPE_KEYS = {"id", "created", "seed", "space", "verdict", "reports"}
@@ -98,9 +106,10 @@ def test_outdir_env_var(tmp_path, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def pipeline_reports():
+def pipeline_reports(tree_weak11_reports):
     ids = ("ex-growthnec", "thm-fs-failure", "mf-lower", "kolmogorov", "vector-valued")
-    return {i: _PIPELINES[i](CANONICAL_SEED)[-1] for i in ids}
+    reports = {i: _PIPELINES[i](CANONICAL_SEED)[-1] for i in ids}
+    return {**reports, "tree-weak11": tree_weak11_reports[-1]}
 
 
 def _grid120_case(j):
@@ -120,6 +129,14 @@ def _other_case(exp_id):
         grid = AnnularGrid(DEFAULT_SPACE, 80)
         res = maximal_dis(RadialFunction.indicator(grid, [1]), 30)
         return {"j": 12}, res.values[11] * np.exp(DEFAULT_SPACE.homogeneous_dim * 12)
+    if exp_id == "tree-weak11":
+        sups = []
+        for k in (2, 3, 4):  # draw 5 of each tree
+            tree, rng = TreeSpace(k, 8), np.random.default_rng(CANONICAL_SEED)
+            for _ in range(6):
+                f = VertexFunction.dirac(tree, rng.integers(0, tree.size, 10))
+            sups.append(weak11_constant(f))
+        return {"draw": [5, 5, 5]}, max(sups) / min(sups)
     tree = TreeSpace(2, 8)
     if exp_id == "kolmogorov":
         rng = np.random.default_rng(CANONICAL_SEED)
@@ -134,7 +151,8 @@ def _other_case(exp_id):
 
 
 @pytest.mark.parametrize(
-    "exp_id", ["ex-growthnec", "thm-fs-failure", "mf-lower", "kolmogorov", "vector-valued"]
+    "exp_id",
+    ["ex-growthnec", "thm-fs-failure", "mf-lower", "tree-weak11", "kolmogorov", "vector-valued"],
 )
 def test_pipeline_reevaluate_recomputes_the_witness(pipeline_reports, exp_id):
     rep = pipeline_reports[exp_id]
@@ -247,6 +265,18 @@ def test_cli_weight_check(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "weight-classical-ap.json").read_text())["verdict"] == "fail"
 
 
+def test_cli_classical_ap_overflow_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NALAB_OUTDIR", str(tmp_path))
+    spec = '{"variant": "exp_radial", "gamma": -3}'
+    with np.errstate(over="ignore"):
+        code = main(["weight", "check", "--spec", spec,
+                     "--condition", "classical-ap", "--p", "1.5"])
+    assert code == 1
+    payload = json.loads((tmp_path / "weight-classical-ap.json").read_text())
+    assert payload["verdict"] == "fail"
+    assert payload["reports"][0]["constant"] == float("inf")
+
+
 # each condition called directly with the CLI's defaults
 CLI_CONDITIONS = {
     "msw": lambda w: check_msw(w, 2.0, n_max=25),
@@ -325,9 +355,12 @@ def test_cli_sweep(tmp_path, monkeypatch):
 
 
 def test_console_script_wiring():
+    # the child must import the nalab this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(nalab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "nalab.cli", "space", "info"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert "growth rate" in out.stdout

@@ -12,6 +12,7 @@ from scipy.special import loggamma
 from nalab.errors import DomainError
 from nalab.geometry import SpaceParams
 from nalab.specfun import (
+    SERIES_SWITCH,
     FunctionTrace,
     JacobiParams,
     connection_coefficients,
@@ -81,6 +82,34 @@ def test_series_ode_agreement_at_switch():
     assert worst < 1e-9
 
 
+@pytest.mark.parametrize(
+    "sg,ta,lam",
+    [(1.0, 0.0, 1.3), (0.5, 0.0, 0.7 + 0.2j), (2.0, 0.5, 2j), (3.5, 0.25, 1.0), (1.0, 0.0, 4j)],
+)
+def test_taylor_start_against_mpmath(sg, ta, lam):
+    # value and t-derivative of the series where the ODE continuation starts
+    from nalab.specfun import _TAYLOR_START, _phi_taylor_start
+
+    val, dval = _phi_taylor_start(JacobiParams(sg, ta, lam))
+    t0 = mp.mpf(_TAYLOR_START)
+    rho, il = sg + ta + 1.0, 1j * lam
+
+    def phi(t):
+        return mp.hyp2f1((rho - il) / 2.0, (rho + il) / 2.0, sg + 1.0, -mp.sinh(t) ** 2)
+
+    ref, dref = complex(phi(t0)), complex(mp.diff(phi, t0))
+    assert abs(val - ref) <= 1e-13 * abs(ref)
+    assert abs(dval - dref) <= 1e-13 * abs(dref)
+
+
+@pytest.mark.parametrize("sg,ta,lam", [(1.0, 0.0, 1.3), (2.0, 0.5, 1 + 0.5j), (0.5, 0.25, 3j)])
+def test_phi_series_branch_against_mpmath(sg, ta, lam):
+    ts = np.linspace(0.024, SERIES_SWITCH, 25)
+    vals = jacobi_phi_trace(JacobiParams(sg, ta, lam), ts).values
+    ref = np.array([mp_phi(sg, ta, lam, t) for t in ts])
+    assert np.all(np.abs(vals - ref) <= 1e-13 * np.abs(ref))
+
+
 def test_phi_even_in_lambda():
     a = jacobi_phi(JacobiParams(1.0, 0.0, 1.3), 2.0)
     b = jacobi_phi(JacobiParams(1.0, 0.0, -1.3), 2.0)
@@ -95,9 +124,7 @@ def test_phi_value_at_origin():
 def test_trace_grid_gates():
     jp = JacobiParams(1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
-        FunctionTrace(
-            grid=np.array([1.0, 0.5]), values=np.ones(2, complex), method="x", err=np.zeros(2)
-        )
+        FunctionTrace(grid=np.array([1.0, 0.5]), values=np.ones(2, complex), err=np.zeros(2))
     with pytest.raises(DomainError):
         jacobi_phi_trace(jp, np.array([-1.0, 0.5]))
 
@@ -125,7 +152,7 @@ def test_ode_residual_flags_corruption():
     tr = jacobi_phi_trace(jp, ts)
     vals = tr.values.copy()
     vals[len(vals) // 2] *= 1.01
-    bad = FunctionTrace(grid=ts, values=vals, method=tr.method, err=tr.err)
+    bad = FunctionTrace(grid=ts, values=vals, err=tr.err)
     assert ode_residual(bad, jp) > 1e-2
 
 
