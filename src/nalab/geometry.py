@@ -11,6 +11,13 @@ Conventions fixed here and relied on everywhere else:
 
 * density(t) = (2 sinh(t/2))^(2 sigma + 1) * (2 cosh(t/2))^(2 tau + 1),
   which grows like exp(2 rho t) with rho = (sigma + tau + 1) / 2;
+* every volume is read from one fixed panel rule on the density: unit
+  panels [k, k + 1] (the last one of a ball possibly shorter), each summed
+  by 24-node Gauss-Legendre, except the panel at the origin, which takes
+  24-node Gauss-Jacobi with weight t^(2 sigma + 1) so that the branch point
+  density ~ t^(2 sigma + 1) at 0 is integrated exactly.  Spaces growing by
+  more than 32 e-folds per unit split each panel into equal sub-panels.
+  All panels of a grid or ball are evaluated in one vectorized density call;
 * annuli are indexed from j = 1, annulus j is the shell between radii
   j - 1 and j, and its representative distance is the midpoint j - 1/2;
 * the intersection model clamps exp(rho (s + t - d)) by the two ball
@@ -19,11 +26,12 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DomainError, GridRangeError
 
@@ -39,7 +47,12 @@ __all__ = [
     "valid_upper",
 ]
 
-_QUAD_RTOL = 1e-12
+_PANEL_NODES = 24
+# Largest growth 2 rho h (in e-folds) one 24-node panel of width h takes. On
+# exp(c t) over [0, 1] the rule is off by 6e-15 relative at c = 32, the
+# rounding of exp at its nodes, but by 7e-14 at c = 64; faster-growing
+# spaces split each panel into equal sub-panels.
+_PANEL_MAX_EFOLDS = 32.0
 
 
 @dataclass(frozen=True)
@@ -103,29 +116,62 @@ def density(params: SpaceParams, t):
     return out if out.shape else float(out)
 
 
-def _integrate_density(params: SpaceParams, a: float, b: float) -> float:
-    val, _ = quad(lambda t: density(params, t), a, b, epsabs=0.0, epsrel=_QUAD_RTOL)
-    return val
+@functools.lru_cache(maxsize=16)
+def _unit_rules(beta: float, splits: int):
+    """Nodes and weights on [0, 1] for an inner panel and for the first panel.
+
+    The inner rule is Gauss-Legendre on ``splits`` equal sub-panels.  The
+    first rule replaces the first sub-panel by Gauss-Jacobi with weight
+    t^beta, folded into the weights: sum(w * f(x)) over the first rule
+    integrates f = t^beta * g over [0, 1] exactly whenever g is a
+    polynomial of degree < 48 on the first sub-panel.
+    Computed on first use: the root finders load scipy.linalg.
+    """
+    xl, wl = roots_legendre(_PANEL_NODES)
+    xj, wj = roots_jacobi(_PANEL_NODES, 0.0, beta)
+    lo = np.arange(splits)[:, None]
+    x = ((lo + (xl + 1.0) / 2.0) / splits).ravel()
+    w = np.tile(wl / (2.0 * splits), splits)
+    x_first, w_first = x.copy(), w.copy()
+    x_first[:_PANEL_NODES] = (xj + 1.0) / (2.0 * splits)
+    w_first[:_PANEL_NODES] = wj / (2.0 * splits) / (1.0 + xj) ** beta
+    rules = (x, w, x_first, w_first)
+    for arr in rules:
+        arr.setflags(write=False)
+    return rules
+
+
+def _panel_integrals(params: SpaceParams, widths: np.ndarray) -> np.ndarray:
+    """Density integrals over the panels [k, k + widths[k]], k = 0, 1, ...
+
+    One density call for all panels.  Panel 0 starts at the origin and takes
+    the Gauss-Jacobi rule; entries overflow to inf for fast-growing spaces,
+    without a floating-point warning, and callers gate on finiteness.
+    """
+    splits = max(1, math.ceil(2.0 * params.rho / _PANEL_MAX_EFOLDS))
+    x, w, x_first, w_first = _unit_rules(2.0 * params.sigma + 1.0, splits)
+    nodes = np.arange(len(widths), dtype=float)[:, None] + widths[:, None] * x
+    weights = widths[:, None] * w
+    nodes[0] = widths[0] * x_first
+    weights[0] = widths[0] * w_first
+    with np.errstate(over="ignore"):
+        return (weights * density(params, nodes)).sum(axis=1)
 
 
 def ball_volume(params: SpaceParams, r: float) -> float:
-    """Volume V(r) of a ball of radius r, by adaptive quadrature of the density.
+    """Volume V(r) of a ball of radius r, from the panel rule on the density.
 
-    Integration is split at integer radii so the adaptive rule never sees
-    more than one e-fold of growth per panel; relative error <= 1e-10.
+    The panels have edges 0, 1, ..., ceil(r) - 1, r, so V(n) at integer n is
+    the sum of the first n annulus measures of an ``AnnularGrid``; a radius
+    r < 1 is one Gauss-Jacobi panel [0, r].  The tests hold it to 1e-13
+    relative against mpmath's own quadrature.
     """
-    if r < 0:
-        raise DomainError("radius must be nonnegative")
+    if not 0 <= r < math.inf:
+        raise DomainError(f"radius must be finite and nonnegative, got {r}")
     if r == 0:
         return 0.0
-    total = 0.0
-    edge = 0.0
-    while edge + 1.0 <= r:
-        total += _integrate_density(params, edge, edge + 1.0)
-        edge += 1.0
-    if r > edge:
-        total += _integrate_density(params, edge, r)
-    return total
+    lefts = np.arange(math.ceil(r), dtype=float)
+    return float(_panel_integrals(params, np.minimum(1.0, r - lefts)).sum())
 
 
 def ball_intersection(params: SpaceParams, s: float, t: float, d: float) -> float:
@@ -155,9 +201,7 @@ class AnnularGrid:
             raise GridRangeError(f"j_max must be >= 1, got {j_max}")
         self.params = params
         self.j_max = int(j_max)
-        pieces = np.array(
-            [_integrate_density(params, j - 1.0, float(j)) for j in range(1, j_max + 1)]
-        )
+        pieces = _panel_integrals(params, np.ones(self.j_max))
         if not np.all(np.isfinite(pieces)):
             raise DomainError(
                 "annulus measures overflow float range; shrink j_max or the "
@@ -171,14 +215,14 @@ class AnnularGrid:
 
     def _validate_growth_band(self):
         # model validity: measures must track exp(2 rho j) within 5% in log scale
-        two_rho = 2.0 * self.params.rho
-        for j in range(15, self.j_max + 1):
-            ratio = math.log(self.measures[j - 1]) / (two_rho * j)
-            if not (0.95 <= ratio <= 1.05):
-                raise DomainError(
-                    f"annulus {j} breaks the exponential growth band: "
-                    f"log-measure ratio {ratio:.4f}"
-                )
+        j = np.arange(15, self.j_max + 1)
+        ratio = np.log(self.measures[14:]) / (2.0 * self.params.rho * j)
+        bad = np.flatnonzero(~((ratio >= 0.95) & (ratio <= 1.05)))
+        if bad.size:
+            raise DomainError(
+                f"annulus {j[bad[0]]} breaks the exponential growth band: "
+                f"log-measure ratio {ratio[bad[0]]:.4f}"
+            )
 
     def check_index(self, j: int):
         if not (1 <= j <= self.j_max):

@@ -210,7 +210,11 @@ def jacobi_phi_trace(jp: JacobiParams, ts) -> FunctionTrace:
     values = np.empty(ts.shape, dtype=complex)
     err = np.empty(ts.shape, dtype=float)
 
-    series_mask = ts <= SERIES_SWITCH
+    a, b, _ = jp.series_abc()
+    # a terminating series is a polynomial in sinh^2 t, exact at every t; the
+    # test is exact because _gauss_series stops only on an exact zero factor
+    terminating = _is_nonpositive_int(a, tol=0.0) or _is_nonpositive_int(b, tol=0.0)
+    series_mask = terminating | (ts <= SERIES_SWITCH)
     if series_mask.any():
         sv, se = _phi_series_at(jp, ts[series_mask])
         values[series_mask] = sv

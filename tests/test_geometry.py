@@ -1,7 +1,9 @@
 """Geometry tests: volumes against an independent quadrature route, annulus
 bookkeeping, and the banded product kernel."""
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,72 @@ def volume_gl(sigma, tau, r, panels_per_unit=8, nodes=40):
     return total
 
 
+# (0.25, -0.25) has a non-integer power t^1.5 at the origin, which plain
+# Gauss-Legendre on the first panel misses by 2e-8
+PANEL_SPACES = [
+    DEFAULT_SPACE,
+    SpaceParams.from_mk(4, 3),
+    SpaceParams(1.3, 0.2),
+    SpaceParams(0.25, -0.25),
+]
+
+
+def mp_volume(p, a, b):
+    # mpmath's own tanh-sinh quadrature at 30 digits, split at integers
+    def dens(t):
+        return (2 * mp.sinh(t / 2)) ** (2 * p.sigma + 1) * (2 * mp.cosh(t / 2)) ** (
+            2 * p.tau + 1
+        )
+
+    with mp.workdps(30):
+        edges = [a] + list(range(math.floor(a) + 1, math.ceil(b))) + [b]
+        return mp.quad(dens, [mp.mpf(e) for e in edges])
+
+
+def rel_err(got, ref):
+    return abs(float((mp.mpf(got) - ref) / ref))
+
+
+@pytest.mark.parametrize("p", PANEL_SPACES, ids=str)
+def test_panel_rule_against_mpmath(p):
+    grid = AnnularGrid(p, 130)
+    for j in (1, 2, 40, 130):
+        assert rel_err(grid.measures[j - 1], mp_volume(p, j - 1, j)) < 1e-13, j
+    for r in (0.3, 0.999, 2.5, 20.5):
+        assert rel_err(ball_volume(p, r), mp_volume(p, 0, r)) < 1e-13, r
+
+
+def test_panel_rule_splits_fast_growth():
+    # 2 rho = 81 e-folds per unit panel: one 24-node panel would be off by 5e-11
+    p = SpaceParams(40.0, 40.0)
+    grid = AnnularGrid(p, 8)
+    for j in (1, 2, 8):
+        assert rel_err(grid.measures[j - 1], mp_volume(p, j - 1, j)) < 1e-13, j
+    assert rel_err(ball_volume(p, 0.5), mp_volume(p, 0, 0.5)) < 1e-13
+
+
+def test_overflowing_measures_raise_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflow"):
+            AnnularGrid(SpaceParams(40.0, 40.0), 80)
+
+
+def test_growth_band_names_first_failing_annulus():
+    grid = AnnularGrid(DEFAULT_SPACE, 40)
+    grid.measures = grid.measures * np.where(np.isin(np.arange(1, 41), (22, 31)), 1e5, 1.0)
+    # loop reference for the first annulus outside the band
+    two_rho = 2.0 * DEFAULT_SPACE.rho
+    first = next(
+        (j, math.log(grid.measures[j - 1]) / (two_rho * j))
+        for j in range(15, 41)
+        if not 0.95 <= math.log(grid.measures[j - 1]) / (two_rho * j) <= 1.05
+    )
+    assert first[0] == 22
+    with pytest.raises(DomainError, match=f"annulus 22 .* ratio {first[1]:.4f}"):
+        grid._validate_growth_band()
+
+
 def test_canonical_parameters():
     p = SpaceParams.from_mk(2, 1)
     assert (p.sigma, p.tau) == (1.0, 0.0)
@@ -53,6 +121,9 @@ def test_parameter_gates():
         SpaceParams(1.0, -0.5)  # tau at the boundary
     with pytest.raises(DomainError):
         annular_intersection(GRID, 3, 2, 0.0)  # center must be off the origin
+    for r in (-1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ball_volume(DEFAULT_SPACE, r)
 
 
 def test_density_small_t_coefficient():

@@ -172,6 +172,24 @@ def test_terminating_series_reports_rounding_error_only():
     assert np.all(tr.err < 1e-12)
 
 
+def test_terminating_series_exact_on_the_whole_grid():
+    # lam = 4i is spherical_u(2) on the default space: phi = 1 + 1.5 sinh^2 t,
+    # summed as a polynomial at every t, far past the series switch
+    ts = np.arange(80) + 0.5
+    tr = jacobi_phi_trace(JacobiParams(1.0, 0.0, 4j), ts)
+    exact = 1.0 + 1.5 * np.sinh(ts) ** 2
+    assert np.abs(tr.values / exact - 1.0).max() < 1e-14
+    assert np.all(np.isfinite(tr.err))
+
+
+def test_nonterminating_trace_against_mpmath():
+    ts = np.array([0.5, 2.5, 10.5, 30.5])
+    tr = jacobi_phi_trace(JacobiParams(1.0, 0.0, 1.3), ts)
+    for t, v in zip(ts, tr.values):
+        ref = mp_phi(1.0, 0.0, 1.3, t)
+        assert abs(v - ref) / abs(ref) < 1e-10
+
+
 def test_phi_positive_for_imaginary_lambda():
     for im in (0.7, 2.5):
         tr = jacobi_phi_trace(JacobiParams(1.0, 0.0, 1j * im), np.arange(0.0, 30.0, 0.5))
