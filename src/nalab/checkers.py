@@ -177,13 +177,20 @@ def _jsonable(obj):
     return obj
 
 
-def _growth_verdict(sup_by_n: Sequence[float]) -> tuple:
-    """Fit the exponential rate of per-scale sups; positive rate = divergent."""
+def _growth_verdict(
+    sup_by_n: Sequence[float], ns: Optional[Sequence[float]] = None
+) -> tuple:
+    """Fit the exponential rate of per-scale sups; positive rate = divergent.
+
+    ns are the scales of the sups, 1, 2, ... unless given.
+    """
     arr = np.asarray(sup_by_n, dtype=float)
     if np.isinf(arr).any():
         # an infinite per-scale sup: the condition is unbounded, no rate to fit
         return None, None, "fail"
-    ns = np.arange(1, arr.size + 1, dtype=float)
+    if ns is None:
+        ns = np.arange(1, arr.size + 1)
+    ns = np.asarray(ns, dtype=float)
     pos = arr > 0
     if pos.sum() < 2:
         return None, None, "info"
@@ -570,13 +577,7 @@ def check_classical_ap(w: Weight, p: float) -> CheckReport:
         raise GridRangeError("ball radius leaves the grid")
     prods = np.array([product_at(j) for j in js])
     k = int(np.argmax(prods))
-    if np.isinf(prods).any():
-        # an overflowed average: the product is unbounded, no rate to fit
-        slope, r2, verdict = None, None, "fail"
-    else:
-        fit = fit_log_slope(np.asarray(js, dtype=float), prods)
-        slope, r2 = fit.slope, fit.r2
-        verdict = "fail" if slope > _GROWTH_SLOPE_TOL else "pass"
+    slope, r2, verdict = _growth_verdict(prods, js)
 
     def reeval(wit: dict) -> float:
         return product_at(int(wit["j"]))

@@ -92,10 +92,11 @@ def _cmd_weight_check(args) -> int:
     w = materialize(spec, grid)
 
     cond = args.condition
-    params = {k: getattr(args, k) for k in ("p", "s", "eta", "alpha", "beta", "n_max")}
+    # options left out fall back to the checker table's defaults
+    given = {k: getattr(args, k) for k in ("p", "s", "eta", "alpha", "beta", "n_max")}
+    params = {k: v for k, v in given.items() if v is not None}
     rep = run_checker(cond, w, params, _seed(args))
-    env = make_envelope(f"weight-{cond}", _seed(args), [rep])
-    env["weight"] = spec.to_json()
+    env = make_envelope(f"weight-{cond}", _seed(args), [rep], weight=spec.to_json())
     path = os.path.join(report_dir(), f"weight-{cond}.json")
     write_json_report(env, path)
     slope = "" if rep.slope is None else f" slope={rep.slope:.4g}"
@@ -174,11 +175,10 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[cid for cid, c in CHECKERS.items() if "f" not in c.params],
     )
-    p_check.add_argument("--p", type=float, default=2.0)
-    p_check.add_argument("--s", type=float, default=2.0)
-    p_check.add_argument("--eta", type=float, default=0.0)
-    p_check.add_argument("--alpha", type=float, default=0.5)
-    p_check.add_argument("--beta", type=float, default=0.5)
+    for name in ("p", "s", "eta", "alpha", "beta"):
+        p_check.add_argument(
+            f"--{name}", type=float, help="default: the checker's sweep default"
+        )
     p_check.add_argument("--j-max", type=int, default=CANONICAL_J_MAX)
     p_check.add_argument("--n-max", type=int, default=CANONICAL_N_MAX)
     p_check.set_defaults(func=_cmd_weight_check)

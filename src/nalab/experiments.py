@@ -90,16 +90,35 @@ def _aggregate(reports: List[CheckReport]) -> str:
     return "fail" if any(r.verdict == "fail" for r in reports) else "pass"
 
 
-def make_envelope(exp_id: str, seed: int, reports: List[CheckReport]) -> dict:
-    """Report wrapper shared by every command that persists JSON."""
-    return {
+def make_envelope(
+    exp_id: str,
+    seed: int,
+    reports: List[CheckReport],
+    space: SpaceParams = DEFAULT_SPACE,
+    cells: Optional[List[dict]] = None,
+    **context,
+) -> dict:
+    """Report wrapper shared by every command that persists JSON.
+
+    context (weight, grid, axes) describes the run.  A sweep passes one
+    parameter cell per report and gets a "cells" list in place of the flat
+    "reports" list.
+    """
+    env = {
         "id": exp_id,
         "created": _stamp(),
         "seed": seed,
-        "space": {"sigma": DEFAULT_SPACE.sigma, "tau": DEFAULT_SPACE.tau},
+        "space": {"sigma": space.sigma, "tau": space.tau},
+        **context,
         "verdict": _aggregate(reports),
-        "reports": [r.to_json() for r in reports],
     }
+    if cells is None:
+        env["reports"] = [r.to_json() for r in reports]
+    else:
+        env["cells"] = [
+            {"cell": c, "report": r.to_json()} for c, r in zip(cells, reports)
+        ]
+    return env
 
 
 def write_json_report(env: dict, path: str):
@@ -477,26 +496,18 @@ class ExperimentConfig:
         obj = _expect_object(obj, "config")
         _reject_unknown(
             obj,
-            {"space", "grid", "backend", "weight", "checker", "axes", "seed", "output"},
+            {"space", "grid", "weight", "checker", "axes", "seed", "output"},
             "config",
         )
 
         space = _parse_space(obj.get("space", {}))
 
         grid = _expect_object(obj.get("grid", {}), "grid")
-        _reject_unknown(grid, {"j_max", "n_max", "normalize"}, "grid")
+        _reject_unknown(grid, {"j_max", "n_max"}, "grid")
         j_max = int(grid.get("j_max", CANONICAL_J_MAX))
         n_max = int(grid.get("n_max", CANONICAL_N_MAX))
-        if not bool(grid.get("normalize", True)):
-            raise ConfigError("raw-kernel sweeps are not supported; normalize must be true")
         if j_max <= n_max + 1:
             raise ConfigError(f"grid too small: j_max={j_max} with n_max={n_max}")
-
-        backend = obj.get("backend", "radial")
-        if backend != "radial":
-            raise ConfigError(
-                f"backend {backend!r} does not sweep; tree pipelines run via reproduce"
-            )
 
         checker_block = _expect_object(obj.get("checker"), "checker")
         _reject_unknown(checker_block, {"id", "params"}, "checker")
@@ -638,16 +649,12 @@ def run_sweep(cfg: ExperimentConfig, outdir: Optional[str] = None):
     grid = AnnularGrid(cfg.space, cfg.j_max)
     w = materialize(cfg.weight, grid)
     axis_names = list(cfg.axes)
-    rows = []
-    reports = []
+    cells, reports, rows = [], [], []
     for combo in itertools.product(*(cfg.axes[a] for a in axis_names)):
-        params = dict(cfg.params)
-        params.update(zip(axis_names, combo))
-        rep = run_checker(cfg.checker, w, params, cfg.seed)
-        reports.append((dict(zip(axis_names, combo)), rep))
-        rows.append(
-            [cfg.checker, *combo, rep.constant, rep.slope, rep.r2, rep.verdict]
-        )
+        cells.append(dict(zip(axis_names, combo)))
+        rep = run_checker(cfg.checker, w, {**cfg.params, **cells[-1]}, cfg.seed)
+        reports.append(rep)
+        rows.append([cfg.checker, *combo, rep.constant, rep.slope, rep.r2, rep.verdict])
 
     out = report_dir(outdir)
     csv_path = os.path.join(out, cfg.csv_name)
@@ -657,17 +664,16 @@ def run_sweep(cfg: ExperimentConfig, outdir: Optional[str] = None):
         for row in rows:
             writer.writerow([_csv_cell(v) for v in row])
 
-    env = {
-        "id": f"sweep-{cfg.checker}",
-        "created": _stamp(),
-        "seed": cfg.seed,
-        "space": {"sigma": cfg.space.sigma, "tau": cfg.space.tau},
-        "grid": {"j_max": cfg.j_max, "n_max": cfg.n_max},
-        "weight": cfg.weight.to_json(),
-        "axes": cfg.axes,
-        "verdict": _aggregate([r for _, r in reports]),
-        "cells": [{"cell": cell, "report": r.to_json()} for cell, r in reports],
-    }
+    env = make_envelope(
+        f"sweep-{cfg.checker}",
+        cfg.seed,
+        reports,
+        space=cfg.space,
+        cells=cells,
+        grid={"j_max": cfg.j_max, "n_max": cfg.n_max},
+        weight=cfg.weight.to_json(),
+        axes=cfg.axes,
+    )
     json_path = os.path.join(out, cfg.json_name)
     write_json_report(env, json_path)
     code = 0 if env["verdict"] == "pass" else 1

@@ -282,13 +282,12 @@ class ProductKernel:
 
     matrix[i-1, j-1] models the mass of pairs (x, y) with x in annulus i,
     y in annulus j and d(x, y) <= n; zero outside the band |i - j| <= n + 1.
-    When normalized, the matrix has been divided by ``scale`` so that no
-    row sum of matrix / (V(n) measure_i) exceeds 1.
+    A normalized kernel has been divided by ``scale`` so that no row sum of
+    matrix / (V(n) measure_i) exceeds 1; a raw kernel has scale 1.
     """
 
     n: int
     matrix: np.ndarray
-    normalized: bool
     scale: float
 
 
@@ -335,6 +334,6 @@ def product_kernel(grid: AnnularGrid, n: int, normalize: bool = True) -> Product
         scale = float(row_ratio.max())
         mat = mat / scale
 
-    kern = ProductKernel(n=int(n), matrix=mat, normalized=bool(normalize), scale=scale)
+    kern = ProductKernel(n=int(n), matrix=mat, scale=scale)
     grid._kernel_cache[key] = kern
     return kern

@@ -1,20 +1,13 @@
 """Averaging and maximal operators on the annular grid.
 
-The ball average at integer scale n is a banded matrix acting on radial
-data; the maximal function takes the pointwise supremum over scales up to a
-truncation n_max and records the scale that attains it.  Truncation bias is
+The ball average at integer scale n is one formula,
+product_kernel(grid, n).matrix @ f / (V(n) measure), with the kernel
+normalized so that averages of the constant 1 lie in (0, 1] everywhere; this
+keeps the power-mean comparison between maximal variants exact.  The
+maximal function takes the pointwise supremum over scales up to a truncation
+n_max and records the smallest scale that attains it.  Truncation bias is
 deliberate and visible: results carry the argmax scale and the window of
 annuli unaffected by grid truncation.
-
-Three evaluation modes:
-
-* "normalized": the banded kernel is scaled once per scale so averages of
-  the constant 1 lie in (0, 1] everywhere.  Default, and the mode in which
-  the power-mean comparison between maximal variants is exact.
-* "exact": each row is divided by its own mass, so the average of 1 is
-  exactly 1.  Row scaling breaks kernel symmetry, so self-adjointness is
-  only guaranteed in the other two modes.
-* "raw": no scaling; used when comparing against direct-sum references.
 
 Local averaging at sub-unit radii is not representable on a unit grid; the
 tree backend and the 1D local surrogate in the condition checkers cover
@@ -28,11 +21,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, GridRangeError, UnsupportedError
+from .errors import DomainError, GridRangeError
 from .geometry import AnnularGrid, product_kernel, valid_upper
 from .weights import Weight
-
-_MODES = ("normalized", "raw", "exact")
 
 
 @dataclass
@@ -103,67 +94,57 @@ def _data_values(f: RadialData, grid: Optional[AnnularGrid] = None):
     return f.grid, np.asarray(f.values, dtype=float)
 
 
-def _check_mode(mode: str):
-    if mode not in _MODES:
-        raise UnsupportedError(f"unknown averaging mode {mode!r}")
+def _ball_average(grid: AnnularGrid, vals: np.ndarray, n: int) -> np.ndarray:
+    kern = product_kernel(grid, n).matrix
+    # huge data overflows to inf without a warning; callers reject it
+    with np.errstate(over="ignore"):
+        return kern @ vals / (grid.ball_volume_at(n) * grid.measures)
 
 
-def avg(f: RadialData, n: int, mode: str = "normalized") -> RadialFunction:
+def avg(f: RadialData, n: int) -> RadialFunction:
     """Ball average at integer scale n.
 
     Linear and monotone in f.  Values at annuli above valid_upper(j_max, n)
     are biased by grid truncation.
     """
-    _check_mode(mode)
     grid, vals = _data_values(f)
-    kern = product_kernel(grid, n, normalize=(mode == "normalized"))
-    num = kern.matrix @ vals
-    if mode == "exact":
-        denom = kern.matrix.sum(axis=1)
-    else:
-        denom = grid.ball_volume_at(n) * grid.measures
-    return RadialFunction(grid, num / denom)
+    return RadialFunction(grid, _ball_average(grid, vals, n))
 
 
-def maximal_dis(f: RadialData, n_max: int, mode: str = "normalized") -> MaximalResult:
-    """Discrete maximal function: sup of ball averages over scales 1..n_max."""
-    _check_mode(mode)
-    grid, _ = _data_values(f)
+def maximal_dis(f: RadialData, n_max: int) -> MaximalResult:
+    """Discrete maximal function: sup of ball averages over scales 1..n_max.
+
+    Ties go to the smallest scale.
+    """
+    grid, vals = _data_values(f)
     if not (1 <= n_max <= grid.j_max - 1):
         raise GridRangeError(
             f"n_max must lie in 1..{grid.j_max - 1}, got {n_max}"
         )
-    best = np.full(grid.j_max, -np.inf)
-    arg = np.zeros(grid.j_max, dtype=int)
-    for n in range(1, n_max + 1):
-        a = avg(f, n, mode=mode).values
-        better = a > best
-        best = np.where(better, a, best)
-        arg = np.where(better, n, arg)
+    avgs = np.stack([_ball_average(grid, vals, n) for n in range(1, n_max + 1)])
+    if not np.all(np.isfinite(avgs)):
+        raise DomainError("radial data must be finite and nonnegative")
+    best = avgs.argmax(axis=0)
+    values = avgs[best, np.arange(grid.j_max)]
     hi = valid_upper(grid.j_max, n_max)
-    return MaximalResult(grid, best, arg, int(n_max), (1, hi))
+    return MaximalResult(grid, values, best + 1, int(n_max), (1, hi))
 
 
-def maximal_s(
-    w: RadialData, s: float, n_max: int, mode: str = "normalized"
-) -> RadialFunction:
+def maximal_s(w: RadialData, s: float, n_max: int) -> RadialFunction:
     """Power-adjusted maximal function (M^dis(w^s))^(1/s).
 
-    For s >= 1 this dominates maximal_dis pointwise in the normalized and
-    exact modes, where every average is a sub-probability mean; s = 1 is
-    allowed and reduces to maximal_dis.
+    For s >= 1 this dominates maximal_dis pointwise, since every average is
+    a sub-probability mean; s = 1 is allowed and reduces to maximal_dis.
     """
     if s < 1.0:
         raise DomainError(f"power-adjusted maximal needs s >= 1, got {s}")
     grid, vals = _data_values(w)
     powered = RadialFunction(grid, vals**s)
-    res = maximal_dis(powered, n_max, mode=mode)
+    res = maximal_dis(powered, n_max)
     return RadialFunction(grid, res.values ** (1.0 / s))
 
 
-def iterate_maximal(
-    w: RadialData, k: int, n_max: int, mode: str = "normalized"
-) -> MaximalResult:
+def iterate_maximal(w: RadialData, k: int, n_max: int) -> MaximalResult:
     """k-fold composition of the discrete maximal function.
 
     Each pass reads n_max + 1 annuli above its argument, so the trustworthy
@@ -182,7 +163,7 @@ def iterate_maximal(
     current: RadialData = w
     res = None
     for _ in range(k):
-        res = maximal_dis(current, n_max, mode=mode)
+        res = maximal_dis(current, n_max)
         current = RadialFunction(grid, res.values)
     return MaximalResult(grid, res.values, res.argmax, int(n_max), (1, hi))
 

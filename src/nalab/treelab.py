@@ -73,12 +73,6 @@ class TreeSpace:
 
         self._count_cum: Optional[np.ndarray] = None
 
-    def level(self, d: int) -> np.ndarray:
-        """Vertices at exact depth d, in index order."""
-        if not (0 <= d <= self.depth):
-            raise GridRangeError(f"depth {d} outside 0..{self.depth}")
-        return np.arange(self._level_starts[d], self._level_starts[d + 1])
-
     def check_vertex(self, v: int):
         if not (0 <= v < self.size):
             raise GridRangeError(f"vertex {v} outside 0..{self.size - 1}")

@@ -236,7 +236,11 @@ def materialize(spec: WeightSpec, grid: AnnularGrid) -> Weight:
         ts = np.asarray(t, dtype=float)
         return evaluate(ts.reshape(-1)).reshape(ts.shape)[()]
 
-    return Weight(grid, profile(grid.midpoints), profile=profile)
+    # a profile that overflows the float range reaches Weight as inf, which
+    # it rejects with a DomainError; the overflow itself is not a warning
+    with np.errstate(over="ignore"):
+        values = profile(grid.midpoints)
+    return Weight(grid, values, profile=profile)
 
 
 def weight_mass(w: Weight, annuli: Iterable[int]) -> float:

@@ -3,9 +3,9 @@ outright; measured constants carry the value they were frozen at."""
 import numpy as np
 import pytest
 
-from nalab.errors import GridRangeError
+from nalab.errors import DomainError, GridRangeError
 from nalab.fitting import fit_log_slope
-from nalab.geometry import DEFAULT_SPACE, AnnularGrid, annular_intersection
+from nalab.geometry import DEFAULT_SPACE, AnnularGrid, annular_intersection, product_kernel
 from nalab.radialops import (
     RadialFunction,
     avg,
@@ -22,6 +22,12 @@ ONE = RadialFunction.ones(GRID)
 RNG = np.random.default_rng(1234)
 
 
+def raw_avg(f, n):
+    # ball average through the unnormalized kernel, for direct-sum references
+    kern = product_kernel(f.grid, n, normalize=False).matrix
+    return kern @ f.values / (f.grid.ball_volume_at(n) * f.grid.measures)
+
+
 def test_avg_trivials():
     assert np.all(avg(RadialFunction.zeros(GRID), 5).values == 0.0)
     for n in (1, 7, 25):
@@ -29,22 +35,17 @@ def test_avg_trivials():
         assert 0.25 <= a.min() and a.max() <= 4.0
 
 
-def test_exact_mass_mode():
-    assert np.max(np.abs(avg(ONE, 7, mode="exact").values - 1.0)) < 1e-14
-    assert np.max(np.abs(maximal_dis(ONE, 25, mode="exact").values - 1.0)) < 1e-14
-
-
 def test_self_adjointness():
     def inner(u, v):
         return float(np.dot(GRID.measures, u * v))
 
     worst = 0.0
-    for mode in ("normalized", "raw"):
+    for average in (lambda h, n: avg(h, n).values, raw_avg):
         for n in (1, 3, 10, 25):
             f = RadialFunction(GRID, RNG.uniform(0.0, 1.0, 80))
             g = RadialFunction(GRID, RNG.uniform(0.0, 1.0, 80))
-            lhs = inner(avg(f, n, mode=mode).values, g.values)
-            rhs = inner(f.values, avg(g, n, mode=mode).values)
+            lhs = inner(average(f, n), g.values)
+            rhs = inner(f.values, average(g, n))
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
     assert worst < 1e-12
 
@@ -69,6 +70,43 @@ def test_indicator_decay_rate():
     assert res.argmax[4] == 4 and res.argmax[9] == 9 and res.argmax[19] == 19
 
 
+def test_maximal_matches_per_scale_loop():
+    # reference: one average per scale, replaced only by a strictly larger one
+    def reference(f, n_max):
+        best = np.full(GRID.j_max, -np.inf)
+        arg = np.zeros(GRID.j_max, dtype=int)
+        for n in range(1, n_max + 1):
+            a = avg(f, n).values
+            better = a > best
+            best = np.where(better, a, best)
+            arg = np.where(better, n, arg)
+        return best, arg
+
+    rng = np.random.default_rng(99)
+    cases = [RadialFunction(GRID, rng.uniform(0.0, 1.0, 80)) for _ in range(3)]
+    cases += [ONE, RadialFunction.zeros(GRID)]
+    cases += [RadialFunction.indicator(GRID, js) for js in ([1], [5], [10, 11, 40])]
+    for f in cases:
+        for n_max in (1, 7, 25):
+            res = maximal_dis(f, n_max)
+            best, arg = reference(f, n_max)
+            assert np.array_equal(res.values, best)
+            assert np.array_equal(res.argmax, arg)
+    # an indicator far out: every scale that misses it ties at 0, and the
+    # tie goes to scale 1
+    res = maximal_dis(RadialFunction.indicator(GRID, [60]), 10)
+    assert np.all(res.values[:40] == 0.0) and np.all(res.argmax[:40] == 1)
+    assert np.all(maximal_dis(RadialFunction.zeros(GRID), 25).argmax == 1)
+
+
+def test_maximal_rejects_nonfinite_average():
+    huge = RadialFunction(GRID, np.full(80, 1e308))
+    with pytest.raises(DomainError):
+        maximal_dis(huge, 5)
+    with pytest.raises(DomainError):
+        avg(huge, 5)
+
+
 def test_maximal_of_one_band():
     res = maximal_dis(ONE, 25)
     sl = res.window_slice()
@@ -90,10 +128,9 @@ def test_decaying_weight_sup_stable():
 
 def test_power_adjusted_maximal():
     w = materialize(WeightSpec.exp_radial(-0.3), GRID)
-    for mode in ("normalized", "exact"):
-        m1 = maximal_dis(w, 25, mode=mode).values
-        m2 = maximal_s(w, 2.0, 25, mode=mode).values
-        assert np.min(m2 - m1) > -1e-12 * np.max(m2)
+    m1 = maximal_dis(w, 25).values
+    m2 = maximal_s(w, 2.0, 25).values
+    assert np.min(m2 - m1) > -1e-12 * np.max(m2)
     # s-monotone
     w5 = materialize(WeightSpec.exp_radial(-0.5), GRID)
     assert np.all(maximal_s(w5, 1.5, 25).values <= maximal_s(w5, 2.0, 25).values * (1 + 1e-12))
@@ -160,7 +197,7 @@ def test_avg_tracks_direct_intersection_sums():
         f = RadialFunction(GRID, fv)
         for n in (1, 5, 25):
             vn = GRID.ball_volume_at(n)
-            a_kernel = avg(f, n, mode="raw").values[:WIN25]
+            a_kernel = raw_avg(f, n)[:WIN25]
             a_direct = np.array(
                 [
                     np.dot(annular_intersection(GRID, cols, n, i - 0.5), fv) / vn

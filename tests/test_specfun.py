@@ -190,6 +190,15 @@ def test_nonterminating_trace_against_mpmath():
         assert abs(v - ref) / abs(ref) < 1e-10
 
 
+@pytest.mark.parametrize("sg,ta,lam", [(0.5, 0.0, 0.7), (1.0, 0.0, 1.3), (3.5, 0.25, 0.7)])
+def test_ode_error_estimate_bounds_mpmath(sg, ta, lam):
+    # on the ODE branch the reported error must bound the distance to mpmath
+    ts = np.linspace(0.61, 10.0, 40)
+    tr = jacobi_phi_trace(JacobiParams(sg, ta, lam), ts)
+    ref = np.array([mp_phi(sg, ta, lam, t) for t in ts])
+    assert np.all(np.abs(tr.values - ref) <= tr.err)
+
+
 def test_phi_positive_for_imaginary_lambda():
     for im in (0.7, 2.5):
         tr = jacobi_phi_trace(JacobiParams(1.0, 0.0, 1j * im), np.arange(0.0, 30.0, 0.5))
