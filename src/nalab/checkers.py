@@ -761,6 +761,13 @@ def fs_ratio(
     )
 
 
+def _space_of(f: Union[VertexFunction, RadialFunction]) -> tuple:
+    """The tree shape or grid a function lives on, as a comparable key."""
+    if isinstance(f, VertexFunction):
+        return (f.tree.k, f.tree.depth)
+    return (f.grid.params, f.grid.j_max)
+
+
 def vector_valued_ratio(
     p: float,
     r: float,
@@ -774,7 +781,9 @@ def vector_valued_ratio(
     unweighted measure of the backend (counting on the tree, annulus
     measures on the grid).  The tree backend evaluates M exactly at
     every vertex; on the grid the numerator is restricted to annuli
-    whose maximal values are unaffected by truncation.
+    whose maximal values are unaffected by truncation.  Every function
+    must fit the backend and live on one tree shape or one grid (same space
+    parameters and j_max), else UnsupportedError.
     """
     if not (1.0 < r <= p):
         raise DomainError(f"need 1 < r <= p, got r={r}, p={p}")
@@ -782,6 +791,11 @@ def vector_valued_ratio(
         raise UnsupportedError("empty function list")
     if backend not in ("tree", "radial"):
         raise UnsupportedError(f"unknown backend {backend!r}")
+    kind = VertexFunction if backend == "tree" else RadialFunction
+    if not all(isinstance(f, kind) for f in functions):
+        raise UnsupportedError(f"the {backend} backend takes {kind.__name__} inputs")
+    if len({_space_of(f) for f in functions}) > 1:
+        raise UnsupportedError("the functions must live on one tree shape or one grid")
 
     fmat = np.stack([f.values for f in functions])
     mu = np.ones(fmat.shape[1]) if backend == "tree" else functions[0].grid.measures

@@ -15,17 +15,25 @@ children of v are k*v + 1 .. k*v + k.  Level L starts at s_L = (k^L - 1) /
 (k - 1), and the subtree of a vertex a at depth e covers, on each level
 L >= e, the k^(L-e) consecutive vertices from s_L + (a - s_e) k^(L-e).
 distances_from finds lowest common ancestors by writing into these blocks,
-one per ancestor and level.  Per-subtree distance profiles come
-from one bottom-up pass, and ball sums from one top-down rerooting
-recurrence over the radii: B(v, r) is v's own profile plus the parent's
-ball of radius r - 1, less the part of subtree(v) counted twice.  Because
-the children of consecutive parents are consecutive, each radius is a
-single O(V) vector step, so the full maximal function costs O(V * depth)
-numpy work instead of O(V^2) graph searches.
+one per ancestor and level; it serves tree_ball and the naive oracle.
+Every other ball mass comes from _ball_sums, in level-major layout: the
+per-subtree distance profiles are a (depth+1) x V array with one contiguous
+row per radius, built in one bottom-up pass, and one top-down rerooting
+recurrence over the radii turns them into ball sums: B(v, r) is v's own
+profile plus the parent's ball of radius r - 1, less the part of subtree(v)
+counted twice.  Because the children of consecutive parents are
+consecutive, each radius is a single O(V) vector step on contiguous rows,
+so the full maximal function costs O(V * depth) numpy work instead of
+O(V^2) graph searches, and the pair measure is one such pass.  Ball sizes
+need no V-wide table: the tree's automorphisms act transitively on each
+level, so |B(v, r)| depends only on depth(v), and one (2 depth + 1) x
+(depth + 1) table per (k, depth) holds them all.  No TreeSpace carries
+state beyond its shape arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -70,8 +78,6 @@ class TreeSpace:
         widths = k ** np.arange(depth + 1, dtype=np.int64)
         self.depths = np.repeat(np.arange(depth + 1, dtype=np.int64), widths)
         self._level_starts = np.concatenate([[0], np.cumsum(widths)])
-
-        self._count_cum: Optional[np.ndarray] = None
 
     def check_vertex(self, v: int):
         if not (0 <= v < self.size):
@@ -232,16 +238,19 @@ def tree_ball(tree: TreeSpace, x: int, r: int) -> TreeBall:
 
 
 def _subtree_profiles(tree: TreeSpace, values: np.ndarray) -> np.ndarray:
-    """cum[v, r] = sum of values over subtree(v) within distance r of v."""
-    D = tree.depth
-    sub = np.zeros((tree.size, D + 1))
-    sub[:, 0] = values
+    """cum[r, v] = sum of values over subtree(v) within distance r of v."""
+    D, k = tree.depth, tree.k
+    sub = np.zeros((D + 1, tree.size))
+    sub[0] = values
     starts = tree._level_starts
     for d in range(D - 1, -1, -1):
-        # the children of level d are level d + 1, k consecutive per parent
+        # the children of level d are level d + 1, k consecutive per parent,
+        # added one child at a time: numpy's reduction over k contiguous
+        # values changes its summation order from k = 8 on
         a, b, c = starts[d], starts[d + 1], starts[d + 2]
-        sub[a:b, 1:] += sub[b:c, :-1].reshape(b - a, tree.k, D).sum(axis=1)
-    return np.cumsum(sub, axis=1)
+        for j in range(k):
+            sub[1:, a:b] += sub[:-1, b + j : c : k]
+    return np.cumsum(sub, axis=0)
 
 
 def _ball_sums(tree: TreeSpace, values: np.ndarray) -> Iterator[np.ndarray]:
@@ -260,37 +269,47 @@ def _ball_sums(tree: TreeSpace, values: np.ndarray) -> Iterator[np.ndarray]:
     down = _subtree_profiles(tree, values)
     prev = None
     for r in range(2 * D + 1):
-        cur = down[:, min(r, D)].copy()
+        cur = down[min(r, D)].copy()
         if r >= 1:
-            cur[1:] += np.repeat(prev[: (tree.size - 1) // k], k)
+            # the k consecutive children of parent p each get prev[p]
+            cur[1:].reshape(-1, k)[...] += prev[: (tree.size - 1) // k, None]
         if r >= 2:
-            cur[1:] -= down[1:, min(r - 2, D)]
+            cur[1:] -= down[min(r - 2, D), 1:]
         yield cur
         prev = cur
 
 
-def _ball_counts(tree: TreeSpace) -> np.ndarray:
-    """counts[r, v] = |B(v, r)|, cached on the tree."""
-    if tree._count_cum is None:
-        tree._count_cum = np.stack(list(_ball_sums(tree, np.ones(tree.size))))
-    return tree._count_cum
+@functools.lru_cache(maxsize=16)
+def _level_counts(k: int, depth: int) -> np.ndarray:
+    """counts[r, d] = |B(v, r)| for every vertex v at depth d; read-only.
+
+    The automorphisms of the truncated tree act transitively on each level,
+    so a ball's size depends only on its centre's depth and the first
+    vertex of each level stands for all of them.
+    """
+    tree = TreeSpace(k, depth)
+    firsts = tree._level_starts[:-1]
+    counts = np.stack([s[firsts] for s in _ball_sums(tree, np.ones(tree.size))])
+    counts.flags.writeable = False
+    return counts
 
 
 def tree_maximal(f: VertexFunction) -> TreeMaximal:
     """Exact centered maximal function over integer radii 0..2*depth."""
     tree = f.tree
-    counts = _ball_counts(tree)
+    counts = _level_counts(tree.k, tree.depth)
     best = np.full(tree.size, -np.inf)
     best_interior = best.copy()
     arg = np.zeros(tree.size, dtype=np.int64)
     for r, sums in enumerate(_ball_sums(tree, f.values)):
-        a = sums / counts[r]
+        a = sums / counts[r][tree.depths]
         upd = a > best
-        best = np.where(upd, a, best)
-        arg = np.where(upd, r, arg)
-        interior = tree.depths + r < tree.depth
-        better_int = interior & (a > best_interior)
-        best_interior = np.where(better_int, a, best_interior)
+        np.copyto(best, a, where=upd)
+        np.copyto(arg, r, where=upd)
+        # B(v, r) avoids the truncation depth iff depth(v) < depth - r,
+        # which on the breadth-first numbering is a prefix of the vertices
+        m = tree._level_starts[max(tree.depth - r, 0)]
+        np.maximum(best_interior[:m], a[:m], out=best_interior[:m])
     boundary = best_interior < best
     return TreeMaximal(tree, best, arg, boundary)
 
@@ -335,20 +354,29 @@ def tree_product_measure(
     """Mass of {(x, y) in E x F : d(x, y) = n (or < n)} under counting (x) w(y).
 
     The exact-distance mode sums w(y) over pairs at distance exactly n; the
-    less-than mode over pairs at distance strictly below n.
+    less-than mode over pairs at distance strictly below n.  Both come from
+    one ball-sum pass of w * 1_F summed over x in E: pairs at distance below
+    n are the balls of radius n - 1, and those at distance n are the
+    difference of the radii n and n - 1.  That difference is exact on
+    integer weights; on float weights it is accurate to a few ulps of the
+    ball mass at radius n, not of the (possibly much smaller) result.
     """
     if mode not in ("exact-distance", "less-than"):
         raise DomainError(f"unknown pair mode {mode!r}")
-    if n < 0:
-        raise DomainError(f"pair distance must be nonnegative, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"pair distance must be a nonnegative integer, got {n!r}")
     tree = w.tree
     ex = _as_vertex_array(tree, E)
     fy = _as_vertex_array(tree, F)
     if ex.size == 0 or fy.size == 0:
         return 0.0
-    dm = np.stack([tree.distances_from(int(x))[fy] for x in ex])
-    hit = (dm == n) if mode == "exact-distance" else (dm < n)
-    return float((hit * w.values[fy][None, :]).sum())
+    wf = np.zeros(tree.size)
+    wf[fy] = w.values[fy]
+    # below[r] is the mass of the pairs at distance below r, for r up to
+    # 2 * depth + 1, past the diameter
+    below = np.array([0.0] + [s[ex].sum() for s in _ball_sums(tree, wf)])
+    lo, hi = below[np.minimum([n, n + 1], below.size - 1)]
+    return float(lo if mode == "less-than" else hi - lo)
 
 
 def weak11_constant(f: VertexFunction, result: Optional[TreeMaximal] = None) -> float:
@@ -356,8 +384,12 @@ def weak11_constant(f: VertexFunction, result: Optional[TreeMaximal] = None) -> 
 
     The superlevel count runs over trusted (unflagged) vertices; the sup
     over levels is attained just below a value of Mf, so it is evaluated
-    exactly by scanning distinct values.
+    exactly by scanning distinct values.  result, when given, must be
+    tree_maximal(f); one on a tree of another shape raises DomainError.
     """
+    shape = (f.tree.k, f.tree.depth)
+    if result is not None and (result.tree.k, result.tree.depth) != shape:
+        raise DomainError(f"maximal function on {result.tree} does not fit {f.tree}")
     nrm = f.norm1()
     if nrm == 0.0:
         return 0.0
@@ -395,7 +427,8 @@ def tree_kolmogorov(
     c is the weak-(1,1) quotient measured for this very f, which makes the
     inequality a theorem about the finite tree.  The left side runs over
     trusted vertices of B.  result, when given, must be tree_maximal(f); it
-    saves recomputing Mf when several exponents share one f.
+    saves recomputing Mf when several exponents share one f.  A result on a
+    tree of another shape raises DomainError.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"Kolmogorov exponent must lie in (0,1), got {q}")

@@ -25,7 +25,7 @@ from nalab.checkers import (
     weak_type_ratio,
 )
 from nalab.errors import DomainError, UnsupportedError
-from nalab.geometry import DEFAULT_SPACE, AnnularGrid, product_kernel
+from nalab.geometry import DEFAULT_SPACE, AnnularGrid, SpaceParams, product_kernel
 from nalab.radialops import RadialFunction
 from nalab.treelab import TreeSpace, VertexFunction
 from nalab.weights import Weight, WeightSpec, materialize, weight_mass
@@ -486,6 +486,38 @@ def test_vector_valued_tree_band():
     assert consts.max() == approx_frozen(1.104843)
     zrep = vector_valued_ratio(3.0, 2.0, [VertexFunction.zeros(tree)], backend="tree")
     assert zrep.constant == 0.0 and zrep.verdict == "pass"
+
+
+def _dirac5(depth):
+    return VertexFunction.dirac(TreeSpace(2, depth), [5])
+
+
+def _indicator5(params):
+    return RadialFunction.indicator(AnnularGrid(params, 80), [5])
+
+
+@pytest.mark.parametrize(
+    "funcs, backend",
+    [
+        ([RadialFunction.indicator(GRID80, [5])], "tree"),
+        ([_dirac5(3)], "radial"),
+        ([_dirac5(3), _dirac5(4)], "tree"),
+        # same j_max, other space: GRID80's measures would be used for both
+        ([RadialFunction.indicator(GRID80, [5]), _indicator5(SpaceParams.from_mk(4, 1))],
+         "radial"),
+    ],
+    ids=["radial-on-tree", "tree-on-radial", "two-trees", "two-grids"],
+)
+def test_vector_valued_rejects_mixed_inputs(funcs, backend):
+    with pytest.raises(UnsupportedError):
+        vector_valued_ratio(2.0, 2.0, funcs, backend=backend)
+
+
+def test_vector_valued_takes_equal_spaces_on_separate_instances():
+    f5, twin = RadialFunction.indicator(GRID80, [5]), _indicator5(DEFAULT_SPACE)
+    assert vector_valued_ratio(2.0, 2.0, [f5, twin], backend="radial").verdict == "pass"
+    trees = [_dirac5(3), _dirac5(3)]
+    assert vector_valued_ratio(2.0, 2.0, trees, backend="tree").verdict == "pass"
 
 
 # ---------------------------------------------------------------- reports

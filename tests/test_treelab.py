@@ -17,6 +17,7 @@ from nalab.treelab import (
     tree_maximal_naive,
     tree_product_measure,
     weak11_constant,
+    _level_counts,
 )
 
 
@@ -59,6 +60,17 @@ def test_ball_counts():
         tk = TreeSpace(k, 6)
         for r in range(0, 7):
             assert len(tree_ball(tk, 0, r)) == (k ** (r + 1) - 1) // (k - 1)
+
+
+def test_level_counts_match_every_ball():
+    # level symmetry: |B(v, r)| depends on depth(v) only
+    for k, depth in ((2, 7), (3, 5), (4, 4), (5, 3), (2, 1)):
+        t = TreeSpace(k, depth)
+        counts = _level_counts(k, depth)
+        assert counts.shape == (2 * depth + 1, depth + 1)
+        for v in range(t.size):
+            for r in range(2 * depth + 1):
+                assert counts[r, t.depths[v]] == len(tree_ball(t, v, r)), (k, depth, v, r)
 
 
 def test_ball_nesting_and_boundary_flag():
@@ -160,6 +172,37 @@ def test_product_measure_brute_force():
                         assert abs(got - brute) < 1e-12, (t.k, E, F, n, mode)
 
 
+@st.composite
+def _weighted_pair_sets(draw):
+    tree = TreeSpace(draw(st.integers(2, 4)), draw(st.integers(1, 3)))
+    vertex = st.integers(0, tree.size - 1)
+    w = draw(st.lists(st.integers(1, 1000), min_size=tree.size, max_size=tree.size))
+    E = draw(st.lists(vertex, max_size=30))
+    F = draw(st.lists(vertex, max_size=30))
+    return VertexWeight(tree, np.array(w, dtype=float)), E, F
+
+
+@given(case=_weighted_pair_sets())
+@settings(max_examples=100, deadline=None)
+def test_product_measure_exact_on_integer_weights(case):
+    # integer ball sums are exact, so the radius difference must be too
+    w, E, F = case
+    t = w.tree
+    dist = {(x, y): t.distance(x, y) for x in set(E) for y in set(F)}
+    for n in range(2 * t.depth + 3):
+        exact = sum(w.values[y] for (x, y), d in dist.items() if d == n)
+        below = sum(w.values[y] for (x, y), d in dist.items() if d < n)
+        assert tree_product_measure(w, E, F, n, mode="exact-distance") == exact
+        assert tree_product_measure(w, E, F, n, mode="less-than") == below
+
+
+def test_product_measure_rejects_bad_distances():
+    w = VertexWeight.ones(TreeSpace(2, 3))
+    for n in (-1, 1.5, 2.0):
+        with pytest.raises(DomainError):
+            tree_product_measure(w, [1], [2], n)
+
+
 def test_product_measure_edge_count():
     t = TreeSpace(2, 8)
     w = VertexWeight.ones(t)
@@ -181,6 +224,22 @@ def test_kolmogorov_trivials():
     for bad_q in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(DomainError):
             tree_kolmogorov(bad_q, f_root, ball4.vertices)
+
+
+def test_maximal_result_from_another_tree_is_rejected():
+    t3, t4 = TreeSpace(2, 3), TreeSpace(2, 4)
+    f = VertexFunction.dirac(t3, [5])
+    alien = tree_maximal(VertexFunction.dirac(t4, [5]))
+    with pytest.raises(DomainError):
+        weak11_constant(f, alien)
+    with pytest.raises(DomainError):
+        tree_kolmogorov(0.5, f, range(t3.size), result=alien)
+    with pytest.raises(DomainError):
+        weak11_constant(VertexFunction.zeros(t3), alien)
+    # the same shape on another TreeSpace instance is the same tree
+    twin = tree_maximal(VertexFunction.dirac(TreeSpace(2, 3), [5]))
+    assert weak11_constant(f, twin) == weak11_constant(f) == 1.0
+    assert tree_kolmogorov(0.5, f, range(t3.size), result=twin).holds
 
 
 def test_kolmogorov_seeded_sample():
