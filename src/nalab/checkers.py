@@ -58,6 +58,13 @@ _STRONG_FIT_RANGE = (20, 60)  # J range of the strong-type rate fit
 _STRONG_SLOPE_TOL = 0.5  # fitted rates at or above this are divergent
 
 
+def _require(ok: bool, condition: str, **values: float) -> None:
+    """Domain gate: DomainError unless ok holds and every value is finite."""
+    if not (ok and all(math.isfinite(v) for v in values.values())):
+        got = ", ".join(f"{name}={v}" for name, v in values.items())
+        raise DomainError(f"need finite {condition}, got {got}")
+
+
 def default_lambda_grid() -> np.ndarray:
     """Geometric level grid 2^a, a = -40..10; resolves exponential scales."""
     return 2.0 ** np.arange(-40, 11, dtype=float)
@@ -258,8 +265,11 @@ def check_ap_loc(
     converges, a singular one keeps growing as the quadrature resolves
     the singularity).  Requires a continuum profile.
     """
-    if p <= 1:
-        raise DomainError(f"local condition needs p > 1, got {p}")
+    _require(
+        p > 1 and step > 0 and refinements >= 0,
+        "p > 1, step > 0 and refinements >= 0",
+        p=p, step=step, refinements=refinements,
+    )
     if w.profile is None:
         raise UnsupportedError("local condition needs a continuum profile")
     steps = [step / 2**a for a in range(refinements + 1)]
@@ -423,10 +433,8 @@ def check_large_scale(
     Q_n^w(E, F) / (e^(2 rho beta n) w(E)^(alpha/p) w(F)^(1-alpha/p)),
     Q_n^w(E, F) = sum_{i in E, j in F} w_j P_n(i, j) on the raw kernel.
     """
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"need 0 < beta < 1, got beta={beta}")
-    if not (beta <= alpha < p):
-        raise DomainError(f"need beta <= alpha < p, got alpha={alpha}, p={p}")
+    _require(0.0 < beta < 1.0, "0 < beta < 1", beta=beta)
+    _require(beta <= alpha < p, "beta <= alpha < p", alpha=alpha, p=p)
     meta = {"p": p, "alpha": alpha, "beta": beta}
     return _pair_measure_check("large-scale", w, p, alpha, beta, n_max, family, meta)
 
@@ -438,8 +446,7 @@ def check_necessary(
     family: Optional[SetFamily] = None,
 ) -> CheckReport:
     """Necessary pair-measure condition: alpha = beta = 1 exponents."""
-    if p <= 1:
-        raise DomainError(f"need p > 1, got {p}")
+    _require(p > 1, "p > 1", p=p)
     return _pair_measure_check("necessary", w, p, 1.0, 1.0, n_max, family, {"p": p})
 
 
@@ -452,8 +459,7 @@ def check_easy_check(w: Weight, p: float, eta: float, n_max: int = 25) -> CheckR
     sup certifies the pair-measure condition at exponents
     (p/(p+1-eta), p/(p+1-eta)).
     """
-    if eta >= 1.0:
-        raise DomainError(f"tilt must satisfy eta < 1, got {eta}")
+    _require(eta < 1.0, "p and tilt eta < 1", p=p, eta=eta)
     grid = w.grid
     rho = grid.params.rho
     jm = grid.j_max
@@ -521,8 +527,7 @@ def check_msw(w: Weight, s: float, n_max: int = 25) -> CheckReport:
     growth is the caller's comparison (outside the guaranteed parameter
     range the sup genuinely grows with the grid).
     """
-    if s < 1.0:
-        raise DomainError(f"power-adjusted domination needs s >= 1, got {s}")
+    _require(s >= 1.0, "s >= 1", s=s)
     grid = w.grid
     ms = maximal_s(w, s, n_max)
     hi = valid_upper(grid.j_max, n_max)
@@ -558,8 +563,7 @@ def check_classical_ap(w: Weight, p: float) -> CheckReport:
     intersection measures, and its exponential rate in j is fitted.
     A positive rate is the classical-condition failure detector.
     """
-    if p <= 1:
-        raise DomainError(f"need p > 1, got {p}")
+    _require(p > 1, "p > 1", p=p)
     grid = w.grid
     cols = np.arange(1, grid.j_max + 1)
     dual = w.values ** (-1.0 / (p - 1.0))
@@ -644,8 +648,7 @@ def weak_type_ratio(
     n_max: int = 25,
 ) -> CheckReport:
     """Weak-(p,p) quotient sup_l l^p w({Mf > l}) / ||f||_{L^p(w)}^p."""
-    if p < 1:
-        raise DomainError(f"need p >= 1, got {p}")
+    _require(p >= 1, "p >= 1", p=p)
     norm_p = float(np.dot(w.values * w.grid.measures, f.values**p))
     if norm_p == 0.0:
         meta = {"p": p, "degenerate": "zero function"}
@@ -673,6 +676,7 @@ def strong_type_ratio(
     is reported as divergence.  The reported constant is the quotient
     S(j_cut) / ||f||_{L^p(w)}^p.
     """
+    _require(p >= 1, "p >= 1", p=p)
     grid = w.grid
     norm_p = float(np.dot(w.values * grid.measures, f.values**p))
     if norm_p == 0.0:
@@ -736,8 +740,7 @@ def fs_ratio(
     M^(k) w at s = 1; the denominator runs over G's valid window, and
     configurations whose denominator vanishes are recorded, not passed.
     """
-    if s < 1.0:
-        raise DomainError(f"need s >= 1, got {s}")
+    _require(s >= 1.0, "s >= 1", s=s)
     grid = w.grid
     if s > 1.0:
         g_vals = maximal_s(w, s, n_max).values
@@ -785,8 +788,7 @@ def vector_valued_ratio(
     must fit the backend and live on one tree shape or one grid (same space
     parameters and j_max), else UnsupportedError.
     """
-    if not (1.0 < r <= p):
-        raise DomainError(f"need 1 < r <= p, got r={r}, p={p}")
+    _require(1.0 < r <= p, "1 < r <= p", r=r, p=p)
     if len(functions) == 0:
         raise UnsupportedError("empty function list")
     if backend not in ("tree", "radial"):

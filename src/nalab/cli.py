@@ -20,7 +20,7 @@ import traceback
 
 import numpy as np
 
-from .errors import ConfigError, NalabError
+from .errors import ConfigError, NalabError, finite_number
 from .experiments import (
     CANONICAL_J_MAX,
     CANONICAL_N_MAX,
@@ -41,6 +41,18 @@ from .weights import WeightSpec, materialize
 
 # sysexits.h EX_SOFTWARE: an internal error, never a verdict or a usage code
 EXIT_CRASH = 70
+
+
+def finite(text: str) -> float:
+    """argparse type of every float option; argparse names it in its error."""
+    return finite_number(float(text), "option")
+
+
+def seed(text: str) -> int:
+    """argparse type of --seed: numpy takes nonnegative integer seeds."""
+    if int(text) < 0:
+        raise ValueError(f"negative seed {text}")
+    return int(text)
 
 
 def _seed(args) -> int:
@@ -138,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed",
-        type=int,
+        type=seed,
         default=None,
         help=f"seed for random test families (default {CANONICAL_SEED})",
     )
@@ -149,19 +161,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_info = space_sub.add_parser("info", help="print the derived exponents")
     p_info.add_argument("--m", type=int, default=2, help="first layer dimension")
     p_info.add_argument("--k", type=int, default=1, help="second layer dimension")
-    p_info.add_argument("--sigma", type=float, default=None)
-    p_info.add_argument("--tau", type=float, default=None)
+    p_info.add_argument("--sigma", type=finite, default=None)
+    p_info.add_argument("--tau", type=finite, default=None)
     p_info.set_defaults(func=_cmd_space_info)
 
     p_jac = sub.add_parser("jacobi", help="special-function evaluation")
     jac_sub = p_jac.add_subparsers(dest="subcommand", required=True)
     p_eval = jac_sub.add_parser("eval", help="CSV trace of the eigenfunction")
-    p_eval.add_argument("--sigma", type=float, required=True)
-    p_eval.add_argument("--tau", type=float, required=True)
-    p_eval.add_argument("--lambda-re", type=float, default=0.0)
-    p_eval.add_argument("--lambda-im", type=float, default=0.0)
-    p_eval.add_argument("--tmax", type=float, default=10.0)
-    p_eval.add_argument("--step", type=float, default=0.1)
+    p_eval.add_argument("--sigma", type=finite, required=True)
+    p_eval.add_argument("--tau", type=finite, required=True)
+    p_eval.add_argument("--lambda-re", type=finite, default=0.0)
+    p_eval.add_argument("--lambda-im", type=finite, default=0.0)
+    p_eval.add_argument("--tmax", type=finite, default=10.0)
+    p_eval.add_argument("--step", type=finite, default=0.1)
     p_eval.set_defaults(func=_cmd_jacobi_eval)
 
     p_weight = sub.add_parser("weight", help="weight-condition checkers")
@@ -177,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for name in ("p", "s", "eta", "alpha", "beta"):
         p_check.add_argument(
-            f"--{name}", type=float, help="default: the checker's sweep default"
+            f"--{name}", type=finite, help="default: the checker's sweep default"
         )
     p_check.add_argument("--j-max", type=int, default=CANONICAL_J_MAX)
     p_check.add_argument("--n-max", type=int, default=CANONICAL_N_MAX)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check every number
+read from outside passes."""
+
+import numbers
+import sys
 
 
 class NalabError(Exception):
@@ -27,3 +31,19 @@ class UnsupportedError(NalabError, ValueError):
 
 class ConfigError(NalabError, ValueError):
     """Malformed experiment configuration."""
+
+
+def finite_number(x, name: str, integral: bool = False):
+    """x as a float, or as an int when integral; else a ConfigError naming name.
+
+    Bools, strings, nan and +-inf are refused, and so are values with a
+    fractional part where an integer is expected.
+    """
+    # bool is an int subclass; comparing to float max rejects nan and inf,
+    # and ints too large for a float, without converting them
+    finite = isinstance(x, numbers.Real) and abs(x) <= sys.float_info.max
+    if isinstance(x, bool) or not finite:
+        raise ConfigError(f"{name} must be a finite number, got {x!r}")
+    if integral and not float(x).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {x!r}")
+    return int(x) if integral else float(x)

@@ -37,7 +37,7 @@ from .checkers import (
     vector_valued_ratio,
     weak_type_ratio,
 )
-from .errors import ConfigError
+from .errors import ConfigError, finite_number
 from .fitting import fit_linear, fit_log_slope
 from .geometry import DEFAULT_SPACE, AnnularGrid, SpaceParams, valid_upper
 from .radialops import RadialFunction, maximal_dis
@@ -446,29 +446,26 @@ def run_reproduce(
 # config-driven sweeps
 # ---------------------------------------------------------------------------
 
-_FAMILY_KINDS = ("standard", "singletons", "dyadic", "random")
 
-
-def _expect_object(obj, where: str) -> dict:
+def _object(obj, where: str, known=None) -> dict:
+    """obj if it is a JSON object without fields outside known (when given)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    return obj
-
-def _reject_unknown(obj: dict, known: set, where: str):
-    extra = set(obj) - known
+    extra = set() if known is None else set(obj) - set(known)
     if extra:
         raise ConfigError(f"unknown {where} fields: {sorted(extra)}")
+    return obj
 
 
 def _parse_space(obj) -> SpaceParams:
-    obj = _expect_object(obj, "space")
+    obj = _object(obj, "space")
     if not obj:
         return DEFAULT_SPACE
-    if set(obj) == {"m", "k"}:
-        return SpaceParams.from_mk(int(obj["m"]), int(obj["k"]))
-    if set(obj) == {"sigma", "tau"}:
-        return SpaceParams(float(obj["sigma"]), float(obj["tau"]))
-    raise ConfigError("space needs exactly {m, k} or {sigma, tau}")
+    layers = set(obj) == {"m", "k"}
+    if not layers and set(obj) != {"sigma", "tau"}:
+        raise ConfigError("space needs exactly {m, k} or {sigma, tau}")
+    nums = {n: finite_number(x, f"space {n!r}", layers) for n, x in obj.items()}
+    return SpaceParams.from_mk(**nums) if layers else SpaceParams(**nums)
 
 
 @dataclass
@@ -493,31 +490,25 @@ class ExperimentConfig:
                 obj = json.loads(obj)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        obj = _expect_object(obj, "config")
-        _reject_unknown(
-            obj,
-            {"space", "grid", "weight", "checker", "axes", "seed", "output"},
-            "config",
-        )
+        known = {"space", "grid", "weight", "checker", "axes", "seed", "output"}
+        obj = _object(obj, "config", known)
 
         space = _parse_space(obj.get("space", {}))
 
-        grid = _expect_object(obj.get("grid", {}), "grid")
-        _reject_unknown(grid, {"j_max", "n_max"}, "grid")
-        j_max = int(grid.get("j_max", CANONICAL_J_MAX))
-        n_max = int(grid.get("n_max", CANONICAL_N_MAX))
+        grid = _object(obj.get("grid", {}), "grid", {"j_max", "n_max"})
+        j_max = finite_number(grid.get("j_max", CANONICAL_J_MAX), "grid 'j_max'", True)
+        n_max = finite_number(grid.get("n_max", CANONICAL_N_MAX), "grid 'n_max'", True)
         if j_max <= n_max + 1:
             raise ConfigError(f"grid too small: j_max={j_max} with n_max={n_max}")
 
-        checker_block = _expect_object(obj.get("checker"), "checker")
-        _reject_unknown(checker_block, {"id", "params"}, "checker")
+        checker_block = _object(obj.get("checker"), "checker", {"id", "params"})
         cid = checker_block.get("id")
         if cid not in CHECKERS:
             raise ConfigError(
                 f"unknown checker {cid!r}; known: {', '.join(sorted(CHECKERS))}"
             )
-        given = _expect_object(checker_block.get("params", {}), "checker params")
-        _reject_unknown(given, CHECKERS[cid].params, f"{cid} params")
+        given = checker_block.get("params", {})
+        given = _object(given, f"{cid} params", CHECKERS[cid].params)
         params = {**CHECKERS[cid].defaults, **given}
         params.setdefault("n_max", n_max)
 
@@ -525,15 +516,21 @@ class ExperimentConfig:
             raise ConfigError("config needs a weight spec")
         weight = WeightSpec.from_json(obj["weight"])
 
-        axes = _expect_object(obj.get("axes", {}), "axes")
+        axes = _object(obj.get("axes", {}), "axes")
         for name, values in axes.items():
             if name not in CHECKERS[cid].params:
                 raise ConfigError(f"axis {name!r} is not a parameter of {cid}")
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"axis {name!r} needs a nonempty list of values")
+        # every value a cell can see is checked before any cell runs
+        for name, values in {**{n: [v] for n, v in params.items()}, **axes}.items():
+            for value in values:
+                _param(name, value)
 
-        output = _expect_object(obj.get("output", {}), "output")
-        _reject_unknown(output, {"csv", "json"}, "output")
+        output = _object(obj.get("output", {}), "output", {"csv", "json"})
+        seed = finite_number(obj.get("seed", CANONICAL_SEED), "seed", True)
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
 
         return cls(
             space=space,
@@ -543,34 +540,52 @@ class ExperimentConfig:
             checker=cid,
             params=params,
             axes=axes,
-            seed=int(obj.get("seed", CANONICAL_SEED)),
+            seed=seed,
             csv_name=str(output.get("csv", "sweep.csv")),
             json_name=str(output.get("json", "sweep.json")),
         )
 
 
-def _build_family(spec, w, n_max: int, seed: int) -> SetFamily:
-    spec = _expect_object(spec, "family")
-    _reject_unknown(spec, {"kind", "count"}, "family")
+# kind -> (its fields besides kind, with defaults; builder(window, seed, **fields))
+_FAMILY_KINDS = {
+    "standard": ({}, lambda window, seed: SetFamily.standard(window)),
+    "singletons": ({}, lambda window, seed: SetFamily.singletons(window)),
+    "dyadic": ({}, lambda window, seed: SetFamily.dyadic_blocks(window)),
+    "random": ({"count": 10}, SetFamily.random_unions),
+}
+
+
+def _family(spec) -> Callable:
+    """A validated family spec as a builder(window, seed) of its SetFamily."""
+    spec = _object(spec, "family")
     kind = spec.get("kind", "standard")
-    if kind not in _FAMILY_KINDS:
-        raise ConfigError(f"unknown family kind {kind!r}; known: {_FAMILY_KINDS}")
-    window = (1, valid_upper(w.grid.j_max, n_max))
-    if kind == "singletons":
-        return SetFamily.singletons(window)
-    if kind == "dyadic":
-        return SetFamily.dyadic_blocks(window)
-    if kind == "random":
-        return SetFamily.random_unions(window, seed, int(spec.get("count", 10)))
-    return SetFamily.standard(window)
+    if not isinstance(kind, str) or kind not in _FAMILY_KINDS:
+        raise ConfigError(f"unknown family kind {kind!r}; known: {list(_FAMILY_KINDS)}")
+    defaults, build = _FAMILY_KINDS[kind]
+    _object(spec, f"{kind} family", {"kind", *defaults})
+    fields = {
+        name: finite_number(spec.get(name, default), f"family {name!r}", True)
+        for name, default in defaults.items()
+    }
+    return lambda window, seed: build(window, seed, **fields)
 
 
-def _build_f(grid: AnnularGrid, spec) -> RadialFunction:
-    spec = _expect_object(spec, "f")
-    _reject_unknown(spec, {"indicator"}, "f")
-    if "indicator" not in spec:
+def _indicator(spec) -> list:
+    """The annulus indices of a validated f spec."""
+    annuli = _object(spec, "f", {"indicator"}).get("indicator")
+    if not isinstance(annuli, list):
         raise ConfigError("f needs an 'indicator' list of annulus indices")
-    return RadialFunction.indicator(grid, [int(j) for j in spec["indicator"]])
+    return [finite_number(j, "f indicator", True) for j in annuli]
+
+
+def _param(name: str, value):
+    """A checker parameter read from outside, validated: family as its
+    builder, f as annulus indices, the others as ints or floats."""
+    if name == "family":
+        return _family(value)
+    if name == "f":
+        return _indicator(value)
+    return finite_number(value, f"parameter {name!r}", name in _INT_PARAMS)
 
 
 class Checker(NamedTuple):
@@ -623,16 +638,12 @@ def run_checker(cid: str, w, params: dict, seed: int) -> CheckReport:
     """Run checker cid on w; names in params that cid lacks are ignored."""
     checker = CHECKERS[cid]
     given = {**checker.defaults, **params}
-    kwargs = {}
-    for name in checker.params & given.keys():
-        value = given[name]
-        if name == "family":
-            value = _build_family(value, w, int(given["n_max"]), seed)
-        elif name == "f":
-            value = _build_f(w.grid, value)
-        else:
-            value = (int if name in _INT_PARAMS else float)(value)
-        kwargs[name] = value
+    kwargs = {name: _param(name, given[name]) for name in checker.params & set(given)}
+    if "family" in kwargs:
+        window = (1, valid_upper(w.grid.j_max, kwargs["n_max"]))
+        kwargs["family"] = kwargs["family"](window, seed)
+    if "f" in kwargs:
+        kwargs["f"] = RadialFunction.indicator(w.grid, kwargs["f"])
     return checker.run(w, **kwargs)
 
 

@@ -68,9 +68,11 @@ class SpaceParams:
     tau: float
 
     def __post_init__(self):
-        if not (self.sigma >= self.tau > -0.5):
+        # sigma >= tau > -1/2 bounds tau, so a finite sigma makes both finite
+        if not (math.isfinite(self.sigma) and self.sigma >= self.tau > -0.5):
             raise DomainError(
-                f"need sigma >= tau > -1/2, got sigma={self.sigma}, tau={self.tau}"
+                "need finite sigma >= tau > -1/2, "
+                f"got sigma={self.sigma}, tau={self.tau}"
             )
 
     @classmethod

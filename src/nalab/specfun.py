@@ -18,6 +18,7 @@ explicitly and the numerics confirm that exponent.)
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -52,10 +53,9 @@ class JacobiParams:
     lam: complex
 
     def __post_init__(self):
-        if not (self.sigma >= self.tau > -0.5):
-            raise DomainError(
-                f"need sigma >= tau > -1/2, got sigma={self.sigma}, tau={self.tau}"
-            )
+        SpaceParams(self.sigma, self.tau)  # the same gate on the indices
+        if not cmath.isfinite(self.lam):
+            raise DomainError(f"need a finite spectral point, got lam={self.lam}")
 
     @property
     def rho(self) -> float:

@@ -15,33 +15,26 @@ exact: (w^s)_j == (w_j)^s, which the power-mean comparisons rely on.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GridRangeError
+from .errors import ConfigError, DomainError, GridRangeError, finite_number
 from .geometry import AnnularGrid
 from .specfun import JacobiParams, jacobi_phi_second_trace, jacobi_phi_trace
 
 # float -> float, or strictly increasing 1-d array -> array of its shape
 Profile = Callable[[Union[float, np.ndarray]], Union[float, np.ndarray]]
 
-_VARIANTS = (
-    "constant",
-    "exp_radial",
-    "exp_strong",
-    "spherical_u",
-    "jacobi_v",
-    "eta_product",
-    "custom",
-)
-
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Declarative weight description, JSON-serializable except `custom`."""
+    """Declarative weight description, JSON-serializable except `custom`.
+
+    Each variant takes exactly the field _FAMILIES names for it (none for
+    constant); a missing or foreign field is a ConfigError here.
+    """
 
     variant: str
     gamma: Optional[float] = None
@@ -50,8 +43,16 @@ class WeightSpec:
     profile: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in _FAMILIES:
             raise ConfigError(f"unknown weight variant {self.variant!r}")
+        takes = _FAMILIES[self.variant].field
+        for name in ("gamma", "p", "base", "profile"):
+            given = getattr(self, name) is not None
+            if given != (name == takes):
+                need = "takes no" if given else "needs"
+                raise ConfigError(f"{self.variant} weight {need} {name!r}")
+        if takes in ("gamma", "p"):
+            finite_number(getattr(self, takes), f"weight spec {takes!r}")
 
     @classmethod
     def constant(cls) -> "WeightSpec":
@@ -92,48 +93,33 @@ class WeightSpec:
         return cls("custom", profile=profile)
 
     def to_json(self) -> dict:
-        if self.variant == "custom":
+        takes = _FAMILIES[self.variant].field
+        if takes == "profile":
             raise ConfigError("custom weights are not serializable")
         out: dict = {"variant": self.variant}
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
-        if self.p is not None:
-            out["p"] = self.p
-        if self.base is not None:
-            out["base"] = self.base.to_json()
+        if takes is not None:
+            value = getattr(self, takes)
+            out[takes] = value.to_json() if takes == "base" else value
         return out
 
     @classmethod
     def from_json(cls, obj) -> "WeightSpec":
         if isinstance(obj, str):
-            obj = json.loads(obj)
+            try:
+                obj = json.loads(obj)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"weight spec is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError("weight spec must be a JSON object")
-        known = {"variant", "gamma", "p", "base"}
-        extra = set(obj) - known
+        extra = set(obj) - {"variant", "gamma", "p", "base"}
         if extra:
             raise ConfigError(f"unknown weight spec fields: {sorted(extra)}")
         if "variant" not in obj:
             raise ConfigError("weight spec needs a 'variant' field")
-        for key in ("gamma", "p"):
-            x = obj.get(key)
-            # bool is an int subclass; comparing to float max rejects nan and
-            # inf, and ints too large for a float, without converting them
-            if x is not None and (
-                isinstance(x, bool)
-                or not isinstance(x, (int, float))
-                or not abs(x) <= sys.float_info.max
-            ):
-                raise ConfigError(
-                    f"weight spec {key!r} must be a finite number, got {x!r}"
-                )
-        base = cls.from_json(obj["base"]) if "base" in obj else None
-        return cls(
-            variant=obj["variant"],
-            gamma=obj.get("gamma"),
-            p=obj.get("p"),
-            base=base,
-        )
+        fields = dict(obj)
+        if "base" in fields:
+            fields["base"] = cls.from_json(fields["base"])
+        return cls(**fields)
 
 
 @dataclass
@@ -157,66 +143,66 @@ class Weight:
             raise DomainError("weight values must be positive and finite")
 
 
-def _spherical_params(spec: WeightSpec, grid: AnnularGrid) -> JacobiParams:
+# array-in, array-out evaluator of a spec on increasing 1-d distances
+Evaluator = Callable[[np.ndarray], np.ndarray]
+
+
+def _exp_rate(c: float, grid: AnnularGrid) -> Evaluator:
+    """exp(2 rho c t)."""
+    rate = 2.0 * grid.params.rho * c
+    return lambda ts: np.exp(rate * ts)
+
+
+def _spherical_u(p: float, grid: AnnularGrid) -> Evaluator:
     params = grid.params
-    varrho = params.homogeneous_dim
-    if spec.variant == "spherical_u":
-        if spec.p is None:
-            raise ConfigError("spherical_u needs p")
-        kappa = 2.0 * params.rho * (spec.p - 1.0) + varrho
-        return JacobiParams(params.sigma, params.tau, 1j * kappa)
-    if spec.gamma is None:
-        raise ConfigError("jacobi_v needs gamma")
-    if not (-0.5 <= spec.gamma < 0.0):
-        raise DomainError(
-            f"jacobi_v gamma must lie in [-1/2, 0), got {spec.gamma}"
-        )
-    theta = -2.0 * params.rho * spec.gamma - varrho
-    return JacobiParams(params.sigma, params.tau, 1j * theta)
+    kappa = 2.0 * params.rho * (p - 1.0) + params.homogeneous_dim
+    jp = JacobiParams(params.sigma, params.tau, 1j * kappa)
+    return lambda ts: jacobi_phi_trace(jp, ts).values.real
 
 
-def _evaluator(
-    spec: WeightSpec, grid: AnnularGrid
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Array-in, array-out evaluator of a spec on increasing 1-d distances."""
-    two_rho = 2.0 * grid.params.rho
-    if spec.variant == "constant":
-        return np.ones_like
-    if spec.variant == "exp_radial":
-        if spec.gamma is None:
-            raise ConfigError("exp_radial needs gamma")
-        g = spec.gamma
-        return lambda ts: np.exp(two_rho * g * ts)
-    if spec.variant == "exp_strong":
-        if spec.p is None:
-            raise ConfigError("exp_strong needs p")
-        q = spec.p - 1.0
-        return lambda ts: np.exp(two_rho * q * ts)
-    if spec.variant == "spherical_u":
-        jp = _spherical_params(spec, grid)
-        return lambda ts: jacobi_phi_trace(jp, ts).values.real
-    if spec.variant == "jacobi_v":
-        jp = _spherical_params(spec, grid)
-        two_sigma = 2.0 * grid.params.sigma
+def _jacobi_v(gamma: float, grid: AnnularGrid) -> Evaluator:
+    if not (-0.5 <= gamma < 0.0):
+        raise DomainError(f"jacobi_v gamma must lie in [-1/2, 0), got {gamma}")
+    params = grid.params
+    theta = -2.0 * params.rho * gamma - params.homogeneous_dim
+    jp = JacobiParams(params.sigma, params.tau, 1j * theta)
+    two_sigma = 2.0 * params.sigma
 
-        def jacobi_v(ts):
-            damp = ts**two_sigma / (1.0 + ts**two_sigma)
-            # the companion solution changes sign once at moderate t for the
-            # spectral points this family uses; the weight takes its modulus,
-            # which is what the defining asymptotic comparisons control
-            return damp * np.abs(jacobi_phi_second_trace(jp, ts).values)
+    def jacobi_v(ts):
+        damp = ts**two_sigma / (1.0 + ts**two_sigma)
+        # the companion solution changes sign once at moderate t for the
+        # spectral points this family uses; the weight takes its modulus,
+        # which is what the defining asymptotic comparisons control
+        return damp * np.abs(jacobi_phi_second_trace(jp, ts).values)
 
-        return jacobi_v
-    if spec.variant == "eta_product":
-        if spec.base is None:
-            raise ConfigError("eta_product needs a base spec")
-        base = _evaluator(spec.base, grid)
-        return lambda ts: base(ts) * np.exp(1.0 / (1.0 + ts))
-    if spec.variant == "custom":
-        if spec.profile is None:
-            raise ConfigError("custom weight needs a profile callable")
-        return np.vectorize(spec.profile, otypes=[float])
-    raise ConfigError(f"unhandled weight variant {spec.variant!r}")
+    return jacobi_v
+
+
+def _eta_product(base: WeightSpec, grid: AnnularGrid) -> Evaluator:
+    evaluate = _evaluator(base, grid)
+    return lambda ts: evaluate(ts) * np.exp(1.0 / (1.0 + ts))
+
+
+class _Family(NamedTuple):
+    field: Optional[str]  # the one WeightSpec field the variant takes
+    evaluator: Callable  # evaluator(value of that field, grid) -> Evaluator
+
+
+_FAMILIES = {
+    "constant": _Family(None, lambda _, grid: np.ones_like),
+    "exp_radial": _Family("gamma", _exp_rate),
+    "exp_strong": _Family("p", lambda p, grid: _exp_rate(p - 1.0, grid)),
+    "spherical_u": _Family("p", _spherical_u),
+    "jacobi_v": _Family("gamma", _jacobi_v),
+    "eta_product": _Family("base", _eta_product),
+    "custom": _Family("profile", lambda f, grid: np.vectorize(f, otypes=[float])),
+}
+
+
+def _evaluator(spec: WeightSpec, grid: AnnularGrid) -> Evaluator:
+    family = _FAMILIES[spec.variant]
+    value = None if family.field is None else getattr(spec, family.field)
+    return family.evaluator(value, grid)
 
 
 def materialize(spec: WeightSpec, grid: AnnularGrid) -> Weight:

@@ -110,6 +110,36 @@ def test_msw_rejects_s_below_one():
         check_msw(materialize(WeightSpec.constant(), GRID60), 0.5)
 
 
+# each gate with a value it once let through: nan and inf compare like
+# admissible numbers, strong_type_ratio had no p gate, and ap-loc crashed
+# on a step or refinement count outside its domain
+LEAKY_GATES = {
+    "fs-ratio s nan": lambda w, f: fs_ratio(w, math.nan, f),
+    "msw s inf": lambda w, f: check_msw(w, math.inf),
+    "ap-loc p nan": lambda w, f: check_ap_loc(w, math.nan),
+    "ap-loc step 0": lambda w, f: check_ap_loc(w, 2.0, step=0.0),
+    "ap-loc refinements -1": lambda w, f: check_ap_loc(w, 2.0, refinements=-1),
+    "necessary p nan": lambda w, f: check_necessary(w, math.nan),
+    "easy-check eta nan": lambda w, f: check_easy_check(w, 2.0, math.nan),
+    "easy-check eta -inf": lambda w, f: check_easy_check(w, 2.0, -math.inf),
+    "weak-type p nan": lambda w, f: weak_type_ratio(w, math.nan, f),
+    "strong-type p 0.5": lambda w, f: strong_type_ratio(w, 0.5, f),
+    "strong-type p inf": lambda w, f: strong_type_ratio(w, math.inf, f),
+    "large-scale p inf": lambda w, f: check_large_scale(w, math.inf, 0.5, 0.5),
+    "classical-ap p inf": lambda w, f: check_classical_ap(w, math.inf),
+    "vector-valued p inf": lambda w, f: vector_valued_ratio(
+        math.inf, 2.0, [f], backend="radial"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LEAKY_GATES))
+def test_gates_reject_values_they_let_through(case):
+    w = materialize(WeightSpec.exp_radial(-0.3), GRID60)
+    with pytest.raises(DomainError, match="need finite"):
+        LEAKY_GATES[case](w, RadialFunction.indicator(GRID60, [5]))
+
+
 # ---------------------------------------------------------------- easy_check
 
 

@@ -326,6 +326,74 @@ def test_cli_weight_check_crash_exits_two(tmp_path, monkeypatch, capsys, spec):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+JACOBI = ["jacobi", "eval", "--sigma", "1", "--tau", "0"]
+
+
+def check_msw_spec(spec, *options):
+    return ["weight", "check", "--spec", spec, "--condition", "msw", *options]
+
+
+def family_params(family):
+    return {"checker": {"id": "necessary", "params": {"family": family}}}
+
+
+def f_params(indicator):
+    return {"checker": {"id": "weak-type", "params": {"f": {"indicator": indicator}}}}
+
+
+# malformed inputs, each with the text its error message must name; a dict
+# is a set of sweep_config overrides run through `nalab sweep`
+REFUSED_INPUTS = {
+    "constant weight given gamma": (
+        check_msw_spec('{"variant": "constant", "gamma": -0.3}'), "'gamma'"),
+    "weight spec not JSON": (check_msw_spec('{"variant": '), "JSON"),
+    "msw s inf": (check_msw_spec('{"variant": "constant"}', "--s", "inf"), "--s"),
+    "jacobi tmax inf": (JACOBI + ["--tmax", "inf"], "--tmax"),
+    "jacobi step nan": (JACOBI + ["--step", "nan"], "--step"),
+    "jacobi lambda-im nan": (JACOBI + ["--lambda-im", "nan"], "--lambda-im"),
+    "space sigma inf": (["space", "info", "--sigma", "inf", "--tau", "0"], "--sigma"),
+    "f indicator a number": (f_params(5), "indicator"),
+    "f indicator a string": (f_params("12"), "indicator"),
+    "random family count a string": (family_params({"kind": "random", "count": "x"}),
+                                     "'count'"),
+    "count on a dyadic family": (family_params({"kind": "dyadic", "count": 3}),
+                                 "'count'"),
+    "space m not integral": ({"space": {"m": 2.7, "k": 1}}, "'m'"),
+    "grid n_max not integral": ({"grid": {"n_max": 24.9}}, "'n_max'"),
+    "axis value true": ({"axes": {"s": [True]}}, "'s'"),
+    "axis value a string": ({"axes": {"s": ["2"]}}, "'s'"),
+    "config seed negative": ({"seed": -1}, "seed"),
+    "config seed not integral": ({"seed": 1.5}, "seed"),
+    "option seed negative": (["--seed", "-1", "reproduce", "kolmogorov"], "--seed"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_INPUTS))
+def test_cli_malformed_input_exits_two(tmp_path, monkeypatch, capsys, case):
+    outdir = tmp_path / "out"
+    monkeypatch.setenv("NALAB_OUTDIR", str(outdir))
+    argv, field = REFUSED_INPUTS[case]
+    if isinstance(argv, dict):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(sweep_config(**argv)))
+        argv = ["sweep", "--config", str(cfg_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "usage: "))
+    assert field in err.splitlines()[-1]
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
+def test_family_count_belongs_to_random_only():
+    for kind in ("standard", "singletons", "dyadic"):
+        family = {"kind": kind, "count": 3}
+        with pytest.raises(ConfigError, match="count"):
+            ExperimentConfig.from_json(sweep_config(**family_params(family)))
+    family = {"kind": "random", "count": 3}
+    cfg = ExperimentConfig.from_json(sweep_config(**family_params(family)))
+    assert cfg.params["family"] == family
+
+
 def test_cli_crash_exits_seventy(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("simulated internal fault")

@@ -119,6 +119,9 @@ def test_parameter_gates():
         SpaceParams(0.0, 0.5)  # sigma < tau
     with pytest.raises(DomainError):
         SpaceParams(1.0, -0.5)  # tau at the boundary
+    for sigma, tau in ((math.inf, 0.0), (math.inf, math.inf), (math.nan, 0.0)):
+        with pytest.raises(DomainError):
+            SpaceParams(sigma, tau)
     with pytest.raises(DomainError):
         annular_intersection(GRID, 3, 2, 0.0)  # center must be off the origin
     for r in (-1.0, math.inf, math.nan):

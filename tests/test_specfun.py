@@ -129,6 +129,16 @@ def test_trace_grid_gates():
         jacobi_phi_trace(jp, np.array([-1.0, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "sigma, tau, lam",
+    [(math.inf, 0.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.0, complex(0.0, math.nan)),
+     (1.0, 0.0, math.inf)],
+)
+def test_params_reject_non_finite(sigma, tau, lam):
+    with pytest.raises(DomainError):
+        JacobiParams(sigma, tau, lam)
+
+
 def test_ode_residual_small_on_emitted_traces():
     h = 1e-3
     for sg, ta in ((1.0, 0.0), (1.5, 0.0), (2.0, 0.5)):

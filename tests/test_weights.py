@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -126,3 +127,60 @@ def test_json_round_trip():
         WeightSpec.from_json({"variant": "constant", "extra": 1})
     with pytest.raises(ConfigError):
         WeightSpec.custom(lambda t: 1.0).to_json()
+
+
+# each variant with the one field it takes, and a field it does not take
+VARIANT_FIELDS = {
+    "constant": (None, ("gamma", -0.3)),
+    "exp_radial": (("gamma", -0.3), ("p", 2.0)),
+    "exp_strong": (("p", 2.0), ("gamma", -0.3)),
+    "spherical_u": (("p", 2.0), ("gamma", -0.3)),
+    "jacobi_v": (("gamma", -0.3), ("p", 2.0)),
+    "eta_product": (("base", WeightSpec.constant()), ("p", 2.0)),
+    "custom": (("profile", lambda t: 1.0), ("gamma", -0.3)),
+}
+
+
+@pytest.mark.parametrize("variant", list(VARIANT_FIELDS))
+def test_variant_field_missing_or_foreign(variant):
+    own, foreign = VARIANT_FIELDS[variant]
+    fields = dict([own] if own else [])
+    WeightSpec(variant, **fields)  # the variant's own field alone is accepted
+    with pytest.raises(ConfigError, match=repr(foreign[0])):
+        WeightSpec(variant, **dict([foreign]), **fields)
+    if own:
+        with pytest.raises(ConfigError, match=repr(own[0])):
+            WeightSpec(variant)
+    if variant == "custom":
+        return  # a profile has no JSON form
+    obj = {"variant": variant, **fields}
+    if "base" in obj:
+        obj["base"] = obj["base"].to_json()
+    with pytest.raises(ConfigError, match=repr(foreign[0])):
+        WeightSpec.from_json({**obj, foreign[0]: foreign[1]})
+    if own:
+        with pytest.raises(ConfigError, match=repr(own[0])):
+            WeightSpec.from_json({"variant": variant})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        WeightSpec.constant(),
+        WeightSpec.exp_radial(-0.3),
+        WeightSpec.exp_strong(2.0),
+        WeightSpec.spherical_u(2.0),
+        WeightSpec.jacobi_v(-0.3),
+        WeightSpec.eta_product(WeightSpec.exp_strong(2.0)),
+    ],
+)
+def test_serializable_variants_round_trip(spec):
+    obj = spec.to_json()
+    assert WeightSpec.from_json(obj) == spec
+    assert WeightSpec.from_json(json.dumps(obj)).to_json() == obj
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "2", None])
+def test_spec_numbers_must_be_finite(bad):
+    with pytest.raises(ConfigError):
+        WeightSpec.from_json({"variant": "exp_strong", "p": bad})
