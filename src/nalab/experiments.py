@@ -498,8 +498,7 @@ class ExperimentConfig:
         grid = _object(obj.get("grid", {}), "grid", {"j_max", "n_max"})
         j_max = finite_number(grid.get("j_max", CANONICAL_J_MAX), "grid 'j_max'", True)
         n_max = finite_number(grid.get("n_max", CANONICAL_N_MAX), "grid 'n_max'", True)
-        if j_max <= n_max + 1:
-            raise ConfigError(f"grid too small: j_max={j_max} with n_max={n_max}")
+        _require_window(j_max, n_max)
 
         checker_block = _object(obj.get("checker"), "checker", {"id", "params"})
         cid = checker_block.get("id")
@@ -634,11 +633,19 @@ CHECKERS = {
 _INT_PARAMS = ("n_max", "refinements", "k", "j_cut")  # the other numbers are floats
 
 
+def _require_window(j_max: int, n_max: int) -> None:
+    """Refuse a grid whose trusted window (1, valid_upper) holds no annulus."""
+    if valid_upper(j_max, n_max) < 1:
+        raise ConfigError(f"grid too small: j_max={j_max} with n_max={n_max}")
+
+
 def run_checker(cid: str, w, params: dict, seed: int) -> CheckReport:
     """Run checker cid on w; names in params that cid lacks are ignored."""
     checker = CHECKERS[cid]
     given = {**checker.defaults, **params}
     kwargs = {name: _param(name, given[name]) for name in checker.params & set(given)}
+    if "n_max" in kwargs:
+        _require_window(w.grid.j_max, kwargs["n_max"])
     if "family" in kwargs:
         window = (1, valid_upper(w.grid.j_max, kwargs["n_max"]))
         kwargs["family"] = kwargs["family"](window, seed)

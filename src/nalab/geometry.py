@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DomainError, GridRangeError
 
@@ -118,6 +117,29 @@ def density(params: SpaceParams, t):
     return out if out.shape else float(out)
 
 
+def _gauss_jacobi(n: int, beta: float):
+    """n-node Gauss rule on [-1, 1] for the weight (1 + x)^beta; beta = 0 is Legendre.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix.  The weights are the Christoffel numbers 1 / sum_j p_j(x)^2
+    of the orthonormal recurrence started at p_0 = 1 / sqrt(mu_0), mu_0 the
+    weight's mass; weights read from the eigenvectors (mu_0 v_0^2) lose
+    digits as beta grows.
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    diag = np.concatenate(([beta / (beta + 2.0)], beta**2 / (s * (s + 2.0))))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    b = np.concatenate(([0.0], off))
+    p_prev, p = 0.0, np.full(n, math.sqrt((beta + 1.0) / 2.0 ** (beta + 1.0)))
+    total = p * p
+    for j in range(n - 1):
+        p_prev, p = p, ((x - diag[j]) * p - b[j] * p_prev) / b[j + 1]
+        total += p * p
+    return x, 1.0 / total
+
+
 @functools.lru_cache(maxsize=16)
 def _unit_rules(beta: float, splits: int):
     """Nodes and weights on [0, 1] for an inner panel and for the first panel.
@@ -126,11 +148,12 @@ def _unit_rules(beta: float, splits: int):
     first rule replaces the first sub-panel by Gauss-Jacobi with weight
     t^beta, folded into the weights: sum(w * f(x)) over the first rule
     integrates f = t^beta * g over [0, 1] exactly whenever g is a
-    polynomial of degree < 48 on the first sub-panel.
-    Computed on first use: the root finders load scipy.linalg.
+    polynomial of degree < 48 on the first sub-panel.  Both rules come from
+    the Golub-Welsch construction (Golub and Welsch, "Calculation of Gauss
+    quadrature rules", Math. Comp. 23, 1969) in ``_gauss_jacobi``.
     """
-    xl, wl = roots_legendre(_PANEL_NODES)
-    xj, wj = roots_jacobi(_PANEL_NODES, 0.0, beta)
+    xl, wl = _gauss_jacobi(_PANEL_NODES, 0.0)
+    xj, wj = _gauss_jacobi(_PANEL_NODES, beta)
     lo = np.arange(splits)[:, None]
     x = ((lo + (xl + 1.0) / 2.0) / splits).ravel()
     w = np.tile(wl / (2.0 * splits), splits)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, PoleError, PrecisionError
 from .geometry import SpaceParams
@@ -186,6 +185,10 @@ def _phi_ode_at(jp: JacobiParams, ts: np.ndarray):
     integrator's local tolerance alone understates the global error by up
     to two orders of magnitude.
     """
+    # imported here: this branch is rarely reached, and scipy.integrate
+    # would otherwise be most of the package's import time
+    from scipy.integrate import solve_ivp
+
     t_max = float(ts[-1])
     y0, dy0 = _phi_taylor_start(jp)
     atol = _ode_atol(jp, t_max)

@@ -165,6 +165,12 @@ def _jacobi_v(gamma: float, grid: AnnularGrid) -> Evaluator:
         raise DomainError(f"jacobi_v gamma must lie in [-1/2, 0), got {gamma}")
     params = grid.params
     theta = -2.0 * params.rho * gamma - params.homogeneous_dim
+    # the second solution has its poles at i*Z (specfun._check_second_pole)
+    if abs(theta - round(theta)) <= 1e-12:
+        raise DomainError(
+            f"jacobi_v gamma={gamma} gives theta={theta:g}: the spectral point "
+            "i*theta lies in i*Z, where the second solution is undefined"
+        )
     jp = JacobiParams(params.sigma, params.tau, 1j * theta)
     two_sigma = 2.0 * params.sigma
 

@@ -365,6 +365,13 @@ REFUSED_INPUTS = {
     "config seed negative": ({"seed": -1}, "seed"),
     "config seed not integral": ({"seed": 1.5}, "seed"),
     "option seed negative": (["--seed", "-1", "reproduce", "kolmogorov"], "--seed"),
+    # the trusted window (1, j_max - n_max - 1) holds no annulus
+    "weight check grid too small": (
+        ["weight", "check", "--spec", '{"variant": "constant"}',
+         "--condition", "necessary", "--j-max", "20"],
+        "grid too small: j_max=20 with n_max=25"),
+    "sweep axis n_max past the grid": (
+        {"axes": {"n_max": [25, 79]}}, "grid too small: j_max=80 with n_max=79"),
 }
 
 

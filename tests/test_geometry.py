@@ -1,6 +1,9 @@
 """Geometry tests: volumes against an independent quadrature route, annulus
 bookkeeping, and the banded product kernel."""
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
@@ -8,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi, roots_legendre
 
+import nalab
 from nalab.errors import DomainError
 from nalab.geometry import (
     DEFAULT_SPACE,
@@ -19,6 +24,7 @@ from nalab.geometry import (
     ball_volume,
     density,
     product_kernel,
+    _gauss_jacobi,
     valid_upper,
 )
 
@@ -73,6 +79,33 @@ def test_panel_rule_against_mpmath(p):
         assert rel_err(grid.measures[j - 1], mp_volume(p, j - 1, j)) < 1e-13, j
     for r in (0.3, 0.999, 2.5, 20.5):
         assert rel_err(ball_volume(p, r), mp_volume(p, 0, r)) < 1e-13, r
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.0, 8.0])
+def test_gauss_jacobi_against_scipy(beta):
+    x, w = _gauss_jacobi(24, beta)
+    xs, ws = roots_legendre(24) if beta == 0 else roots_jacobi(24, 0.0, beta)
+    assert np.max(np.abs(x - xs)) < 1e-14
+    assert np.max(np.abs(w / ws - 1.0)) < 1e-12
+
+
+def test_grid_and_volumes_load_no_scipy():
+    # a fresh process, since this one has scipy loaded by the tests
+    src = os.path.dirname(os.path.dirname(nalab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, nalab\n"
+        "from nalab.geometry import DEFAULT_SPACE, AnnularGrid, ball_volume\n"
+        "AnnularGrid(DEFAULT_SPACE, 80)\n"
+        "ball_volume(DEFAULT_SPACE, 2.5)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_panel_rule_splits_fast_growth():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nalab.errors import ConfigError, DomainError, PoleError
+from nalab import weights
+from nalab.errors import ConfigError, DomainError
 from nalab.fitting import fit_log_slope
 from nalab.geometry import DEFAULT_SPACE, AnnularGrid
 from nalab.weights import WeightSpec, materialize, weight_mass, weight_power
@@ -55,12 +56,23 @@ def test_jacobi_v_decay_slopes():
         assert np.all(w_v.values > 0)
 
 
-def test_jacobi_v_domain_gates():
-    with pytest.raises(PoleError):
-        materialize(WeightSpec.jacobi_v(-0.5), GRID)  # spectral pole at theta = -1
+def test_jacobi_v_domain_gates(monkeypatch):
     for bad in (-0.6, 0.0, 0.2):
         with pytest.raises(DomainError):
             materialize(WeightSpec.jacobi_v(bad), GRID)
+    # gamma = -1/2 puts the spectral point on the pole at theta = -1; the gate
+    # refuses it before any trace of the second solution is evaluated
+    def no_trace(jp, ts):
+        raise AssertionError("trace evaluated past the domain gate")
+
+    monkeypatch.setattr(weights, "jacobi_phi_second_trace", no_trace)
+    with pytest.raises(DomainError, match="gamma=-0.5"):
+        materialize(WeightSpec.jacobi_v(-0.5), GRID)
+
+
+def test_jacobi_v_just_inside_the_pole():
+    w = materialize(WeightSpec.jacobi_v(-0.4999), GRID)
+    assert np.all(np.isfinite(w.values)) and np.all(w.values > 0)
 
 
 def test_decaying_annulus_masses():
