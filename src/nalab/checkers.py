@@ -9,12 +9,26 @@ Constants here are model constants, not the constants of any continuum
 statement: verdicts that assert boundedness do so through rate fits
 (growth of per-scale sups) and drift under refinement, not through
 absolute thresholds, except where a threshold is explicitly documented.
+
+Witnesses are stable: where ratios tie to rounding, a checker names the
+first configuration within _TIE_REL (relative) of the sup, so a last-bit
+change in the data does not move the witness; the constant stays the sup.
+
+The level-set quotients (weak-type, fs-ratio) are built on blocks: a block
+helper takes a (j_max x m) block whose columns are functions, computes
+their maximal functions in one radialops._maximal_block call and the
+masses of their superlevel sets at every level of default_lambda_grid()
+in one masked sum, and returns numerators and denominators per column.
+weak_type_ratio and fs_ratio are its m = 1 case; the divergence sequences
+in experiments pass all their indicators as one block through
+_level_set_sups.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -24,7 +38,8 @@ from .fitting import fit_linear, fit_log_slope
 from .geometry import annular_intersection, density, product_kernel, valid_upper
 from .radialops import (
     RadialFunction,
-    distribution_mass,
+    _maximal_block,
+    _superlevel_mass,
     iterate_maximal,
     maximal_dis,
     maximal_s,
@@ -56,6 +71,7 @@ _AP_LOC_LENGTHS = (0.5, 1.0, 2.0)  # interval lengths of the local sweep
 _CLASSICAL_AP_RADII = range(5, 31)  # ball radii j of the classical product
 _STRONG_FIT_RANGE = (20, 60)  # J range of the strong-type rate fit
 _STRONG_SLOPE_TOL = 0.5  # fitted rates at or above this are divergent
+_TIE_REL = 1e-12  # ratios this close (relative) to the sup tie for the witness
 
 
 def _require(ok: bool, condition: str, **values: float) -> None:
@@ -63,6 +79,14 @@ def _require(ok: bool, condition: str, **values: float) -> None:
     if not (ok and all(math.isfinite(v) for v in values.values())):
         got = ", ".join(f"{name}={v}" for name, v in values.items())
         raise DomainError(f"need finite {condition}, got {got}")
+
+
+def _first_near_max(vals: np.ndarray) -> int:
+    """Index of the first entry within _TIE_REL (relative) of the maximum."""
+    top = float(np.max(vals))
+    if math.isfinite(top):
+        top -= _TIE_REL * abs(top)
+    return int(np.argmax(vals >= top))
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -468,8 +492,7 @@ def check_easy_check(w: Weight, p: float, eta: float, n_max: int = 25) -> CheckR
     J = np.ones((jm, 1), dtype=int) * ii[None, :]
     D = J - 0.5
 
-    best, witness = -np.inf, None
-    sup_by_n = []
+    ratios = []  # per scale n, in band order
     for n in range(1, n_max + 1):
         band = np.abs(I - J) <= n
         itsc = annular_intersection(grid, I[band], n, D[band])
@@ -478,16 +501,16 @@ def check_easy_check(w: Weight, p: float, eta: float, n_max: int = 25) -> CheckR
                 2.0 * rho * n * eta
             )
             vals = w.values[I[band] - 1] * itsc / (den * w.values[J[band] - 1])
-        vals = np.where(np.isfinite(vals), vals, 0.0)
-        kbest = int(np.argmax(vals))
-        sup_by_n.append(float(vals[kbest]))
-        if vals[kbest] > best:
-            best = float(vals[kbest])
-            witness = {
-                "n": n,
-                "i": int(I[band][kbest]),
-                "j": int(J[band][kbest]),
-            }
+        ratios.append(np.where(np.isfinite(vals), vals, 0.0))
+    sup_by_n = [float(r.max()) for r in ratios]
+    best = max(sup_by_n)
+    # the witness in (n, band) order; its pair is looked up in the band of n
+    k = _first_near_max(np.concatenate(ratios))
+    starts = np.cumsum([0] + [r.size for r in ratios])
+    n = int(np.searchsorted(starts, k, side="right"))  # scales count from 1
+    band = np.abs(I - J) <= n
+    pos = k - starts[n - 1]
+    witness = {"n": n, "i": int(I[band][pos]), "j": int(J[band][pos])}
     slope, r2, verdict = _growth_verdict(sup_by_n)
 
     def reeval(wit: dict) -> float:
@@ -532,8 +555,8 @@ def check_msw(w: Weight, s: float, n_max: int = 25) -> CheckReport:
     ms = maximal_s(w, s, n_max)
     hi = valid_upper(grid.j_max, n_max)
     ratios = ms.values[:hi] / w.values[:hi]
-    k = int(np.argmax(ratios))
-    best = float(ratios[k])
+    k = _first_near_max(ratios)
+    best = float(ratios.max())
 
     def reeval(wit: dict) -> float:
         i = int(wit["i"])
@@ -608,36 +631,76 @@ def _zero_report(report_id: str, witness: dict, verdict: str, meta: dict) -> Che
     return CheckReport(report_id, 0.0, witness, verdict, meta=meta, _reeval=lambda wit: 0.0)
 
 
-def _level_set_ratio(
-    report_id: str,
-    w: Weight,
-    f: RadialFunction,
-    power: float,
-    den: float,
-    n_max: int,
-    meta: Callable,
-) -> CheckReport:
-    """Shared body of the level-set quotients sup_l l^power w({Mf > l}) / den.
+def _level_set_numerators(
+    w: Weight, block: np.ndarray, power: float, n_max: int, levels: np.ndarray
+) -> np.ndarray:
+    """l^power w({M f > l}) over M's valid window, for every column f of the
+    (j_max x m) block (rows) and level l (columns)."""
+    mf, _ = _maximal_block(w.grid, block, n_max)
+    window = (1, valid_upper(w.grid.j_max, n_max))
+    return levels**power * _superlevel_mass(w, mf, window, levels)
 
-    The sup runs over default_lambda_grid() and its first maximizer is the
-    witness; meta(res) builds the report's meta from the maximal result res
-    of f.
+
+def _weak_type_block(
+    w: Weight, p: float, block: np.ndarray, n_max: int, levels: np.ndarray
+) -> tuple:
+    """weak_type_ratio's numerators l^p w({M f > l}) and denominators
+    ||f||_{L^p(w)}^p for every column f of the block."""
+    norms = (w.values * w.grid.measures) @ block**p
+    return _level_set_numerators(w, block, p, n_max, levels), norms
+
+
+def _fs_block(
+    w: Weight, s: float, block: np.ndarray, k: int, n_max: int, levels: np.ndarray
+) -> tuple:
+    """fs_ratio's numerators l w({M f > l}) and denominators
+    sum_j f_j G_j |Omega_j| over G's valid window, for every column f of the
+    block; the comparison weight G is computed once for the block."""
+    grid = w.grid
+    if s > 1.0:
+        g_vals = maximal_s(w, s, n_max).values
+    else:
+        g_vals = iterate_maximal(w, k, n_max).values
+    g_hi = valid_upper(grid.j_max, n_max, iterations=1 if s > 1.0 else k)
+    dens = (g_vals[:g_hi] * grid.measures[:g_hi]) @ block[:g_hi]
+    return _level_set_numerators(w, block, 1.0, n_max, levels), dens
+
+
+def _level_set_sups(block_fn: Callable) -> np.ndarray:
+    """Level-set quotient constants of every column of a block.
+
+    block_fn(levels) is a block helper with all but its levels bound; the
+    sup runs over default_lambda_grid(), and every denominator must be
+    positive.
     """
-    lambda_grid = default_lambda_grid()
-    res = maximal_dis(f, n_max)
+    nums, dens = block_fn(default_lambda_grid())
+    return (nums / dens[:, None]).max(axis=1)
 
-    def ratio_at(lam: float) -> float:
-        return lam**power * distribution_mass(w, res, lam) / den
 
-    vals = np.array([ratio_at(float(l)) for l in lambda_grid])
-    k = int(np.argmax(vals))
+def _level_set_ratio(
+    report_id: str, block_fn: Callable, ratios: np.ndarray, meta: dict
+) -> CheckReport:
+    """Report of a level-set quotient of one function.
+
+    ratios are its quotients over default_lambda_grid(), from block_fn, a
+    block helper bound to the one-column block of the function; the first
+    maximizer is the witness.  reevaluate() calls block_fn at the witness
+    level, recomputing every maximal function the quotient needs.
+    """
+    levels = default_lambda_grid()
+    k = int(np.argmax(ratios))
+
+    def reeval(wit: dict) -> float:
+        nums, dens = block_fn(np.array([float(wit["lambda"])]))
+        return float(nums[0, 0] / dens[0])
+
     return CheckReport(
         id=report_id,
-        constant=float(vals[k]),
-        witness={"lambda": float(lambda_grid[k])},
-        verdict="pass" if np.isfinite(vals[k]) else "fail",
-        meta=meta(res),
-        _reeval=lambda wit: ratio_at(float(wit["lambda"])),
+        constant=float(ratios[k]),
+        witness={"lambda": float(levels[k])},
+        verdict="pass" if np.isfinite(ratios[k]) else "fail",
+        meta=meta,
+        _reeval=reeval,
     )
 
 
@@ -647,16 +710,19 @@ def weak_type_ratio(
     f: RadialFunction,
     n_max: int = 25,
 ) -> CheckReport:
-    """Weak-(p,p) quotient sup_l l^p w({Mf > l}) / ||f||_{L^p(w)}^p."""
+    """Weak-(p,p) quotient sup_l l^p w({Mf > l}) / ||f||_{L^p(w)}^p.
+
+    The sup runs over default_lambda_grid(); the first maximizing level is
+    the witness.
+    """
     _require(p >= 1, "p >= 1", p=p)
-    norm_p = float(np.dot(w.values * w.grid.measures, f.values**p))
-    if norm_p == 0.0:
+    block_fn = partial(_weak_type_block, w, p, f.values[:, None], n_max)
+    nums, norm_p = block_fn(default_lambda_grid())
+    if norm_p[0] == 0.0:
         meta = {"p": p, "degenerate": "zero function"}
         return _zero_report("weak-type", {"lambda": None}, "pass", meta)
-    return _level_set_ratio(
-        "weak-type", w, f, p, norm_p, n_max,
-        lambda res: {"p": p, "n_max": n_max, "window": res.window},
-    )
+    meta = {"p": p, "n_max": n_max, "window": (1, valid_upper(w.grid.j_max, n_max))}
+    return _level_set_ratio("weak-type", block_fn, nums[0] / norm_p[0], meta)
 
 
 def strong_type_ratio(
@@ -741,27 +807,17 @@ def fs_ratio(
     configurations whose denominator vanishes are recorded, not passed.
     """
     _require(s >= 1.0, "s >= 1", s=s)
-    grid = w.grid
-    if s > 1.0:
-        g_vals = maximal_s(w, s, n_max).values
-        g_hi = valid_upper(grid.j_max, n_max)
-    else:
-        it = iterate_maximal(w, k, n_max)
-        g_vals = it.values
-        g_hi = it.window[1]
+    block_fn = partial(_fs_block, w, s, f.values[:, None], k, n_max)
+    nums, den = block_fn(default_lambda_grid())
     support_hi = int(np.max(np.nonzero(f.values)[0]) + 1) if np.any(f.values) else 0
-    den = float(
-        np.dot(f.values[:g_hi] * g_vals[:g_hi], grid.measures[:g_hi])
-    )
-    if den == 0.0:
+    if den[0] == 0.0:
         verdict = "pass" if support_hi == 0 else "info"
         meta = {"s": s, "k": k, "degenerate": "zero denominator"}
         return _zero_report("fs-ratio", {"lambda": None}, verdict, meta)
-    return _level_set_ratio(
-        "fs-ratio", w, f, 1.0, den, n_max,
-        lambda res: {"s": s, "k": k, "n_max": n_max, "g_window": (1, g_hi),
-                     "support_inside_window": support_hi <= g_hi},
-    )
+    g_hi = valid_upper(w.grid.j_max, n_max, iterations=1 if s > 1.0 else k)
+    meta = {"s": s, "k": k, "n_max": n_max, "g_window": (1, g_hi),
+            "support_inside_window": support_hi <= g_hi}
+    return _level_set_ratio("fs-ratio", block_fn, nums[0] / den[0], meta)
 
 
 def _space_of(f: Union[VertexFunction, RadialFunction]) -> tuple:
@@ -811,9 +867,9 @@ def vector_valued_ratio(
         """The numerator, from freshly computed maximal functions."""
         if backend == "tree":
             return norm(np.stack([tree_maximal(f).values for f in functions]))
-        results = [maximal_dis(f, n_max) for f in functions]
-        mmat = np.stack([res.values for res in results])
-        return norm(mmat, slice(0, results[0].window[1]))
+        grid = functions[0].grid
+        mf, _ = _maximal_block(grid, fmat.T, n_max)
+        return norm(mf.T, slice(0, valid_upper(grid.j_max, n_max)))
 
     denom = norm(fmat)
     if denom == 0.0:

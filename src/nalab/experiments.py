@@ -19,6 +19,7 @@ import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
@@ -26,6 +27,9 @@ import numpy as np
 from .checkers import (
     CheckReport,
     SetFamily,
+    _fs_block,
+    _level_set_sups,
+    _weak_type_block,
     check_ap_loc,
     check_classical_ap,
     check_easy_check,
@@ -192,25 +196,28 @@ def _pipe_apnot(seed: int) -> List[CheckReport]:
 
 def _divergence_sequence(
     report_id: str,
-    ratio: Callable[[object, RadialFunction], CheckReport],
+    block_fn: Callable,
     witness: dict,
     meta: dict,
     relative: bool,
 ) -> CheckReport:
-    """Constants c_j of ratio(w, 1_(Omega_j)) for j = 10..40 and their growth.
+    """Constants c_j of the indicators 1_(Omega_j), j = 10..40, and their growth.
 
-    w is exp_radial(-1) on a j_max 120 grid.  The linear rate is fitted to
-    c_j / c_10 when relative, else to c_j; reevaluate() recomputes
-    c_(j_hi) through ratio.
+    w is exp_radial(-1) on a j_max 120 grid.  block_fn(w, F, levels) is a
+    level-set block helper of checkers with its parameters bound; the 31
+    indicators go through it as one block.  The linear rate is fitted to
+    c_j / c_10 when relative, else to c_j; reevaluate() recomputes c_(j_hi)
+    as a one-column block, the path of the single-function checker.
     """
     grid = _canonical_grid(120)
     w = materialize(WeightSpec.exp_radial(-1.0), grid)
 
-    def constant_at(j: int) -> float:
-        return ratio(w, RadialFunction.indicator(grid, [j])).constant
+    def constants(js) -> np.ndarray:
+        block = np.stack([RadialFunction.indicator(grid, [j]).values for j in js], axis=1)
+        return _level_set_sups(partial(block_fn, w, block))
 
     js = np.arange(10, 41)
-    consts = np.array([constant_at(int(j)) for j in js])
+    consts = constants(js)
     growth = float(consts[-1] / consts[0])
     fit = fit_linear(js.astype(float), consts / consts[0] if relative else consts)
     return CheckReport(
@@ -221,7 +228,7 @@ def _divergence_sequence(
         slope=fit.slope,
         r2=fit.r2,
         meta={**meta, "growth_ratio": growth, "constants": [float(c) for c in consts]},
-        _reeval=lambda wit: constant_at(int(wit["j_hi"])),
+        _reeval=lambda wit: float(constants([int(wit["j_hi"])])[0]),
     )
 
 
@@ -231,7 +238,8 @@ def _pipe_growthnec(seed: int) -> List[CheckReport]:
         materialize(WeightSpec.exp_radial(-1.0), _canonical_grid()), 2.0
     )
     growth = _divergence_sequence(
-        "weak-type-growth", lambda w, f: weak_type_ratio(w, 2.0, f, n_max=42),
+        "weak-type-growth",
+        lambda w, block, levels: _weak_type_block(w, 2.0, block, 42, levels),
         {"n_max": 42}, {"p": 2.0}, relative=True,
     )
     return [nec, growth]
@@ -240,7 +248,8 @@ def _pipe_growthnec(seed: int) -> List[CheckReport]:
 def _pipe_fs_failure(seed: int) -> List[CheckReport]:
     """s = 1 two-weight constants c_j grow linearly: no uniform bound."""
     rep = _divergence_sequence(
-        "fs-divergence", lambda w, f: fs_ratio(w, 1.0, f, k=1),
+        "fs-divergence",
+        lambda w, block, levels: _fs_block(w, 1.0, block, 1, CANONICAL_N_MAX, levels),
         {"s": 1.0, "k": 1}, {}, relative=False,
     )
     return [rep]

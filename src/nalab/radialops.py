@@ -1,13 +1,22 @@
 """Averaging and maximal operators on the annular grid.
 
 The ball average at integer scale n is one formula,
-product_kernel(grid, n).matrix @ f / (V(n) measure), with the kernel
+product_kernel(grid, n).matrix @ F / (V(n) measure), with the kernel
 normalized so that averages of the constant 1 lie in (0, 1] everywhere; this
 keeps the power-mean comparison between maximal variants exact.  The
 maximal function takes the pointwise supremum over scales up to a truncation
 n_max and records the smallest scale that attains it.  Truncation bias is
 deliberate and visible: results carry the argmax scale and the window of
 annuli unaffected by grid truncation.
+
+One private core serves every maximal function: _maximal_block takes a
+(j_max x m) block whose columns are functions, makes one kernel product and
+one division per scale, and one argmax over the stacked scales.
+maximal_dis is its m = 1 case, bit-identical to a matrix-vector product;
+the other columns of a larger block agree with it to rounding.  Superlevel
+masses have one core too: _superlevel_mass weighs the masks of many
+functions at many levels in one masked sum, and distribution_mass is its
+one-function, one-level case.
 
 Local averaging at sub-unit radii is not representable on a unit grid; the
 tree backend and the 1D local surrogate in the condition checkers cover
@@ -94,11 +103,12 @@ def _data_values(f: RadialData, grid: Optional[AnnularGrid] = None):
     return f.grid, np.asarray(f.values, dtype=float)
 
 
-def _ball_average(grid: AnnularGrid, vals: np.ndarray, n: int) -> np.ndarray:
+def _ball_average(grid: AnnularGrid, block: np.ndarray, n: int) -> np.ndarray:
+    """Ball averages at scale n of every column of a (j_max x m) block."""
     kern = product_kernel(grid, n).matrix
     # huge data overflows to inf without a warning; callers reject it
     with np.errstate(over="ignore"):
-        return kern @ vals / (grid.ball_volume_at(n) * grid.measures)
+        return kern @ block / (grid.ball_volume_at(n) * grid.measures)[:, None]
 
 
 def avg(f: RadialData, n: int) -> RadialFunction:
@@ -108,7 +118,24 @@ def avg(f: RadialData, n: int) -> RadialFunction:
     are biased by grid truncation.
     """
     grid, vals = _data_values(f)
-    return RadialFunction(grid, _ball_average(grid, vals, n))
+    return RadialFunction(grid, _ball_average(grid, vals[:, None], n)[:, 0])
+
+
+def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> tuple:
+    """Discrete maximal functions of the columns of a (j_max x m) block.
+
+    Returns (values, argmax), both (j_max x m): the sup of the ball
+    averages over scales 1..n_max and the smallest scale attaining it.
+    """
+    if not (1 <= n_max <= grid.j_max - 1):
+        raise GridRangeError(
+            f"n_max must lie in 1..{grid.j_max - 1}, got {n_max}"
+        )
+    avgs = np.stack([_ball_average(grid, block, n) for n in range(1, n_max + 1)])
+    if not np.all(np.isfinite(avgs)):
+        raise DomainError("radial data must be finite and nonnegative")
+    best = avgs.argmax(axis=0)
+    return np.take_along_axis(avgs, best[None], axis=0)[0], best + 1
 
 
 def maximal_dis(f: RadialData, n_max: int) -> MaximalResult:
@@ -117,17 +144,9 @@ def maximal_dis(f: RadialData, n_max: int) -> MaximalResult:
     Ties go to the smallest scale.
     """
     grid, vals = _data_values(f)
-    if not (1 <= n_max <= grid.j_max - 1):
-        raise GridRangeError(
-            f"n_max must lie in 1..{grid.j_max - 1}, got {n_max}"
-        )
-    avgs = np.stack([_ball_average(grid, vals, n) for n in range(1, n_max + 1)])
-    if not np.all(np.isfinite(avgs)):
-        raise DomainError("radial data must be finite and nonnegative")
-    best = avgs.argmax(axis=0)
-    values = avgs[best, np.arange(grid.j_max)]
+    values, argmax = _maximal_block(grid, vals[:, None], n_max)
     hi = valid_upper(grid.j_max, n_max)
-    return MaximalResult(grid, values, best + 1, int(n_max), (1, hi))
+    return MaximalResult(grid, values[:, 0], argmax[:, 0], int(n_max), (1, hi))
 
 
 def maximal_s(w: RadialData, s: float, n_max: int) -> RadialFunction:
@@ -168,6 +187,28 @@ def iterate_maximal(w: RadialData, k: int, n_max: int) -> MaximalResult:
     return MaximalResult(grid, res.values, res.argmax, int(n_max), (1, hi))
 
 
+def _superlevel_mass(
+    w: Weight, block: np.ndarray, window: tuple, levels: Sequence[float]
+) -> np.ndarray:
+    """Weighted masses of the superlevel sets {g > l} inside window.
+
+    One row per column g of the (j_max x m) block, one column per level l:
+    the (m x levels x window) masks weigh w |Omega| in one masked sum.
+    Levels must be positive and finite.
+    """
+    levels = np.asarray(levels, dtype=float)
+    bad = levels[~(np.isfinite(levels) & (levels > 0))]
+    if bad.size:
+        raise DomainError(f"level must be positive and finite, got {bad[0]}")
+    lo, hi = window
+    sl = slice(lo - 1, max(lo - 1, hi))  # a window with hi < lo is empty
+    wmu = w.values[sl] * w.grid.measures[sl]
+    # a masked sum, not a product with the 0/1 masks: w |Omega| may overflow
+    # to inf, and a masked-out inf must add 0, not nan
+    masks = block[sl].T[:, None, :] > levels[:, None]
+    return np.where(masks, wmu, 0.0).sum(axis=-1)
+
+
 def distribution_mass(
     w: Weight,
     g: Union[RadialFunction, MaximalResult],
@@ -178,15 +219,9 @@ def distribution_mass(
     Maximal results restrict the sum to their valid window.  Nonincreasing
     in lam.
     """
-    if lam <= 0:
-        raise DomainError(f"level must be positive, got {lam}")
     grid, gvals = _data_values(g, grid=w.grid)
     window = g.window if isinstance(g, MaximalResult) else (1, grid.j_max)
     lo, hi = int(window[0]), int(window[1])
     if lo < 1 or hi > grid.j_max:
         raise GridRangeError(f"window {window} outside 1..{grid.j_max}")
-    if hi < lo:
-        return 0.0
-    sl = slice(lo - 1, hi)
-    mask = gvals[sl] > lam
-    return float(np.dot(w.values[sl][mask], grid.measures[sl][mask]))
+    return float(_superlevel_mass(w, gvals[:, None], (lo, hi), [lam])[0, 0])

@@ -110,6 +110,40 @@ def test_msw_rejects_s_below_one():
         check_msw(materialize(WeightSpec.constant(), GRID60), 0.5)
 
 
+# exponential weights: M_s w / w and the easy-check ratios climb to their sup
+# and then sit on plateaus of values equal up to the last bits, which a
+# rescaling of w moves; the first argmax jumped with every rescaling
+TIED_CHECKS = {
+    "msw exp-0.5 s2": (WeightSpec.exp_radial(-0.5), lambda w: check_msw(w, 2.0)),
+    "msw exp-1 s1": (WeightSpec.exp_radial(-1.0), lambda w: check_msw(w, 1.0)),
+    "easy-check exp-strong2 eta0": (
+        WeightSpec.exp_strong(2.0), lambda w: check_easy_check(w, 2.0, 0.0)
+    ),
+    "easy-check exp-0.3 eta-1": (
+        WeightSpec.exp_radial(-0.3), lambda w: check_easy_check(w, 2.0, -1.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TIED_CHECKS))
+def test_witness_ignores_last_bit_ties(case):
+    spec, check = TIED_CHECKS[case]
+    w = materialize(spec, GRID80)
+    reports = [check(Weight(GRID80, w.values * c)) for c in (1.0, 1 + 2**-40, 1 + 2**-30, 3.0, 0.7)]
+    assert len({json.dumps(rep.witness) for rep in reports}) == 1
+    for rep in reports:
+        # the constant stays the sup; the witness lies within 1e-12 of it
+        assert rep.constant == max(rep.meta.get("sup_by_n", [rep.constant]))
+        assert abs(rep.reevaluate() - rep.constant) <= 1e-12 * rep.constant
+
+
+def test_witness_is_the_first_near_maximum():
+    first = nalab.checkers._first_near_max
+    assert first(np.array([0.5, 1.0 - 1e-11, 1.0 - 1e-13, 1.0, 1.0 + 2e-16])) == 2
+    assert first(np.array([0.0, 2.0, np.inf, np.inf])) == 2
+    assert first(np.zeros(3)) == 0
+
+
 # each gate with a value it once let through: nan and inf compare like
 # admissible numbers, strong_type_ratio had no p gate, and ap-loc crashed
 # on a step or refinement count outside its domain
@@ -590,10 +624,26 @@ def test_witness_reproduction(notstrong_reports, fs_s1_reports):
         assert abs(again - rep.constant) / abs(rep.constant) <= 1e-10, rep.id
 
 
-@pytest.mark.parametrize("case", ["strong-type", "vector-radial", "vector-tree"])
+# the maximal functions each reevaluator must recompute, by checkers name:
+# weak-type recomputes M f, fs-ratio M f and G = M w, vector-radial its block
+RECOMPUTED = {
+    "strong-type": ("maximal_dis",),
+    "weak-type": ("_maximal_block",),
+    "fs-ratio": ("_maximal_block", "iterate_maximal"),
+    "vector-radial": ("_maximal_block",),
+    "vector-tree": ("tree_maximal",),
+}
+
+
+@pytest.mark.parametrize("case", list(RECOMPUTED))
 def test_reevaluate_recomputes_maximal_functions(monkeypatch, notstrong_reports, case):
     if case == "strong-type":
         rep = notstrong_reports[1]
+    elif case == "weak-type":
+        rep = notstrong_reports[0]
+    elif case == "fs-ratio":
+        w = materialize(WeightSpec.exp_radial(-1.0), GRID120)
+        rep = fs_ratio(w, 1.0, RadialFunction.indicator(GRID120, [20]), k=1)
     elif case == "vector-radial":
         fs = [RadialFunction.indicator(GRID80, [j]) for j in (3, 5)]
         rep = vector_valued_ratio(2.0, 2.0, fs, backend="radial")
@@ -602,13 +652,15 @@ def test_reevaluate_recomputes_maximal_functions(monkeypatch, notstrong_reports,
         rng = np.random.default_rng(5)
         fs = [VertexFunction.dirac(tree, rng.integers(0, tree.size, 4)) for _ in range(3)]
         rep = vector_valued_ratio(3.0, 2.0, fs, backend="tree")
-    maximal = "tree_maximal" if case == "vector-tree" else "maximal_dis"
-    real, calls = getattr(nalab.checkers, maximal), []
+    calls = {}
+    for maximal in RECOMPUTED[case]:
+        real = getattr(nalab.checkers, maximal)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        def counting(*args, _real=real, _name=maximal, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(nalab.checkers, maximal, counting)
+        monkeypatch.setattr(nalab.checkers, maximal, counting)
     assert abs(rep.reevaluate() - rep.constant) <= 1e-10 * abs(rep.constant)
-    assert calls, f"{rep.id} replayed a stored maximal function"
+    for maximal in RECOMPUTED[case]:
+        assert calls.get(maximal), f"{rep.id} replayed a stored {maximal} result"

@@ -164,6 +164,23 @@ def test_pipeline_reevaluate_recomputes_the_witness(pipeline_reports, exp_id):
     assert expected != rep.constant
 
 
+@pytest.mark.parametrize("exp_id", ["ex-growthnec", "thm-fs-failure"])
+def test_divergence_block_matches_single_function_checkers(pipeline_reports, exp_id):
+    # the pipeline passes its 31 indicators as one block
+    w, _ = _grid120_case(10)
+    singles = []
+    for j in range(10, 41):
+        f = RadialFunction.indicator(w.grid, [j])
+        rep = (
+            weak_type_ratio(w, 2.0, f, n_max=42)
+            if exp_id == "ex-growthnec"
+            else fs_ratio(w, 1.0, f, k=1)
+        )
+        singles.append(rep.constant)
+    block = pipeline_reports[exp_id].meta["constants"]
+    np.testing.assert_allclose(block, singles, rtol=1e-13, atol=0)
+
+
 # ---------------------------------------------------------------- sweeps
 
 

@@ -1,13 +1,18 @@
 """Averaging and maximal-operator tests.  Exactness facts are asserted
 outright; measured constants carry the value they were frozen at."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nalab.errors import DomainError, GridRangeError
 from nalab.fitting import fit_log_slope
 from nalab.geometry import DEFAULT_SPACE, AnnularGrid, annular_intersection, product_kernel
 from nalab.radialops import (
     RadialFunction,
+    _maximal_block,
     avg,
     distribution_mass,
     iterate_maximal,
@@ -166,9 +171,14 @@ def test_distribution_mass():
     g1 = maximal_dis(RadialFunction.indicator(GRID, [1]), 25)
     assert distribution_mass(w, g1, 10.0) == 0.0
     full = distribution_mass(w, RadialFunction(GRID, np.full(80, 2.0)), 1.0)
+    # the superlevel set is strict: a level g attains everywhere has no mass
+    assert distribution_mass(w, RadialFunction(GRID, np.full(80, 2.0)), 2.0) == 0.0
     assert full == pytest.approx(float(np.dot(w.values, GRID.measures)), rel=1e-14)
     masses = [distribution_mass(w, g1, la) for la in np.geomspace(1e-6, 1.0, 20)]
     assert all(a >= b - 1e-14 for a, b in zip(masses, masses[1:]))
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="level"):
+            distribution_mass(w, g1, bad)
 
 
 def test_superlevel_mass_grows_linearly():
@@ -207,3 +217,40 @@ def test_avg_tracks_direct_intersection_sums():
             num = float(np.dot(GRID.measures[:WIN25], a_kernel))
             den = float(np.dot(GRID.measures[:WIN25], a_direct))
             assert 0.25 < num / den < 4.0
+
+
+def _direct_maximal(v, n_max):
+    """Sup over scales of matrix-vector ball averages, one scale at a time."""
+    return np.stack(
+        [
+            product_kernel(GRID, n).matrix @ v / (GRID.ball_volume_at(n) * GRID.measures)
+            for n in range(1, n_max + 1)
+        ]
+    ).max(axis=0)
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), n_max=st.integers(1, 38))
+@settings(max_examples=40, deadline=None)
+def test_maximal_block_columns_match_maximal_dis(seed, m, n_max):
+    # random nonnegative columns: one-annulus indicators, sparse uniform data,
+    # and data spread over 26 decades
+    rng = np.random.default_rng(seed)
+    kinds = rng.integers(0, 3, m)
+    cols = []
+    for kind in kinds:
+        if kind == 0:
+            cols.append(RadialFunction.indicator(GRID, [int(rng.integers(1, 81))]).values)
+        elif kind == 1:
+            cols.append(rng.uniform(0.0, 1.0, 80) * (rng.uniform(size=80) < 0.7))
+        else:
+            cols.append(np.exp(rng.uniform(-30.0, 30.0, 80)))
+    block = np.stack(cols, axis=1)
+    values, argmax = _maximal_block(GRID, block, n_max)
+    for c, kind in enumerate(kinds):
+        ref = maximal_dis(RadialFunction(GRID, block[:, c]), n_max)
+        assert np.array_equal(ref.values, _direct_maximal(block[:, c], n_max))
+        if m == 1 or kind == 0:
+            assert np.array_equal(values[:, c], ref.values)
+            assert np.array_equal(argmax[:, c], ref.argmax)
+        else:
+            np.testing.assert_allclose(values[:, c], ref.values, rtol=1e-15, atol=0)
