@@ -44,7 +44,7 @@ from .radialops import (
     maximal_dis,
     maximal_s,
 )
-from .treelab import VertexFunction, tree_maximal
+from .treelab import VertexFunction, _tree_maximal_block
 from .weights import Weight, weight_mass
 
 __all__ = [
@@ -866,7 +866,9 @@ def vector_valued_ratio(
     def maximal_norm() -> float:
         """The numerator, from freshly computed maximal functions."""
         if backend == "tree":
-            return norm(np.stack([tree_maximal(f).values for f in functions]))
+            mf, _, _ = _tree_maximal_block(functions[0].tree, fmat.T)
+            # C order: norm then sums over the functions in list order
+            return norm(np.ascontiguousarray(mf.T))
         grid = functions[0].grid
         mf, _ = _maximal_block(grid, fmat.T, n_max)
         return norm(mf.T, slice(0, valid_upper(grid.j_max, n_max)))

@@ -127,9 +127,12 @@ def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> tuple:
     Returns (values, argmax), both (j_max x m): the sup of the ball
     averages over scales 1..n_max and the smallest scale attaining it.
     """
-    if not (1 <= n_max <= grid.j_max - 1):
+    # the normalized kernel of scale n needs 2n + 3 <= j_max (product_kernel)
+    top = (grid.j_max - 3) // 2
+    if not (1 <= n_max <= top):
         raise GridRangeError(
-            f"n_max must lie in 1..{grid.j_max - 1}, got {n_max}"
+            f"n_max={n_max} outside 1..{top}, the scales with a normalized "
+            f"kernel on a grid with j_max={grid.j_max}"
         )
     avgs = np.stack([_ball_average(grid, block, n) for n in range(1, n_max + 1)])
     if not np.all(np.isfinite(avgs)):

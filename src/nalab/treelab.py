@@ -16,19 +16,31 @@ children of v are k*v + 1 .. k*v + k.  Level L starts at s_L = (k^L - 1) /
 L >= e, the k^(L-e) consecutive vertices from s_L + (a - s_e) k^(L-e).
 distances_from finds lowest common ancestors by writing into these blocks,
 one per ancestor and level; it serves tree_ball and the naive oracle.
-Every other ball mass comes from _ball_sums, in level-major layout: the
-per-subtree distance profiles are a (depth+1) x V array with one contiguous
-row per radius, built in one bottom-up pass, and one top-down rerooting
-recurrence over the radii turns them into ball sums: B(v, r) is v's own
-profile plus the parent's ball of radius r - 1, less the part of subtree(v)
-counted twice.  Because the children of consecutive parents are
-consecutive, each radius is a single O(V) vector step on contiguous rows,
-so the full maximal function costs O(V * depth) numpy work instead of
-O(V^2) graph searches, and the pair measure is one such pass.  Ball sizes
-need no V-wide table: the tree's automorphisms act transitively on each
-level, so |B(v, r)| depends only on depth(v), and one (2 depth + 1) x
-(depth + 1) table per (k, depth) holds them all.  No TreeSpace carries
-state beyond its shape arrays.
+
+Every other ball mass rests on one identity.  For v at depth d off the
+root and r >= D - d + 2, B(v, r) = B(parent, r - 1) as vertex sets: the
+parent's ball of radius r - 1 already holds all of subtree(v), whose
+deepest vertex is D - d + 1 from the parent, and it holds every vertex
+outside subtree(v) that B(v, r) holds.  So only the radii
+0 .. D - d + 1 of v are local; every larger radius repeats an
+ancestor's ball.  _ball_sums computes the local radii alone, one
+top-down step per radius: row r covers the levels <= D - r + 1, a prefix
+of the breadth-first numbering, and the radii run 0 .. D + 1.  Summed over
+the rows, that is about (2 + 1/(k - 1)) V entries instead of
+(2 D + 1) V, so a maximal function costs O(V) numpy work.  The maximal
+function splits v's radii into the interior ones r < D - d, whose balls
+clear the truncation depth, the two pivot radii D - d and D - d + 1, and
+the inherited tail, a running maximum of the pivot averages down the root
+path.  The pair measure and the ball-size table need every radius up to
+2 D; they fill the deeper levels of each row from the parent's previous
+row by the same identity.  Because the children of consecutive parents are
+consecutive, every step is a vector operation on contiguous rows.
+
+Ball sizes depend only on depth(v), since the tree's automorphisms act
+transitively on each level: one (2 depth + 1) x (depth + 1) table per
+(k, depth) holds them all, and _local_counts spreads it once over the
+rows of _ball_sums, for exact division.  No TreeSpace carries state beyond
+its shape arrays.
 """
 
 from __future__ import annotations
@@ -169,11 +181,8 @@ class VertexFunction:
 
     @classmethod
     def dirac(cls, tree: TreeSpace, vertices: Sequence[int]) -> "VertexFunction":
-        vals = np.zeros(tree.size)
-        for v in vertices:
-            tree.check_vertex(int(v))
-            vals[int(v)] += 1.0
-        return cls(tree, vals)
+        counts = np.bincount(_vertex_ids(tree, vertices), minlength=tree.size)
+        return cls(tree, counts.astype(float))
 
     def norm1(self) -> float:
         return float(self.values.sum())
@@ -237,44 +246,62 @@ def tree_ball(tree: TreeSpace, x: int, r: int) -> TreeBall:
     return TreeBall(center=int(x), radius=int(r), vertices=verts, touches_boundary=flag)
 
 
-def _subtree_profiles(tree: TreeSpace, values: np.ndarray) -> np.ndarray:
-    """cum[r, v] = sum of values over subtree(v) within distance r of v."""
-    D, k = tree.depth, tree.k
-    sub = np.zeros((D + 1, tree.size))
-    sub[0] = values
-    starts = tree._level_starts
-    for d in range(D - 1, -1, -1):
-        # the children of level d are level d + 1, k consecutive per parent,
-        # added one child at a time: numpy's reduction over k contiguous
-        # values changes its summation order from k = 8 on
-        a, b, c = starts[d], starts[d + 1], starts[d + 2]
-        for j in range(k):
-            sub[1:, a:b] += sub[:-1, b + j : c : k]
-    return np.cumsum(sub, axis=0)
+def _ball_sums(tree: TreeSpace, block: np.ndarray) -> list:
+    """Local ball sums of the columns of a C-contiguous (V x m) block.
 
+    Row r, for r = 0 .. depth + 1, holds the sums over B(v, r) of the
+    vertices at depth <= depth - r + 1, the prefix of the breadth-first
+    numbering up to the start of level depth - r + 2; deeper vertices
+    inherit their ball of radius r from the parent (module docstring).
+    With sub(v, j) the sum over the vertices j levels below v, one
+    top-down step per radius gives
 
-def _ball_sums(tree: TreeSpace, values: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the sums of values over B(v, r) for every v, for r = 0 .. 2*depth.
+        B(v, r) = B(parent, r - 1) + sub(v, r - 1) + sub(v, r),
 
-    Rerooting: off the root, B(v, r) is down(v, r) plus B(parent, r - 1)
-    minus down(v, r - 2), the part of subtree(v) the parent's ball already
-    holds; down(v, r) = 0 for r < 0 and is clipped at r = depth.  The root's
-    ball is down(0, r).  Each radius is one O(V) pass over the previous one,
-    so all radii cost O(V * depth).  On nonnegative data the subtraction
-    cancels nothing large: the subtracted part lies inside both
-    B(parent, r - 1) and the result, so every term is at most the result
-    and each step adds only a few ulps of it to the relative error.
+    since B(parent, r - 1) holds all of B(v, r) but the part of subtree(v)
+    at distance r - 1 and r, and the root's ball is B(root, r - 1) plus
+    sub(root, r).  Every term is nonnegative on nonnegative data, so no
+    step cancels.  sub(., r) is nonzero only on depth <= depth - r, and is
+    built from sub(., r - 1) by adding the k children one at a time, in
+    order: numpy's reduction over k contiguous values changes its
+    summation order from k = 8 on.  Row r costs O(k^(depth - r + 2)), so
+    all rows together are O(V) work.
     """
-    D, k = tree.depth, tree.k
-    down = _subtree_profiles(tree, values)
+    D, k, s = tree.depth, tree.k, tree._level_starts.tolist()
+    m = block.shape[1]
+    sub, rows = block, [block]
+    for r in range(1, D + 1):
+        n = s[D - r + 1]  # the vertices with descendants r levels down
+        nxt = sub[1 : k * n + 1 : k].copy()
+        for j in range(2, k + 1):
+            nxt += sub[j : k * n + 1 : k]
+        ball = sub.copy()
+        ball[:n] += nxt
+        # the k consecutive children of parent p each get B(p, r - 1)
+        ball[1:].reshape(-1, k, m)[...] += rows[-1][: (len(ball) - 1) // k, None]
+        ball[0] = rows[-1][0] + nxt[0]
+        rows.append(ball)
+        sub = nxt
+    rows.append(rows[D][:1])  # B(root, depth + 1) = B(root, depth), the whole tree
+    return rows
+
+
+def _all_ball_sums(tree: TreeSpace, block: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield B(v, r) for every vertex, for r = 0 .. 2*depth, as V x m rows.
+
+    The local row r of _ball_sums, and below it B(v, r) = B(parent, r - 1)
+    read from the row before.
+    """
+    (V, m), k = block.shape, tree.k
+    rows = _ball_sums(tree, block)
     prev = None
-    for r in range(2 * D + 1):
-        cur = down[min(r, D)].copy()
-        if r >= 1:
-            # the k consecutive children of parent p each get prev[p]
-            cur[1:].reshape(-1, k)[...] += prev[: (tree.size - 1) // k, None]
-        if r >= 2:
-            cur[1:] -= down[min(r - 2, D), 1:]
+    for r in range(2 * tree.depth + 1):
+        local = rows[min(r, tree.depth + 1)]
+        n = len(local)
+        cur = np.empty((V, m))
+        cur[:n] = local
+        if n < V:
+            cur[n:].reshape(-1, k, m)[...] = prev[(n - 1) // k : (V - 1) // k, None]
         yield cur
         prev = cur
 
@@ -289,29 +316,89 @@ def _level_counts(k: int, depth: int) -> np.ndarray:
     """
     tree = TreeSpace(k, depth)
     firsts = tree._level_starts[:-1]
-    counts = np.stack([s[firsts] for s in _ball_sums(tree, np.ones(tree.size))])
+    ones = np.ones((tree.size, 1))
+    counts = np.stack([s[firsts, 0] for s in _all_ball_sums(tree, ones)])
     counts.flags.writeable = False
     return counts
 
 
+@functools.lru_cache(maxsize=16)
+def _local_counts(k: int, depth: int) -> tuple:
+    """_level_counts in the layout of _ball_sums: row r as one column; read-only."""
+    tree = TreeSpace(k, depth)
+    s = tree._level_starts
+    counts = _level_counts(k, depth)
+    rows = []
+    for r in range(depth + 2):
+        row = counts[r, tree.depths[: s[min(depth - r + 2, depth + 1)]], None]
+        row.flags.writeable = False
+        rows.append(row)
+    return tuple(rows)
+
+
+def _tree_maximal_block(tree: TreeSpace, block: np.ndarray) -> tuple:
+    """Maximal functions of the columns of a (V x m) block of vertex data.
+
+    Returns (values, argmax_radius, boundary), each V x m, with the meaning
+    of the TreeMaximal fields.  The averages of the local rows of
+    _ball_sums split three ways for v at depth d.  The interior radii
+    r < depth - d give balls clear of the truncation depth.  The pivot
+    radii depth - d and depth - d + 1 give P(v), the larger of their two
+    averages.  Every larger radius repeats the parent's ball one radius
+    down, so the tail T(v) = max(P(v), T(parent)) runs down the root path
+    one level at a time.  Mf = max(interior best, T), flagged where T is
+    strictly larger.  Ties go to the smallest radius: interior first, then
+    the pivots, then the nearest ancestor.  The tail radii take no masked
+    writes: the nearest ancestor a with P(a) = T(v) is the deepest one
+    whose own T is its P, and 2 depth(a) + 1 - [second pivot] grows with
+    depth, so a running maximum of it down the root path finds a.
+    """
+    D, k, s = tree.depth, tree.k, tree._level_starts.tolist()
+    block = np.ascontiguousarray(block, dtype=float)
+    V, m = block.shape
+    avgs = [b / c for b, c in zip(_ball_sums(tree, block), _local_counts(k, D))]
+    # interior: row r's vertices at depth < depth - r, a prefix of the row
+    inner = np.full((V, m), -np.inf)
+    inner_arg = np.zeros((V, m), dtype=np.int64)
+    for r in range(D):
+        n = s[D - r]
+        a = avgs[r][:n]
+        np.copyto(inner_arg[:n], r, where=a > inner[:n])
+        np.maximum(inner[:n], a, out=inner[:n])
+    # level d's pivots are the last two levels of rows D - d and D - d + 1
+    pivot, tail = np.empty((V, m)), np.empty((V, m))
+    second = np.empty((V, m), dtype=bool)
+    for d in range(D + 1):
+        lo, hi = s[d], s[d + 1]
+        a1, a2 = avgs[D - d][lo:hi], avgs[D - d + 1][lo:hi]
+        np.greater(a2, a1, out=second[lo:hi])
+        np.maximum(a1, a2, out=pivot[lo:hi])
+        if d == 0:
+            tail[0] = pivot[0]
+        else:
+            shape = (-1, k, m)
+            up = tail[s[d - 1] : lo, None]
+            np.maximum(pivot[lo:hi].reshape(shape), up, out=tail[lo:hi].reshape(shape))
+    depths = tree.depths[:, None]
+    key = (tail == pivot) * (2 * depths + 1 - second)
+    for d in range(1, D + 1):
+        lo, hi = s[d], s[d + 1]
+        level = key[lo:hi].reshape(-1, k, m)
+        np.maximum(level, key[s[d - 1] : lo, None], out=level)
+    tail_arg = D + 1 + depths - key
+    boundary = tail > inner
+    values = np.maximum(inner, tail)
+    return values, inner_arg + boundary * (tail_arg - inner_arg), boundary
+
+
 def tree_maximal(f: VertexFunction) -> TreeMaximal:
-    """Exact centered maximal function over integer radii 0..2*depth."""
-    tree = f.tree
-    counts = _level_counts(tree.k, tree.depth)
-    best = np.full(tree.size, -np.inf)
-    best_interior = best.copy()
-    arg = np.zeros(tree.size, dtype=np.int64)
-    for r, sums in enumerate(_ball_sums(tree, f.values)):
-        a = sums / counts[r][tree.depths]
-        upd = a > best
-        np.copyto(best, a, where=upd)
-        np.copyto(arg, r, where=upd)
-        # B(v, r) avoids the truncation depth iff depth(v) < depth - r,
-        # which on the breadth-first numbering is a prefix of the vertices
-        m = tree._level_starts[max(tree.depth - r, 0)]
-        np.maximum(best_interior[:m], a[:m], out=best_interior[:m])
-    boundary = best_interior < best
-    return TreeMaximal(tree, best, arg, boundary)
+    """Exact centered maximal function over integer radii 0..2*depth.
+
+    The one-column case of _tree_maximal_block: O(V) numpy work, about
+    2 + 1/(k - 1) ball averages per vertex instead of 2*depth + 1.
+    """
+    values, arg, boundary = _tree_maximal_block(f.tree, f.values[:, None])
+    return TreeMaximal(f.tree, values[:, 0], arg[:, 0], boundary[:, 0])
 
 
 def tree_maximal_naive(f: VertexFunction) -> TreeMaximal:
@@ -337,11 +424,33 @@ def tree_maximal_naive(f: VertexFunction) -> TreeMaximal:
     return TreeMaximal(tree, best, arg, boundary)
 
 
+def _vertex_ids(tree: TreeSpace, E: Iterable[int]) -> np.ndarray:
+    """E as a flat int64 array of vertex ids, repeats kept.
+
+    Non-integer ids, bools among them, raise DomainError rather than being
+    truncated to a vertex; ids outside the tree raise GridRangeError.
+    """
+    if not isinstance(E, np.ndarray):
+        E = list(E)
+        # numpy would store [1, True] as the integers [1, 1]
+        if any(isinstance(v, (bool, np.bool_)) for v in E):
+            raise DomainError("vertex ids must be integers, got a bool")
+    arr = np.asarray(E)
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+        raise DomainError(
+            f"vertex ids must be a flat sequence of integers, got {arr.dtype} "
+            f"of shape {arr.shape}"
+        )
+    if arr.min() < 0 or arr.max() >= tree.size:
+        raise GridRangeError(f"vertex set leaves the tree 0..{tree.size - 1}")
+    return arr.astype(np.int64, copy=False)
+
+
 def _as_vertex_array(tree: TreeSpace, E: Iterable[int]) -> np.ndarray:
-    arr = np.asarray(sorted(set(int(v) for v in E)), dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= tree.size):
-        raise GridRangeError("vertex set leaves the tree")
-    return arr
+    """The distinct vertex ids of E, sorted."""
+    return np.unique(_vertex_ids(tree, E))
 
 
 def tree_product_measure(
@@ -374,7 +483,7 @@ def tree_product_measure(
     wf[fy] = w.values[fy]
     # below[r] is the mass of the pairs at distance below r, for r up to
     # 2 * depth + 1, past the diameter
-    below = np.array([0.0] + [s[ex].sum() for s in _ball_sums(tree, wf)])
+    below = np.array([0.0] + [s[ex].sum() for s in _all_ball_sums(tree, wf[:, None])])
     lo, hi = below[np.minimum([n, n + 1], below.size - 1)]
     return float(lo if mode == "less-than" else hi - lo)
 

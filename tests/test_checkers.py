@@ -625,13 +625,13 @@ def test_witness_reproduction(notstrong_reports, fs_s1_reports):
 
 
 # the maximal functions each reevaluator must recompute, by checkers name:
-# weak-type recomputes M f, fs-ratio M f and G = M w, vector-radial its block
+# weak-type recomputes M f, fs-ratio M f and G = M w, the vector checks their blocks
 RECOMPUTED = {
     "strong-type": ("maximal_dis",),
     "weak-type": ("_maximal_block",),
     "fs-ratio": ("_maximal_block", "iterate_maximal"),
     "vector-radial": ("_maximal_block",),
-    "vector-tree": ("tree_maximal",),
+    "vector-tree": ("_tree_maximal_block",),
 }
 
 

@@ -389,6 +389,10 @@ REFUSED_INPUTS = {
         "grid too small: j_max=20 with n_max=25"),
     "sweep axis n_max past the grid": (
         {"axes": {"n_max": [25, 79]}}, "grid too small: j_max=80 with n_max=79"),
+    # the normalized kernel of scale n needs 2n + 3 <= j_max, so 38 is the top
+    "msw n_max past the kernel scales": (
+        check_msw_spec('{"variant": "constant"}', "--j-max", "80", "--n-max", "50"),
+        "n_max=50 outside 1..38"),
 }
 
 

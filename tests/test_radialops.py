@@ -229,6 +229,18 @@ def _direct_maximal(v, n_max):
     ).max(axis=0)
 
 
+def test_maximal_scale_gate_matches_the_kernel():
+    # product_kernel normalizes scale n only when 2n + 3 <= j_max
+    f = RadialFunction.indicator(GRID, [5])
+    maximal_dis(f, 38)
+    product_kernel(GRID, 38)
+    for n_max in (0, 39, 79):
+        with pytest.raises(GridRangeError, match=f"n_max={n_max} outside 1..38"):
+            maximal_dis(f, n_max)
+    with pytest.raises(GridRangeError):
+        product_kernel(GRID, 39)
+
+
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), n_max=st.integers(1, 38))
 @settings(max_examples=40, deadline=None)
 def test_maximal_block_columns_match_maximal_dis(seed, m, n_max):

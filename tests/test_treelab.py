@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nalab.errors import DomainError
+from nalab.errors import DomainError, GridRangeError
 from nalab.treelab import (
     TreeSpace,
     VertexFunction,
@@ -18,6 +18,7 @@ from nalab.treelab import (
     tree_product_measure,
     weak11_constant,
     _level_counts,
+    _tree_maximal_block,
 )
 
 
@@ -115,8 +116,8 @@ def test_maximal_equals_naive_exactly():
 
 
 @st.composite
-def _tree_data(draw, elements):
-    tree = TreeSpace(draw(st.integers(2, 4)), draw(st.integers(1, 4)))
+def _tree_data(draw, elements, ks=(2, 4), depths=(1, 4)):
+    tree = TreeSpace(draw(st.integers(*ks)), draw(st.integers(*depths)))
     return tree, np.array(draw(st.lists(elements, min_size=tree.size, max_size=tree.size)))
 
 
@@ -253,3 +254,76 @@ def test_kolmogorov_seeded_sample():
         B = tree_ball(t, center, radius).vertices
         for q in (0.3, 0.5, 0.7):
             assert tree_kolmogorov(q, f, B).holds
+
+
+@given(data=_tree_data(st.integers(0, 1000).map(float), ks=(8, 9), depths=(1, 2)))
+@settings(max_examples=40, deadline=None)
+def test_maximal_matches_naive_at_wide_branching(data):
+    # from k = 8 on, numpy sums k contiguous values in another order; the
+    # children are added one at a time, so integer data stays exact
+    tree, vals = data
+    fast = tree_maximal(VertexFunction(tree, vals))
+    slow = tree_maximal_naive(VertexFunction(tree, vals))
+    assert np.array_equal(fast.values, slow.values)
+    assert np.array_equal(fast.argmax_radius, slow.argmax_radius)
+    assert np.array_equal(fast.boundary, slow.boundary)
+    floats = VertexFunction(tree, vals * np.pi)
+    np.testing.assert_allclose(
+        tree_maximal(floats).values, tree_maximal_naive(floats).values, rtol=1e-12, atol=0.0
+    )
+
+
+@pytest.mark.parametrize("k, depth", [(2, 1), (2, 6), (3, 4), (4, 3), (9, 2)])
+def test_maximal_block_equals_columns_bit_for_bit(k, depth):
+    tree = TreeSpace(k, depth)
+    rng = np.random.default_rng(k * 10 + depth)
+    block = np.column_stack(
+        [
+            rng.integers(0, 50, tree.size).astype(float),
+            rng.uniform(0.0, 1.0, tree.size),
+            np.exp(rng.uniform(-30.0, 30.0, tree.size)),
+            VertexFunction.dirac(tree, rng.integers(0, tree.size, 3)).values,
+        ]
+    )
+    values, arg, boundary = _tree_maximal_block(tree, block)
+    for c in range(block.shape[1]):
+        one = tree_maximal(VertexFunction(tree, block[:, c]))
+        assert np.array_equal(values[:, c], one.values)
+        assert np.array_equal(arg[:, c], one.argmax_radius)
+        assert np.array_equal(boundary[:, c], one.boundary)
+
+
+@pytest.mark.parametrize("k, depth", [(2, 5), (3, 3), (4, 3)])
+def test_large_balls_are_the_parents_balls(k, depth):
+    # the identity the maximal function inherits its tail radii from
+    t = TreeSpace(k, depth)
+    for v in range(1, t.size):
+        p = int(t.parent[v])
+        for r in range(depth - int(t.depths[v]) + 2, 2 * depth + 1):
+            assert np.array_equal(tree_ball(t, v, r).vertices, tree_ball(t, p, r - 1).vertices)
+
+
+def test_vertex_sets_refuse_non_integer_ids():
+    t = TreeSpace(2, 3)
+    w = VertexWeight.ones(t)
+    f = VertexFunction.dirac(t, [3])
+    for bad in ([2.7, True], [1, True], [np.True_], np.array([1.0, 2.0]), np.array([True]),
+                ["1"], [[1, 2]]):
+        with pytest.raises(DomainError):
+            tree_product_measure(w, bad, [1], 1)
+        with pytest.raises(DomainError):
+            tree_kolmogorov(0.5, f, bad)
+        with pytest.raises(DomainError):
+            VertexFunction.dirac(t, bad)
+    for outside in ([-1], [t.size], np.array([0, t.size])):
+        with pytest.raises(GridRangeError):
+            tree_product_measure(w, outside, [1], 1)
+        with pytest.raises(GridRangeError):
+            VertexFunction.dirac(t, outside)
+    # any iterable of integers names a vertex set; repeats count once
+    sets = ([1, 2, 2, 5], (5, 1, 2), {1, 2, 5}, np.array([5, 2, 1, 1], dtype=np.int32),
+            (v for v in (2, 5, 1)))
+    got = {tree_product_measure(w, E, range(t.size), 2) for E in sets}
+    assert got == {tree_product_measure(w, [1, 2, 5], range(t.size), 2)}
+    assert tree_product_measure(w, [], [1], 1) == 0.0
+    assert np.array_equal(VertexFunction.dirac(t, [3, 3, 0]).values[[0, 3]], [1.0, 2.0])
