@@ -340,12 +340,6 @@ def check_ap_loc(
 # ---------------------------------------------------------------------------
 
 
-def _pair_mass_matrix(w: Weight, n: int) -> np.ndarray:
-    """Q contributions w_j P_n(i, j) on the raw (unscaled) kernel."""
-    kern = product_kernel(w.grid, n, normalize=False)
-    return kern.matrix * w.values[None, :]
-
-
 def _nonneg_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for nonnegative a and b, with 0 * inf = 0 as in a direct sum.
 
@@ -379,8 +373,9 @@ def _pair_measure_check(
     denominator is zero or not finite are left out and counted in
     skipped_pairs.  The witness is the first strict maximum in (n, E, F)
     order: the first row-major maximum of a scale replaces the best only
-    when it is strictly larger.  reevaluate() recomputes the witness pair
-    by a direct gather and sum, independently of the matrix product.
+    when it is strictly larger.  reevaluate() recomputes the witness pair's
+    w_j P_n(i, j) from the kernel formula on the gathered annuli and sums
+    them, independently of product_kernel and of the matrix product.
     """
     grid = w.grid
     if family is None:
@@ -400,8 +395,10 @@ def _pair_measure_check(
     sup_by_n = []
     skipped = 0
     for n in range(1, n_max + 1):
-        # an overflowed pair mass, or a sum of them, makes its pairs infinite
-        q = _nonneg_matmul(_nonneg_matmul(ind, _pair_mass_matrix(w, n)), ind.T)
+        # Q contributions w_j P_n(i, j) on the raw (unscaled) kernel; an
+        # overflowed pair mass, or a sum of them, makes its pairs infinite
+        pair_w = product_kernel(grid, n, normalize=False).matrix * w.values
+        q = _nonneg_matmul(_nonneg_matmul(ind, pair_w), ind.T)
         d = (math.exp(two_rho * beta * n) * m_e)[:, None] * m_f[None, :]
         ok = (d != 0.0) & np.isfinite(d)
         skipped += int(d.size - ok.sum())
@@ -418,7 +415,16 @@ def _pair_measure_check(
         E = np.asarray(wit["E"], dtype=int)
         F = np.asarray(wit["F"], dtype=int)
         n = int(wit["n"])
-        q = float(_pair_mass_matrix(w, n)[np.ix_(E - 1, F - 1)].sum())
+        i, j = E[:, None], F[None, :]
+        m_i, m_j = grid.measures[i - 1], grid.measures[j - 1]
+        vn = grid.ball_volume_at(n)
+        with np.errstate(over="ignore"):
+            pair = np.minimum(
+                np.minimum(m_i * m_j, m_i * vn),
+                np.minimum(m_j * vn, np.exp(grid.params.rho * (n + i + j))),
+            )
+        pair = np.where(np.abs(i - j) <= n + 1, pair, 0.0)
+        q = float((pair * w.values[j - 1]).sum())
         return q / (
             math.exp(two_rho * beta * n)
             * weight_mass(w, E) ** (alpha / p)

@@ -21,7 +21,11 @@ Conventions fixed here and relied on everywhere else:
 * annuli are indexed from j = 1, annulus j is the shell between radii
   j - 1 and j, and its representative distance is the midpoint j - 1/2;
 * the intersection model clamps exp(rho (s + t - d)) by the two ball
-  volumes and vanishes for d >= s + t.
+  volumes and vanishes for d >= s + t;
+* a product kernel is built from tables each grid computes once, lazily:
+  m_i m_j, min(m_i, m_j) and |i - j|.  Per scale n it adds one row of
+  exp(rho (n + s)) over the index sums s = i + j, read as a Hankel matrix,
+  so a cold kernel costs 2 j_max - 1 exponentials instead of j_max^2.
 """
 
 from __future__ import annotations
@@ -207,6 +211,8 @@ def ball_intersection(params: SpaceParams, s: float, t: float, d: float) -> floa
     """
     if s < 0 or t < 0 or d < 0:
         raise DomainError("radii and distance must be nonnegative")
+    if not math.isfinite(d):
+        raise DomainError(f"center distance must be finite, got {d}")
     if d >= s + t:
         return 0.0
     cap = math.exp(params.rho * (s + t - d))
@@ -249,6 +255,27 @@ class AnnularGrid:
                 f"log-measure ratio {ratio[bad[0]]:.4f}"
             )
 
+    @functools.cached_property
+    def _pair_tables(self) -> tuple:
+        """The scale-free parts of every product kernel, read-only.
+
+        (m_i m_j, min(m_i, m_j), |i - j|, i + j) over annuli i, j: two
+        (j_max x j_max) float tables, a distance table in the narrowest
+        signed integer type, and the 2 j_max - 1 index sums 2 .. 2 j_max.
+        """
+        m = self.measures
+        # m_i * m_j may overflow to inf for large rho (see product_kernel)
+        with np.errstate(over="ignore"):
+            products = np.multiply.outer(m, m)
+        minima = np.minimum.outer(m, m)
+        k = np.arange(self.j_max, dtype=np.min_scalar_type(-self.j_max))
+        dist = np.abs(np.subtract.outer(k, k))
+        sums = np.arange(2.0, 2 * self.j_max + 1)
+        tables = (products, minima, dist, sums)
+        for arr in tables:
+            arr.setflags(write=False)
+        return tables
+
     def check_index(self, j: int):
         if not (1 <= j <= self.j_max):
             raise GridRangeError(f"annulus index {j} outside 1..{self.j_max}")
@@ -282,16 +309,25 @@ def annular_intersection(grid: AnnularGrid, j, n: int, dist):
     Vanishes when j - 1 >= dist + n (annulus entirely outside the ball) or
     dist >= j + n (ball entirely inside the annulus hole); otherwise the
     clamp model min(measure_j, V(n), exp(rho (n + j - dist))).
-    Vectorized over j and dist jointly.
+    Vectorized over j and dist jointly.  Annulus indices and the scale must
+    be integers, bools excluded, and distances positive and finite.
     """
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"scale n must be an integer, got {n!r}")
     if not (1 <= n <= grid.j_max):
         raise GridRangeError(f"scale n={n} outside 1..{grid.j_max}")
-    j_arr = np.asarray(j, dtype=int)
+    # numpy would store [5, True] as the integers [5, 1]
+    if isinstance(j, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in j):
+        raise DomainError("annulus indices must be integers, got a bool")
+    j_arr = np.asarray(j)
+    if j_arr.dtype.kind not in "iu":
+        raise DomainError(f"annulus indices must be integers, got {j_arr.dtype}")
     d_arr = np.asarray(dist, dtype=float)
     if np.any(j_arr < 1) or np.any(j_arr > grid.j_max):
         raise GridRangeError("annulus index outside grid")
-    if np.any(d_arr <= 0):
-        raise DomainError("center distance must be positive")
+    # min and max propagate nan, so one pair of reductions refuses nan too
+    if d_arr.size and not (d_arr.min() > 0 and d_arr.max() < math.inf):
+        raise DomainError("center distance must be positive and finite")
     vn = grid.ball_volume_at(n)
     meas = grid.measures[j_arr - 1]
     cap = np.exp(grid.params.rho * (n + j_arr - d_arr))
@@ -308,7 +344,8 @@ class ProductKernel:
     matrix[i-1, j-1] models the mass of pairs (x, y) with x in annulus i,
     y in annulus j and d(x, y) <= n; zero outside the band |i - j| <= n + 1.
     A normalized kernel has been divided by ``scale`` so that no row sum of
-    matrix / (V(n) measure_i) exceeds 1; a raw kernel has scale 1.
+    matrix / (V(n) measure_i) exceeds 1; a raw kernel has scale 1.  matrix
+    is read-only, since its grid hands the same array to every caller.
     """
 
     n: int
@@ -325,6 +362,13 @@ def product_kernel(grid: AnnularGrid, n: int, normalize: bool = True) -> Product
     row sum of P_n(i, .) / (V(n) m_i) over the whole grid, so averages of
     the constant function 1 land in (0, 1] everywhere; this keeps the
     power-mean comparison between maximal variants exact.
+
+    A cold build takes the minima into one array: V(n) min(m_i, m_j), which
+    equals min(m_i V(n), m_j V(n)) exactly because rounding is monotone,
+    then the grid's m_i m_j table, then one row of 2 j_max - 1 exponentials
+    read as a Hankel matrix, since the cap depends on i + j alone.  Off-band
+    entries are zeroed and the scale divided out in place.  The matrix is
+    read-only: every later call on the grid returns the same array.
     """
     if not (1 <= n <= grid.j_max - 1):
         raise GridRangeError(f"kernel scale n={n} outside 1..{grid.j_max - 1}")
@@ -334,30 +378,29 @@ def product_kernel(grid: AnnularGrid, n: int, normalize: bool = True) -> Product
         return cached
 
     jm = grid.j_max
-    idx = np.arange(1, jm + 1, dtype=float)
-    m = grid.measures
+    if normalize and n + 2 > jm - n - 1:
+        raise GridRangeError(f"no interior rows for n={n} on a grid with j_max={jm}")
+    products, minima, dist, sums = grid._pair_tables
     vn = grid.ball_volume_at(n)
-    # m_i * m_j may overflow to inf for large rho; the min below always has a
-    # finite competitor on the band, so the entry itself stays finite
+    # m_i * m_j and m_i * V(n) may overflow to inf for large rho; the min
+    # always has a finite competitor on the band, so band entries stay finite
     with np.errstate(over="ignore"):
-        pair = np.minimum.outer(m * vn, m * vn)
-        pair = np.minimum(pair, np.outer(m, m))
-        expo = np.exp(grid.params.rho * (n + idx[:, None] + idx[None, :]))
-        pair = np.minimum(pair, expo)
-    band = np.abs(idx[:, None] - idx[None, :]) <= n + 1
-    mat = np.where(band, pair, 0.0)
+        mat = np.multiply(minima, vn)
+        caps = np.exp(grid.params.rho * (n + sums))
+    np.minimum(mat, products, out=mat)
+    # caps[i + j] as a (j_max x j_max) view: both strides one item
+    hankel = np.ndarray((jm, jm), buffer=caps, strides=(caps.itemsize,) * 2)
+    np.minimum(mat, hankel, out=mat)
+    mat[dist > n + 1] = 0.0
 
     scale = 1.0
     if normalize:
-        if n + 2 > jm - n - 1:
-            raise GridRangeError(
-                f"no interior rows for n={n} on a grid with j_max={jm}"
-            )
         # every row, not just interior: low-edge rows can exceed the interior
         # maximum and the power-mean guarantee needs row ratios <= 1 globally
-        row_ratio = mat.sum(axis=1) / (vn * m)
+        row_ratio = mat.sum(axis=1) / (vn * grid.measures)
         scale = float(row_ratio.max())
-        mat = mat / scale
+        mat /= scale
+    mat.setflags(write=False)
 
     kern = ProductKernel(n=int(n), matrix=mat, scale=scale)
     grid._kernel_cache[key] = kern

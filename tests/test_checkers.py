@@ -454,6 +454,24 @@ def test_pair_measure_infinite_sup_fails():
     assert rep.meta["sup_by_n"][3:] == [math.inf] * 5
 
 
+@pytest.mark.parametrize("checker", ["necessary", "large-scale"])
+def test_pair_measure_reevaluate_skips_the_kernel(monkeypatch, checker):
+    # reevaluate() must rebuild the witness pair's masses from the kernel
+    # formula, not read back the cached kernel the check itself used
+    w = materialize(WeightSpec.exp_radial(1.0 if checker == "large-scale" else -1.0), GRID80)
+    if checker == "necessary":
+        rep = check_necessary(w, 2.0)
+    else:
+        rep = check_large_scale(w, 2.0, 0.5, 0.5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reevaluate() read product_kernel")
+
+    monkeypatch.setattr(nalab.checkers, "product_kernel", refuse)
+    monkeypatch.setattr(nalab.geometry, "product_kernel", refuse)
+    assert abs(rep.reevaluate() - rep.constant) <= 1e-10 * abs(rep.constant)
+
+
 # ---------------------------------------------------------------- weak/strong
 
 

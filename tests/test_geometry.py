@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi, roots_legendre
 
 import nalab
-from nalab.errors import DomainError
+from nalab.errors import DomainError, GridRangeError
 from nalab.geometry import (
     DEFAULT_SPACE,
     AnnularGrid,
@@ -207,6 +207,31 @@ def test_ball_intersection_clamps():
     assert ball_intersection(p, 3.0, 4.0, 10.0) == 0.0
 
 
+def test_ball_intersection_refuses_non_finite_distances():
+    for d in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ball_intersection(DEFAULT_SPACE, 1.0, 1.0, d)
+
+
+@pytest.mark.parametrize("j, d", [(5, math.nan), (5, math.inf), ([5, 6], [4.0, math.nan])])
+def test_annular_intersection_refuses_non_finite_distances(j, d):
+    with pytest.raises(DomainError):
+        annular_intersection(GRID, j, 3, d)
+
+
+@pytest.mark.parametrize("j", [5.7, 5.0, True, [5, True], np.array([5.0, 6.0])])
+def test_annular_intersection_refuses_non_integer_annuli(j):
+    # numpy would read 5.7 as annulus 5 and True as annulus 1
+    with pytest.raises(DomainError):
+        annular_intersection(GRID, j, 3, 4.0)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True])
+def test_annular_intersection_refuses_non_integer_scales(n):
+    with pytest.raises(DomainError):
+        annular_intersection(GRID, 5, n, 4.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     j=st.integers(min_value=1, max_value=80),
@@ -250,6 +275,92 @@ def test_kernel_band_structure():
     i, j = np.meshgrid(np.arange(1, 81), np.arange(1, 81), indexing="ij")
     outside = np.abs(i - j) > 5 + 1
     assert np.all(k.matrix[outside] == 0.0)
+
+
+def _dense_kernel(grid, n, normalize):
+    # the full-size construction product_kernel used before its per-grid
+    # tables, kept verbatim as the bit-for-bit reference
+    jm = grid.j_max
+    idx = np.arange(1, jm + 1, dtype=float)
+    m = grid.measures
+    vn = grid.ball_volume_at(n)
+    with np.errstate(over="ignore"):
+        pair = np.minimum.outer(m * vn, m * vn)
+        pair = np.minimum(pair, np.outer(m, m))
+        expo = np.exp(grid.params.rho * (n + idx[:, None] + idx[None, :]))
+        pair = np.minimum(pair, expo)
+    band = np.abs(idx[:, None] - idx[None, :]) <= n + 1
+    mat = np.where(band, pair, 0.0)
+
+    scale = 1.0
+    if normalize:
+        if n + 2 > jm - n - 1:
+            raise GridRangeError(
+                f"no interior rows for n={n} on a grid with j_max={jm}"
+            )
+        row_ratio = mat.sum(axis=1) / (vn * m)
+        scale = float(row_ratio.max())
+        mat = mat / scale
+    return mat, scale
+
+
+# (3.5, 1) overflows m_i m_j to inf near the top of a j_max = 80 grid
+@pytest.mark.parametrize(
+    "params, j_max", [(DEFAULT_SPACE, 80), (DEFAULT_SPACE, 120), (SpaceParams(3.5, 1.0), 80)]
+)
+@pytest.mark.parametrize("normalize", [True, False])
+def test_kernel_equals_dense_construction(params, j_max, normalize):
+    grid = AnnularGrid(params, j_max)
+    top = (j_max - 3) // 2 if normalize else j_max - 1
+    for n in range(1, top + 1):
+        kern = product_kernel(grid, n, normalize=normalize)
+        mat, scale = _dense_kernel(grid, n, normalize)
+        assert np.array_equal(kern.matrix, mat), n
+        assert kern.scale == scale, n
+    with pytest.raises(GridRangeError):
+        product_kernel(grid, top + 1, normalize=normalize)
+
+
+@pytest.mark.parametrize("params", [DEFAULT_SPACE, SpaceParams(3.5, 1.0)])
+def test_kernel_against_scalar_loop(params):
+    # independent oracle: the kernel formula entry by entry with math.exp
+    grid = AnnularGrid(params, 21)
+    m = grid.measures.tolist()
+    for n in (1, 4, 9):
+        vn = grid.ball_volume_at(n)
+        raw = np.zeros((21, 21))
+        for i in range(1, 22):
+            for j in range(1, 22):
+                if abs(i - j) <= n + 1:
+                    raw[i - 1, j - 1] = min(
+                        m[i - 1] * m[j - 1],
+                        m[i - 1] * vn,
+                        m[j - 1] * vn,
+                        math.exp(params.rho * (n + i + j)),
+                    )
+        got = product_kernel(grid, n, normalize=False)
+        assert got.scale == 1.0
+        assert np.array_equal(got.matrix == 0.0, raw == 0.0)
+        np.testing.assert_allclose(got.matrix, raw, rtol=1e-15, atol=0.0)
+        scale = max(sum(raw[i]) / (vn * m[i]) for i in range(21))
+        normed = product_kernel(grid, n)
+        assert normed.scale == pytest.approx(scale, rel=1e-15)
+        np.testing.assert_allclose(normed.matrix, raw / scale, rtol=1e-15, atol=0.0)
+
+
+def test_kernels_and_grid_tables_are_read_only():
+    grid = AnnularGrid(DEFAULT_SPACE, 40)
+    kern = product_kernel(grid, 3)
+    before = kern.matrix.copy()
+    with pytest.raises(ValueError):
+        kern.matrix[10, 10] = 0.0
+    with pytest.raises(ValueError):
+        kern.matrix *= 2.0
+    again = product_kernel(grid, 3)
+    assert again is kern and np.array_equal(again.matrix, before)
+    for table in grid._pair_tables:
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 def test_normalized_row_ratios():
