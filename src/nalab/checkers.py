@@ -394,21 +394,23 @@ def _pair_measure_check(
     best, witness = -np.inf, None
     sup_by_n = []
     skipped = 0
-    for n in range(1, n_max + 1):
-        # Q contributions w_j P_n(i, j) on the raw (unscaled) kernel; an
-        # overflowed pair mass, or a sum of them, makes its pairs infinite
-        pair_w = product_kernel(grid, n, normalize=False).matrix * w.values
-        q = _nonneg_matmul(_nonneg_matmul(ind, pair_w), ind.T)
-        d = (math.exp(two_rho * beta * n) * m_e)[:, None] * m_f[None, :]
-        ok = (d != 0.0) & np.isfinite(d)
-        skipped += int(d.size - ok.sum())
-        vals = np.full(d.shape, -np.inf)
-        np.divide(q, d, out=vals, where=ok)
-        e, f = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        sup_by_n.append(max(0.0, float(vals[e, f])))
-        if vals[e, f] > best:
-            best = float(vals[e, f])
-            witness = {"n": n, "E": sets[e].tolist(), "F": sets[f].tolist()}
+    # an overflowed pair mass, or a sum of them, makes its pairs infinite,
+    # and an overflowed denominator skips its pairs: both handled below
+    with np.errstate(over="ignore"):
+        for n in range(1, n_max + 1):
+            # Q contributions w_j P_n(i, j) on the raw (unscaled) kernel
+            pair_w = product_kernel(grid, n, normalize=False).matrix * w.values
+            q = _nonneg_matmul(_nonneg_matmul(ind, pair_w), ind.T)
+            d = (math.exp(two_rho * beta * n) * m_e)[:, None] * m_f[None, :]
+            ok = (d != 0.0) & np.isfinite(d)
+            skipped += int(d.size - ok.sum())
+            vals = np.full(d.shape, -np.inf)
+            np.divide(q, d, out=vals, where=ok)
+            e, f = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            sup_by_n.append(max(0.0, float(vals[e, f])))
+            if vals[e, f] > best:
+                best = float(vals[e, f])
+                witness = {"n": n, "E": sets[e].tolist(), "F": sets[f].tolist()}
     slope, r2, verdict = _growth_verdict(sup_by_n)
 
     def reeval(wit: dict) -> float:
@@ -872,7 +874,7 @@ def vector_valued_ratio(
     def maximal_norm() -> float:
         """The numerator, from freshly computed maximal functions."""
         if backend == "tree":
-            mf, _, _ = _tree_maximal_block(functions[0].tree, fmat.T)
+            mf, _ = _tree_maximal_block(functions[0].tree, fmat.T)
             # C order: norm then sums over the functions in list order
             return norm(np.ascontiguousarray(mf.T))
         grid = functions[0].grid

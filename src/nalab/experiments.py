@@ -126,9 +126,10 @@ def make_envelope(
 
 
 def write_json_report(env: dict, path: str):
+    # one encode and one write: json.dump writes each encoder chunk
+    text = json.dumps(env, indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(env, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _canonical_grid(j_max: int = CANONICAL_J_MAX) -> AnnularGrid:

@@ -31,7 +31,8 @@ the rows, that is about (2 + 1/(k - 1)) V entries instead of
 function splits v's radii into the interior ones r < D - d, whose balls
 clear the truncation depth, the two pivot radii D - d and D - d + 1, and
 the inherited tail, a running maximum of the pivot averages down the root
-path.  The pair measure and the ball-size table need every radius up to
+path.  It yields values and flags; TreeMaximal finds the argmax radius on
+demand.  The pair measure and the ball-size table need every radius up to
 2 D; they fill the deeper levels of each row from the parent's previous
 row by the same identity.  Because the children of consecutive parents are
 consecutive, every step is a vector operation on contiguous rows.
@@ -217,17 +218,29 @@ class TreeBall:
 class TreeMaximal:
     """Exact centered maximal function with truncation bookkeeping.
 
-    argmax_radius is the smallest radius attaining the maximum; boundary is
-    True where no ball that avoids the truncation depth attains it.
+    boundary is True where no ball that avoids the truncation depth attains
+    the maximum.  argmax_radius, computed from data (a copy of the
+    function's values) on first read, is the smallest r in 0..2*depth whose
+    ball average equals values bit for bit; a radius that repeats an
+    ancestor's ball repeats that ball's sum and size bit for bit.
     """
 
     tree: TreeSpace
     values: np.ndarray
-    argmax_radius: np.ndarray
     boundary: np.ndarray
+    data: np.ndarray
 
     def trusted(self) -> np.ndarray:
         return ~self.boundary
+
+    @functools.cached_property
+    def argmax_radius(self) -> np.ndarray:
+        tree = self.tree
+        counts = _level_counts(tree.k, tree.depth)[:, tree.depths]
+        arg = np.full(tree.size, -1)
+        for r, sums in enumerate(_all_ball_sums(tree, self.data[:, None])):
+            np.copyto(arg, r, where=(arg < 0) & (sums[:, 0] / counts[r] == self.values))
+        return arg
 
 
 def tree_ball(tree: TreeSpace, x: int, r: int) -> TreeBall:
@@ -339,56 +352,41 @@ def _local_counts(k: int, depth: int) -> tuple:
 def _tree_maximal_block(tree: TreeSpace, block: np.ndarray) -> tuple:
     """Maximal functions of the columns of a (V x m) block of vertex data.
 
-    Returns (values, argmax_radius, boundary), each V x m, with the meaning
-    of the TreeMaximal fields.  The averages of the local rows of
-    _ball_sums split three ways for v at depth d.  The interior radii
-    r < depth - d give balls clear of the truncation depth.  The pivot
-    radii depth - d and depth - d + 1 give P(v), the larger of their two
-    averages.  Every larger radius repeats the parent's ball one radius
-    down, so the tail T(v) = max(P(v), T(parent)) runs down the root path
-    one level at a time.  Mf = max(interior best, T), flagged where T is
-    strictly larger.  Ties go to the smallest radius: interior first, then
-    the pivots, then the nearest ancestor.  The tail radii take no masked
-    writes: the nearest ancestor a with P(a) = T(v) is the deepest one
-    whose own T is its P, and 2 depth(a) + 1 - [second pivot] grows with
-    depth, so a running maximum of it down the root path finds a.
+    Returns (values, boundary), each V x m, with the meaning of the
+    TreeMaximal fields.  The averages of the local rows of _ball_sums split
+    three ways for v at depth d.  The interior radii r < depth - d give
+    balls clear of the truncation depth.  The pivot radii depth - d and
+    depth - d + 1 give P(v), the larger of their two averages.  Every
+    larger radius repeats the parent's ball one radius down, so the tail
+    T(v) = max(P(v), T(parent)) runs down the root path one level at a
+    time.  Mf = max(interior best, T), flagged where T is strictly larger.
     """
     D, k, s = tree.depth, tree.k, tree._level_starts.tolist()
     block = np.ascontiguousarray(block, dtype=float)
     V, m = block.shape
-    avgs = [b / c for b, c in zip(_ball_sums(tree, block), _local_counts(k, D))]
-    # interior: row r's vertices at depth < depth - r, a prefix of the row
-    inner = np.full((V, m), -np.inf)
-    inner_arg = np.zeros((V, m), dtype=np.int64)
-    for r in range(D):
+    avgs, counts = _ball_sums(tree, block), _local_counts(k, D)
+    # in place; row 0 is the caller's, row D + 1 views row D's root (same count)
+    avgs[0] = avgs[0] / counts[0]
+    for a, c in zip(avgs[1 : D + 1], counts[1 : D + 1]):
+        a /= c
+    tail = np.empty((V, m))
+    for d in range(D + 1):  # level d's pivots: rows D - d and D - d + 1
+        lo, hi = s[d], s[d + 1]
+        np.maximum(avgs[D - d][lo:hi], avgs[D - d + 1][lo:hi], out=tail[lo:hi])
+        if d:
+            level = tail[lo:hi].reshape(-1, k, m)
+            np.maximum(level, tail[s[d - 1] : lo, None], out=level)
+    # interior: row r's vertices at depth < depth - r, a prefix of the row;
+    # their best gathers in row 0 above the leaves
+    inner = avgs[0][: s[D]]
+    for r in range(1, D):
         n = s[D - r]
-        a = avgs[r][:n]
-        np.copyto(inner_arg[:n], r, where=a > inner[:n])
-        np.maximum(inner[:n], a, out=inner[:n])
-    # level d's pivots are the last two levels of rows D - d and D - d + 1
-    pivot, tail = np.empty((V, m)), np.empty((V, m))
-    second = np.empty((V, m), dtype=bool)
-    for d in range(D + 1):
-        lo, hi = s[d], s[d + 1]
-        a1, a2 = avgs[D - d][lo:hi], avgs[D - d + 1][lo:hi]
-        np.greater(a2, a1, out=second[lo:hi])
-        np.maximum(a1, a2, out=pivot[lo:hi])
-        if d == 0:
-            tail[0] = pivot[0]
-        else:
-            shape = (-1, k, m)
-            up = tail[s[d - 1] : lo, None]
-            np.maximum(pivot[lo:hi].reshape(shape), up, out=tail[lo:hi].reshape(shape))
-    depths = tree.depths[:, None]
-    key = (tail == pivot) * (2 * depths + 1 - second)
-    for d in range(1, D + 1):
-        lo, hi = s[d], s[d + 1]
-        level = key[lo:hi].reshape(-1, k, m)
-        np.maximum(level, key[s[d - 1] : lo, None], out=level)
-    tail_arg = D + 1 + depths - key
-    boundary = tail > inner
-    values = np.maximum(inner, tail)
-    return values, inner_arg + boundary * (tail_arg - inner_arg), boundary
+        np.maximum(inner[:n], avgs[r][:n], out=inner[:n])
+    top = tail[: s[D]]
+    boundary = np.ones((V, m), dtype=bool)
+    np.greater(top, inner, out=boundary[: s[D]])
+    np.maximum(top, inner, out=top)
+    return tail, boundary
 
 
 def tree_maximal(f: VertexFunction) -> TreeMaximal:
@@ -397,8 +395,8 @@ def tree_maximal(f: VertexFunction) -> TreeMaximal:
     The one-column case of _tree_maximal_block: O(V) numpy work, about
     2 + 1/(k - 1) ball averages per vertex instead of 2*depth + 1.
     """
-    values, arg, boundary = _tree_maximal_block(f.tree, f.values[:, None])
-    return TreeMaximal(f.tree, values[:, 0], arg[:, 0], boundary[:, 0])
+    values, boundary = _tree_maximal_block(f.tree, f.values[:, None])
+    return TreeMaximal(f.tree, values[:, 0], boundary[:, 0], f.values.copy())
 
 
 def tree_maximal_naive(f: VertexFunction) -> TreeMaximal:
@@ -421,7 +419,9 @@ def tree_maximal_naive(f: VertexFunction) -> TreeMaximal:
                 b_int = a
         best[v], arg[v] = bv, ar
         boundary[v] = b_int < bv
-    return TreeMaximal(tree, best, arg, boundary)
+    result = TreeMaximal(tree, best, boundary, f.values.copy())
+    result.argmax_radius = arg  # the oracle's own, not the scan's
+    return result
 
 
 def _vertex_ids(tree: TreeSpace, E: Iterable[int]) -> np.ndarray:

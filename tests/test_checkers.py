@@ -4,6 +4,7 @@ is asserted at the precision it was recorded with; qualitative facts
 outright."""
 import json
 import math
+import warnings
 
 import nalab.checkers
 
@@ -439,6 +440,21 @@ def test_pair_measure_matches_loop_oracle(weight, family, exponents):
         assert rep.reevaluate() == pytest.approx(best, rel=1e-12)
     if weight == "overflow":
         assert skipped > 0 and math.isfinite(best)
+
+
+def test_pair_measure_overflow_raises_no_warning():
+    # on this fast-growing space the raw pair masses overflow outside the
+    # family's annuli and the necessary check's denominators overflow too;
+    # the checkers handle both, so neither may warn
+    w = materialize(WeightSpec.exp_radial(1.0), AnnularGrid(SpaceParams(3.5, 1.0), 80))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        necessary = check_necessary(w, 2.0)
+        large = check_large_scale(w, 2.0, 0.5, 0.5)
+    assert necessary.meta["skipped_pairs"] > 0
+    for rep in (necessary, large):
+        assert math.isfinite(rep.constant) and rep.verdict == "pass"
+        assert rep.reevaluate() == pytest.approx(rep.constant, rel=1e-10)
 
 
 def test_pair_measure_infinite_sup_fails():
