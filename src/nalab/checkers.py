@@ -644,7 +644,7 @@ def _level_set_numerators(
 ) -> np.ndarray:
     """l^power w({M f > l}) over M's valid window, for every column f of the
     (j_max x m) block (rows) and level l (columns)."""
-    mf, _ = _maximal_block(w.grid, block, n_max)
+    mf = _maximal_block(w.grid, block, n_max)
     window = (1, valid_upper(w.grid.j_max, n_max))
     return levels**power * _superlevel_mass(w, mf, window, levels)
 
@@ -878,7 +878,7 @@ def vector_valued_ratio(
             # C order: norm then sums over the functions in list order
             return norm(np.ascontiguousarray(mf.T))
         grid = functions[0].grid
-        mf, _ = _maximal_block(grid, fmat.T, n_max)
+        mf = _maximal_block(grid, fmat.T, n_max)
         return norm(mf.T, slice(0, valid_upper(grid.j_max, n_max)))
 
     denom = norm(fmat)

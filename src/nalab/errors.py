@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the check every number
-read from outside passes."""
+"""Exception types shared across the package, the check every number read
+from outside passes, and the check every integer scale or count passes."""
 
 import numbers
 import sys
+
+import numpy as np
 
 
 class NalabError(Exception):
@@ -47,3 +49,13 @@ def finite_number(x, name: str, integral: bool = False):
     if integral and not float(x).is_integer():
         raise ConfigError(f"{name} must be an integer, got {x!r}")
     return int(x) if integral else float(x)
+
+
+def require_integer(x, name: str) -> None:
+    """DomainError naming name unless x is an int or a numpy integer.
+
+    Bools are refused, and so are floats with an integral value: a scale or
+    count of 2.0 is a caller's mistake, not a request for 2.
+    """
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {x!r}")

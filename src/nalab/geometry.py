@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridRangeError
+from .errors import DomainError, GridRangeError, require_integer
 
 __all__ = [
     "SpaceParams",
@@ -281,7 +281,8 @@ class AnnularGrid:
             raise GridRangeError(f"annulus index {j} outside 1..{self.j_max}")
 
     def ball_volume_at(self, n: int) -> float:
-        """V(n) for integer n within the grid."""
+        """V(n) for integer n within the grid; a float or bool n is refused."""
+        require_integer(n, "radius n")
         if not (1 <= n <= self.j_max):
             raise GridRangeError(f"radius {n} outside 1..{self.j_max}")
         return float(self.volumes[n - 1])
@@ -312,8 +313,7 @@ def annular_intersection(grid: AnnularGrid, j, n: int, dist):
     Vectorized over j and dist jointly.  Annulus indices and the scale must
     be integers, bools excluded, and distances positive and finite.
     """
-    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"scale n must be an integer, got {n!r}")
+    require_integer(n, "scale n")
     if not (1 <= n <= grid.j_max):
         raise GridRangeError(f"scale n={n} outside 1..{grid.j_max}")
     # numpy would store [5, True] as the integers [5, 1]
@@ -368,8 +368,11 @@ def product_kernel(grid: AnnularGrid, n: int, normalize: bool = True) -> Product
     then the grid's m_i m_j table, then one row of 2 j_max - 1 exponentials
     read as a Hankel matrix, since the cap depends on i + j alone.  Off-band
     entries are zeroed and the scale divided out in place.  The matrix is
-    read-only: every later call on the grid returns the same array.
+    read-only: every later call on the grid returns the same array.  The
+    scale must be an integer: a float or bool n is refused before the cache
+    is read, where 2.0 would find the kernel of scale 2.
     """
+    require_integer(n, "kernel scale n")
     if not (1 <= n <= grid.j_max - 1):
         raise GridRangeError(f"kernel scale n={n} outside 1..{grid.j_max - 1}")
     key = (int(n), bool(normalize))

@@ -5,18 +5,23 @@ product_kernel(grid, n).matrix @ F / (V(n) measure), with the kernel
 normalized so that averages of the constant 1 lie in (0, 1] everywhere; this
 keeps the power-mean comparison between maximal variants exact.  The
 maximal function takes the pointwise supremum over scales up to a truncation
-n_max and records the smallest scale that attains it.  Truncation bias is
-deliberate and visible: results carry the argmax scale and the window of
-annuli unaffected by grid truncation.
+n_max.  Truncation bias is deliberate and visible: results carry the window
+of annuli unaffected by grid truncation, and the attaining scale on demand.
 
 One private core serves every maximal function: _maximal_block takes a
 (j_max x m) block whose columns are functions, makes one kernel product and
-one division per scale, and one argmax over the stacked scales.
-maximal_dis is its m = 1 case, bit-identical to a matrix-vector product;
-the other columns of a larger block agree with it to rounding.  Superlevel
-masses have one core too: _superlevel_mass weighs the masks of many
-functions at many levels in one masked sum, and distribution_mass is its
-one-function, one-level case.
+one division per scale, and folds each scale's averages into one running
+maximum.  It returns values alone; MaximalResult.argmax recomputes the
+averages of its own function on first read and takes the smallest scale
+that attains the value, through the same expression, so the two agree bit
+for bit.  maximal_dis is the core's m = 1 case, bit-identical to a
+matrix-vector product; the other columns of a larger block agree with it to
+rounding.  Superlevel masses have one core too: _superlevel_mass weighs the
+masks of many functions at many levels in one masked sum, and
+distribution_mass is its one-function, one-level case.
+
+Scales, truncations and iteration counts must be integers: a float such as
+2.0, a bool or nan raises DomainError.
 
 Local averaging at sub-unit radii is not representable on a unit grid; the
 tree backend and the 1D local surrogate in the condition checkers cover
@@ -25,12 +30,13 @@ that regime.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, GridRangeError
+from .errors import DomainError, GridRangeError, require_integer
 from .geometry import AnnularGrid, product_kernel, valid_upper
 from .weights import Weight
 
@@ -72,22 +78,38 @@ class RadialFunction:
 
 @dataclass
 class MaximalResult:
-    """Maximal-function values with the attaining scale per annulus.
+    """Maximal-function values, with the attaining scale per annulus on demand.
 
     window = (lo, hi) is the inclusive range of annulus indices whose values
     are unaffected by grid truncation; entries outside it are still computed
-    but biased low near the outer edge.
+    but biased low near the outer edge.  data is a copy of the function the
+    values are the maximal function of (for iterate_maximal, the argument
+    of the final pass).  argmax, computed from data on first read, is the
+    smallest scale in 1..n_max whose ball average equals values bit for
+    bit: the scale a running maximum replaced only by strictly larger
+    averages would keep.
     """
 
     grid: AnnularGrid
     values: np.ndarray
-    argmax: np.ndarray
     n_max: int
     window: tuple
+    data: np.ndarray
 
     def window_slice(self) -> slice:
         lo, hi = self.window
         return slice(lo - 1, hi)
+
+    @functools.cached_property
+    def argmax(self) -> np.ndarray:
+        grid, block = self.grid, self.data[:, None]
+        arg = np.zeros(grid.j_max, dtype=np.intp)
+        with np.errstate(over="ignore"):
+            dens = _scale_denominators(grid, self.n_max)
+            for n in range(1, self.n_max + 1):
+                hit = _ball_average(grid, block, n, dens[n - 1])[:, 0] == self.values
+                np.copyto(arg, n, where=hit & (arg == 0))
+        return arg
 
 
 RadialData = Union[RadialFunction, Weight]
@@ -103,12 +125,26 @@ def _data_values(f: RadialData, grid: Optional[AnnularGrid] = None):
     return f.grid, np.asarray(f.values, dtype=float)
 
 
-def _ball_average(grid: AnnularGrid, block: np.ndarray, n: int) -> np.ndarray:
-    """Ball averages at scale n of every column of a (j_max x m) block."""
-    kern = product_kernel(grid, n).matrix
-    # huge data overflows to inf without a warning; callers reject it
-    with np.errstate(over="ignore"):
-        return kern @ block / (grid.ball_volume_at(n) * grid.measures)[:, None]
+def _scale_denominators(grid: AnnularGrid, n_max: int) -> np.ndarray:
+    """V(n) |Omega_i| for scales n = 1..n_max (rows) and annuli i (columns).
+
+    Row n - 1 equals grid.ball_volume_at(n) * grid.measures bit for bit.
+    Huge spaces overflow to inf; callers silence the warning.
+    """
+    return grid.volumes[:n_max, None] * grid.measures
+
+
+def _ball_average(
+    grid: AnnularGrid, block: np.ndarray, n: int, den: np.ndarray
+) -> np.ndarray:
+    """Ball averages at scale n of every column of a (j_max x m) block.
+
+    den holds V(n) |Omega_i| per annulus.  This is the one expression for a
+    scale's averages: avg, _maximal_block and MaximalResult.argmax all
+    evaluate it.  Huge data overflows to inf; callers silence the warning
+    and reject the result.
+    """
+    return product_kernel(grid, n).matrix @ block / den[:, None]
 
 
 def avg(f: RadialData, n: int) -> RadialFunction:
@@ -118,15 +154,19 @@ def avg(f: RadialData, n: int) -> RadialFunction:
     are biased by grid truncation.
     """
     grid, vals = _data_values(f)
-    return RadialFunction(grid, _ball_average(grid, vals[:, None], n)[:, 0])
+    with np.errstate(over="ignore"):
+        den = grid.ball_volume_at(n) * grid.measures
+        return RadialFunction(grid, _ball_average(grid, vals[:, None], n, den)[:, 0])
 
 
-def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> tuple:
+def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> np.ndarray:
     """Discrete maximal functions of the columns of a (j_max x m) block.
 
-    Returns (values, argmax), both (j_max x m): the sup of the ball
-    averages over scales 1..n_max and the smallest scale attaining it.
+    Returns the (j_max x m) sup of the ball averages over scales 1..n_max,
+    one running maximum folded over the scales; no scale is recorded
+    (MaximalResult.argmax finds it on demand).
     """
+    require_integer(n_max, "n_max")
     # the normalized kernel of scale n needs 2n + 3 <= j_max (product_kernel)
     top = (grid.j_max - 3) // 2
     if not (1 <= n_max <= top):
@@ -134,22 +174,27 @@ def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> tuple:
             f"n_max={n_max} outside 1..{top}, the scales with a normalized "
             f"kernel on a grid with j_max={grid.j_max}"
         )
-    avgs = np.stack([_ball_average(grid, block, n) for n in range(1, n_max + 1)])
-    if not np.all(np.isfinite(avgs)):
+    with np.errstate(over="ignore"):
+        dens = _scale_denominators(grid, n_max)
+        best = _ball_average(grid, block, 1, dens[0])
+        for n in range(2, n_max + 1):
+            np.maximum(best, _ball_average(grid, block, n, dens[n - 1]), out=best)
+    # a maximum propagates inf and nan, so one gate on it covers every scale
+    if not np.all(np.isfinite(best)):
         raise DomainError("radial data must be finite and nonnegative")
-    best = avgs.argmax(axis=0)
-    return np.take_along_axis(avgs, best[None], axis=0)[0], best + 1
+    return best
 
 
 def maximal_dis(f: RadialData, n_max: int) -> MaximalResult:
     """Discrete maximal function: sup of ball averages over scales 1..n_max.
 
-    Ties go to the smallest scale.
+    The attaining scale (ties to the smallest) is read on demand, from a
+    copy of f's values taken here.
     """
     grid, vals = _data_values(f)
-    values, argmax = _maximal_block(grid, vals[:, None], n_max)
+    values = _maximal_block(grid, vals[:, None], n_max)[:, 0]
     hi = valid_upper(grid.j_max, n_max)
-    return MaximalResult(grid, values[:, 0], argmax[:, 0], int(n_max), (1, hi))
+    return MaximalResult(grid, values, int(n_max), (1, hi), vals.copy())
 
 
 def maximal_s(w: RadialData, s: float, n_max: int) -> RadialFunction:
@@ -161,9 +206,9 @@ def maximal_s(w: RadialData, s: float, n_max: int) -> RadialFunction:
     if s < 1.0:
         raise DomainError(f"power-adjusted maximal needs s >= 1, got {s}")
     grid, vals = _data_values(w)
-    powered = RadialFunction(grid, vals**s)
-    res = maximal_dis(powered, n_max)
-    return RadialFunction(grid, res.values ** (1.0 / s))
+    powered = RadialFunction(grid, vals**s)  # refuses w^s that overflows
+    values = _maximal_block(grid, powered.values[:, None], n_max)[:, 0]
+    return RadialFunction(grid, values ** (1.0 / s))
 
 
 def iterate_maximal(w: RadialData, k: int, n_max: int) -> MaximalResult:
@@ -171,23 +216,23 @@ def iterate_maximal(w: RadialData, k: int, n_max: int) -> MaximalResult:
 
     Each pass reads n_max + 1 annuli above its argument, so the trustworthy
     window shrinks by that amount per pass; the returned window reflects all
-    k passes and the argmax column refers to the final pass.
+    k passes and the argmax refers to the final pass.
     """
+    require_integer(k, "iteration count k")
+    require_integer(n_max, "n_max")
     if k < 1:
         raise DomainError(f"iteration count must be >= 1, got {k}")
-    grid, _ = _data_values(w)
+    grid, vals = _data_values(w)
     hi = valid_upper(grid.j_max, n_max, iterations=k)
     if hi < 1:
         raise GridRangeError(
             f"{k} maximal passes at n_max={n_max} exhaust a grid with "
             f"j_max={grid.j_max}"
         )
-    current: RadialData = w
-    res = None
+    values = vals
     for _ in range(k):
-        res = maximal_dis(current, n_max)
-        current = RadialFunction(grid, res.values)
-    return MaximalResult(grid, res.values, res.argmax, int(n_max), (1, hi))
+        data, values = values, _maximal_block(grid, values[:, None], n_max)[:, 0]
+    return MaximalResult(grid, values, int(n_max), (1, hi), data.copy())
 
 
 def _superlevel_mass(

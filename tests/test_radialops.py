@@ -257,12 +257,85 @@ def test_maximal_block_columns_match_maximal_dis(seed, m, n_max):
         else:
             cols.append(np.exp(rng.uniform(-30.0, 30.0, 80)))
     block = np.stack(cols, axis=1)
-    values, argmax = _maximal_block(GRID, block, n_max)
+    values = _maximal_block(GRID, block, n_max)
+    assert values.shape == block.shape
     for c, kind in enumerate(kinds):
         ref = maximal_dis(RadialFunction(GRID, block[:, c]), n_max)
         assert np.array_equal(ref.values, _direct_maximal(block[:, c], n_max))
         if m == 1 or kind == 0:
             assert np.array_equal(values[:, c], ref.values)
-            assert np.array_equal(argmax[:, c], ref.argmax)
         else:
             np.testing.assert_allclose(values[:, c], ref.values, rtol=1e-15, atol=0)
+
+
+def _per_scale_argmax(v, n_max):
+    """Smallest attaining scale: one average per scale, replaced only by a
+    strictly larger one."""
+    best = np.full(GRID.j_max, -np.inf)
+    arg = np.zeros(GRID.j_max, dtype=int)
+    for n in range(1, n_max + 1):
+        a = avg(RadialFunction(GRID, v), n).values
+        better = a > best
+        best = np.where(better, a, best)
+        arg = np.where(better, n, arg)
+    return arg
+
+
+def test_argmax_reads_the_data_at_call_time():
+    # argmax is computed on first read, from a copy of the input taken by
+    # maximal_dis; changing the input afterwards must not move it
+    f = RadialFunction(GRID, np.random.default_rng(7).uniform(0.0, 1.0, 80))
+    expected = _per_scale_argmax(f.values.copy(), 25)
+    res = maximal_dis(f, 25)
+    f.values[:] = f.values[::-1] * 3.0
+    assert np.array_equal(res.argmax, expected)
+    assert res.argmax is res.argmax  # cached after the first read
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_iterate_maximal_argmax_is_the_final_pass(k):
+    w = RadialFunction.indicator(GRID, [10])
+    passes = [w.values]
+    for _ in range(k):
+        passes.append(maximal_dis(RadialFunction(GRID, passes[-1]), 10).values)
+    it = iterate_maximal(w, k, 10)
+    assert np.array_equal(it.values, passes[-1])
+    assert np.array_equal(it.argmax, _per_scale_argmax(passes[-2], 10))
+    # the first pass's own scales differ, so the check has teeth
+    assert not np.array_equal(it.argmax, maximal_dis(w, 10).argmax)
+
+
+_F = RadialFunction.indicator(GRID, [5])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: avg(_F, 2.0), id="avg n 2.0"),
+        pytest.param(lambda: avg(_F, True), id="avg n True"),
+        pytest.param(lambda: GRID.ball_volume_at(2.0), id="ball_volume_at 2.0"),
+        pytest.param(lambda: GRID.ball_volume_at(np.bool_(True)), id="ball_volume_at np.True_"),
+        pytest.param(lambda: product_kernel(GRID, 2.0), id="product_kernel 2.0"),
+        pytest.param(lambda: product_kernel(GRID, True, normalize=False), id="product_kernel True"),
+        pytest.param(lambda: maximal_dis(_F, 2.5), id="maximal_dis n_max 2.5"),
+        pytest.param(lambda: maximal_dis(_F, 2.0), id="maximal_dis n_max 2.0"),
+        pytest.param(lambda: maximal_dis(_F, True), id="maximal_dis n_max True"),
+        pytest.param(lambda: maximal_dis(_F, math.nan), id="maximal_dis n_max nan"),
+        pytest.param(lambda: maximal_s(ONE, 2.0, 5.0), id="maximal_s n_max 5.0"),
+        pytest.param(lambda: iterate_maximal(_F, 1.5, 5), id="iterate_maximal k 1.5"),
+        pytest.param(lambda: iterate_maximal(_F, True, 5), id="iterate_maximal k True"),
+        pytest.param(lambda: iterate_maximal(_F, 2, 5.0), id="iterate_maximal n_max 5.0"),
+    ],
+)
+def test_scales_and_counts_must_be_integers(call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_scales_are_accepted():
+    assert GRID.ball_volume_at(np.int64(3)) == GRID.ball_volume_at(3)
+    assert np.array_equal(avg(_F, np.int32(2)).values, avg(_F, 2).values)
+    res = maximal_dis(_F, np.int64(7))
+    assert np.array_equal(res.values, maximal_dis(_F, 7).values) and res.n_max == 7
+    it = iterate_maximal(_F, np.int64(2), np.int16(5))
+    assert np.array_equal(it.values, iterate_maximal(_F, 2, 5).values)
