@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, GridRangeError, UnsupportedError
 from .fitting import fit_linear, fit_log_slope
-from .geometry import annular_intersection, density, product_kernel, valid_upper
+from .geometry import _kernel_stack, annular_intersection, density, valid_upper
 from .radialops import (
     RadialFunction,
     _maximal_block,
@@ -375,7 +375,7 @@ def _pair_measure_check(
     order: the first row-major maximum of a scale replaces the best only
     when it is strictly larger.  reevaluate() recomputes the witness pair's
     w_j P_n(i, j) from the kernel formula on the gathered annuli and sums
-    them, independently of product_kernel and of the matrix product.
+    them, independently of the kernel stack and of the matrix product.
     """
     grid = w.grid
     if family is None:
@@ -394,12 +394,15 @@ def _pair_measure_check(
     best, witness = -np.inf, None
     sup_by_n = []
     skipped = 0
+    # the raw (unscaled) kernels, taken once; the loop keeps one scale's
+    # temporaries at a time, which a product batched over scales would not
+    raw, _ = _kernel_stack(grid, n_max, normalize=False)
     # an overflowed pair mass, or a sum of them, makes its pairs infinite,
     # and an overflowed denominator skips its pairs: both handled below
     with np.errstate(over="ignore"):
         for n in range(1, n_max + 1):
-            # Q contributions w_j P_n(i, j) on the raw (unscaled) kernel
-            pair_w = product_kernel(grid, n, normalize=False).matrix * w.values
+            # Q contributions w_j P_n(i, j)
+            pair_w = raw[n - 1] * w.values
             q = _nonneg_matmul(_nonneg_matmul(ind, pair_w), ind.T)
             d = (math.exp(two_rho * beta * n) * m_e)[:, None] * m_f[None, :]
             ok = (d != 0.0) & np.isfinite(d)

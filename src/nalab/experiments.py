@@ -644,7 +644,9 @@ _INT_PARAMS = ("n_max", "refinements", "k", "j_cut")  # the other numbers are fl
 
 
 def _require_window(j_max: int, n_max: int) -> None:
-    """Refuse a grid whose trusted window (1, valid_upper) holds no annulus."""
+    """Refuse n_max < 1, and a grid whose trusted window (1, valid_upper) holds no annulus."""
+    if n_max < 1:
+        raise ConfigError(f"n_max must be >= 1, got {n_max}")
     if valid_upper(j_max, n_max) < 1:
         raise ConfigError(f"grid too small: j_max={j_max} with n_max={n_max}")
 

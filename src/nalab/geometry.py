@@ -22,10 +22,12 @@ Conventions fixed here and relied on everywhere else:
   j - 1 and j, and its representative distance is the midpoint j - 1/2;
 * the intersection model clamps exp(rho (s + t - d)) by the two ball
   volumes and vanishes for d >= s + t;
-* a product kernel is built from tables each grid computes once, lazily:
-  m_i m_j, min(m_i, m_j) and |i - j|.  Per scale n it adds one row of
-  exp(rho (n + s)) over the index sums s = i + j, read as a Hankel matrix,
-  so a cold kernel costs 2 j_max - 1 exponentials instead of j_max^2.
+* the product kernels of scales 1..s live in one read-only stack per grid
+  and normalization, built in one vectorized pass from two tables the grid
+  computes once, lazily: m_i m_j and min(m_i, m_j).  Per scale n the pass
+  adds one row of exp(rho (n + k)) over the index sums k = i + j, read as a
+  Hankel matrix, so a scale costs 2 j_max - 1 exponentials instead of
+  j_max^2.  A request beyond s rebuilds the stack once at the larger size.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DomainError, GridRangeError, require_integer
 
@@ -241,7 +244,8 @@ class AnnularGrid:
         self.measures = pieces
         self.volumes = np.cumsum(pieces)
         self.midpoints = np.arange(1, j_max + 1) - 0.5
-        self._kernel_cache: dict[tuple[int, bool], "ProductKernel"] = {}
+        # normalize flag -> (kernel stack, scales); see _kernel_stack
+        self._kernel_stacks: dict[bool, tuple] = {}
         self._validate_growth_band()
 
     def _validate_growth_band(self):
@@ -259,22 +263,16 @@ class AnnularGrid:
     def _pair_tables(self) -> tuple:
         """The scale-free parts of every product kernel, read-only.
 
-        (m_i m_j, min(m_i, m_j), |i - j|, i + j) over annuli i, j: two
-        (j_max x j_max) float tables, a distance table in the narrowest
-        signed integer type, and the 2 j_max - 1 index sums 2 .. 2 j_max.
+        (m_i m_j, min(m_i, m_j)) over annuli i, j: two (j_max x j_max) tables.
         """
         m = self.measures
         # m_i * m_j may overflow to inf for large rho (see product_kernel)
         with np.errstate(over="ignore"):
             products = np.multiply.outer(m, m)
         minima = np.minimum.outer(m, m)
-        k = np.arange(self.j_max, dtype=np.min_scalar_type(-self.j_max))
-        dist = np.abs(np.subtract.outer(k, k))
-        sums = np.arange(2.0, 2 * self.j_max + 1)
-        tables = (products, minima, dist, sums)
-        for arr in tables:
+        for arr in (products, minima):
             arr.setflags(write=False)
-        return tables
+        return products, minima
 
     def check_index(self, j: int):
         if not (1 <= j <= self.j_max):
@@ -337,6 +335,15 @@ def annular_intersection(grid: AnnularGrid, j, n: int, dist):
     return out if out.shape else float(out)
 
 
+def _scale_denominators(grid: AnnularGrid, n_max: int) -> np.ndarray:
+    """V(n) |Omega_i| for scales n = 1..n_max (rows) and annuli i (columns).
+
+    Row n - 1 equals grid.ball_volume_at(n) * grid.measures bit for bit.
+    Huge spaces overflow to inf; callers silence the warning.
+    """
+    return grid.volumes[:n_max, None] * grid.measures
+
+
 @dataclass(frozen=True)
 class ProductKernel:
     """Banded symmetric pair-mass kernel at scale n.
@@ -345,7 +352,8 @@ class ProductKernel:
     y in annulus j and d(x, y) <= n; zero outside the band |i - j| <= n + 1.
     A normalized kernel has been divided by ``scale`` so that no row sum of
     matrix / (V(n) measure_i) exceeds 1; a raw kernel has scale 1.  matrix
-    is read-only, since its grid hands the same array to every caller.
+    is a read-only slice of its grid's kernel stack, the same memory for
+    every caller.
     """
 
     n: int
@@ -353,8 +361,74 @@ class ProductKernel:
     scale: float
 
 
+def _build_kernel_stack(grid: AnnularGrid, s: int, normalize: bool) -> tuple:
+    """The kernels P_1..P_s of a grid as one (s x j_max x j_max) array, and their scales.
+
+    One vectorized pass over all scales, each entry computed as a per-scale
+    build would, so slice n - 1 is bit for bit the kernel of scale n: the
+    minima V(n) min(m_i, m_j), which equal min(m_i V(n), m_j V(n)) exactly
+    because rounding is monotone; then the grid's m_i m_j table; then an
+    (s x (2 j_max - 1)) table of exp(rho (n + i + j)), read as one Hankel
+    matrix per scale through a strided view, since the cap depends on i + j
+    alone.  Off-band entries are zeroed by a minimum with a 0/inf Toeplitz
+    view, since the band depends on |i - j| alone.  Normalization divides
+    each scale by the largest ratio of its row sums to V(n) m_i, in place.
+    Both arrays are returned read-only.
+    """
+    jm = grid.j_max
+    if normalize and 2 * s + 3 > jm:
+        raise GridRangeError(f"no interior rows for n={s} on a grid with j_max={jm}")
+    products, minima = grid._pair_tables
+    ns = np.arange(1.0, s + 1)
+    # m_i * m_j and m_i * V(n) may overflow to inf for large rho; the min
+    # always has a finite competitor on the band, so band entries stay finite
+    with np.errstate(over="ignore"):
+        stack = minima * grid.volumes[:s, None, None]
+        caps = np.exp(grid.params.rho * (ns[:, None] + np.arange(2.0, 2 * jm + 1)))
+    np.minimum(stack, products, out=stack)
+    step = caps.itemsize
+    hankel = as_strided(caps, (s, jm, jm), (caps.strides[0], step, step))
+    np.minimum(stack, hankel, out=stack)
+    # band[n - 1, jm - 1 + d] is inf for |d| <= n + 1 and 0 beyond; read with
+    # strides (-1, +1) items it is the scale's band at offset d = j - i
+    offsets = np.abs(np.arange(1 - jm, jm))
+    band = np.where(offsets <= ns[:, None] + 1, np.inf, 0.0)
+    toeplitz = as_strided(band[:, jm - 1 :], (s, jm, jm), (band.strides[0], -step, step))
+    np.minimum(stack, toeplitz, out=stack)
+
+    scales = np.ones(s)
+    if normalize:
+        # every row, not just interior: low-edge rows can exceed the interior
+        # maximum and the power-mean guarantee needs row ratios <= 1 globally
+        row_ratio = stack.sum(axis=2) / _scale_denominators(grid, s)
+        scales = row_ratio.max(axis=1)
+        stack /= scales[:, None, None]
+    for arr in (stack, scales):
+        arr.setflags(write=False)
+    return stack, scales
+
+
+def _kernel_stack(grid: AnnularGrid, n: int, normalize: bool = True) -> tuple:
+    """The read-only kernels and scales of scales 1..n on a grid.
+
+    Views of the first n entries of the grid's stack for this normalization;
+    a stack with fewer than n scales is rebuilt once at n scales.  n must be
+    an integer in 1..j_max - 1, and 2n + 3 <= j_max when normalized: a float
+    or bool n is refused before the stack is read.
+    """
+    require_integer(n, "kernel scale n")
+    if not (1 <= n <= grid.j_max - 1):
+        raise GridRangeError(f"kernel scale n={n} outside 1..{grid.j_max - 1}")
+    normalize = bool(normalize)
+    stack, scales = grid._kernel_stacks.get(normalize, ((), ()))
+    if len(stack) < n:
+        stack, scales = _build_kernel_stack(grid, int(n), normalize)
+        grid._kernel_stacks[normalize] = stack, scales
+    return stack[:n], scales[:n]
+
+
 def product_kernel(grid: AnnularGrid, n: int, normalize: bool = True) -> ProductKernel:
-    """Pair-mass kernel P_n(i, j) on the annular grid, cached per grid.
+    """Pair-mass kernel P_n(i, j) on the annular grid: one slice of its kernel stack.
 
     P_n(i, j) = min(m_i m_j, m_i V(n), m_j V(n), exp(rho (n + i + j))) on the
     band |i - j| <= n + 1, where m_i is the measure of annulus i. The
@@ -363,48 +437,10 @@ def product_kernel(grid: AnnularGrid, n: int, normalize: bool = True) -> Product
     the constant function 1 land in (0, 1] everywhere; this keeps the
     power-mean comparison between maximal variants exact.
 
-    A cold build takes the minima into one array: V(n) min(m_i, m_j), which
-    equals min(m_i V(n), m_j V(n)) exactly because rounding is monotone,
-    then the grid's m_i m_j table, then one row of 2 j_max - 1 exponentials
-    read as a Hankel matrix, since the cap depends on i + j alone.  Off-band
-    entries are zeroed and the scale divided out in place.  The matrix is
-    read-only: every later call on the grid returns the same array.  The
-    scale must be an integer: a float or bool n is refused before the cache
-    is read, where 2.0 would find the kernel of scale 2.
+    The kernel is slice n - 1 of the grid's stack for this normalization
+    (_build_kernel_stack), read-only; a scale beyond the stack rebuilds it
+    once at n scales, so loops over scales take _kernel_stack once instead.
+    The scale must be an integer: a float or bool n is refused.
     """
-    require_integer(n, "kernel scale n")
-    if not (1 <= n <= grid.j_max - 1):
-        raise GridRangeError(f"kernel scale n={n} outside 1..{grid.j_max - 1}")
-    key = (int(n), bool(normalize))
-    cached = grid._kernel_cache.get(key)
-    if cached is not None:
-        return cached
-
-    jm = grid.j_max
-    if normalize and n + 2 > jm - n - 1:
-        raise GridRangeError(f"no interior rows for n={n} on a grid with j_max={jm}")
-    products, minima, dist, sums = grid._pair_tables
-    vn = grid.ball_volume_at(n)
-    # m_i * m_j and m_i * V(n) may overflow to inf for large rho; the min
-    # always has a finite competitor on the band, so band entries stay finite
-    with np.errstate(over="ignore"):
-        mat = np.multiply(minima, vn)
-        caps = np.exp(grid.params.rho * (n + sums))
-    np.minimum(mat, products, out=mat)
-    # caps[i + j] as a (j_max x j_max) view: both strides one item
-    hankel = np.ndarray((jm, jm), buffer=caps, strides=(caps.itemsize,) * 2)
-    np.minimum(mat, hankel, out=mat)
-    mat[dist > n + 1] = 0.0
-
-    scale = 1.0
-    if normalize:
-        # every row, not just interior: low-edge rows can exceed the interior
-        # maximum and the power-mean guarantee needs row ratios <= 1 globally
-        row_ratio = mat.sum(axis=1) / (vn * grid.measures)
-        scale = float(row_ratio.max())
-        mat /= scale
-    mat.setflags(write=False)
-
-    kern = ProductKernel(n=int(n), matrix=mat, scale=scale)
-    grid._kernel_cache[key] = kern
-    return kern
+    stack, scales = _kernel_stack(grid, n, normalize)
+    return ProductKernel(n=int(n), matrix=stack[-1], scale=float(scales[-1]))

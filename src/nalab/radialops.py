@@ -9,16 +9,18 @@ n_max.  Truncation bias is deliberate and visible: results carry the window
 of annuli unaffected by grid truncation, and the attaining scale on demand.
 
 One private core serves every maximal function: _maximal_block takes a
-(j_max x m) block whose columns are functions, makes one kernel product and
-one division per scale, and folds each scale's averages into one running
-maximum.  It returns values alone; MaximalResult.argmax recomputes the
-averages of its own function on first read and takes the smallest scale
-that attains the value, through the same expression, so the two agree bit
-for bit.  maximal_dis is the core's m = 1 case, bit-identical to a
-matrix-vector product; the other columns of a larger block agree with it to
-rounding.  Superlevel masses have one core too: _superlevel_mass weighs the
-masks of many functions at many levels in one masked sum, and
-distribution_mass is its one-function, one-level case.
+(j_max x m) block whose columns are functions and evaluates the averages of
+every scale at once, with the scale as an array axis: one batched product
+of the grid's kernel stack with the block, one in-place division by the
+V(n) measure table, and a maximum over the scale axis.  Each scale's slice
+is bit for bit the 2-D product with that scale's kernel, so avg agrees with
+it exactly.  The core returns values alone; MaximalResult.argmax evaluates
+the same batched averages of its own function on first read and takes the
+smallest scale that attains the value.  maximal_dis is the core's m = 1
+case, bit-identical to a matrix-vector product; the other columns of a
+larger block agree with it to rounding.  Superlevel masses have one core
+too: _superlevel_mass weighs the masks of many functions at many levels in
+one masked sum, and distribution_mass is its one-function, one-level case.
 
 Scales, truncations and iteration counts must be integers: a float such as
 2.0, a bool or nan raises DomainError.
@@ -31,13 +33,20 @@ that regime.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, GridRangeError, require_integer
-from .geometry import AnnularGrid, product_kernel, valid_upper
+from .geometry import (
+    AnnularGrid,
+    _kernel_stack,
+    _scale_denominators,
+    product_kernel,
+    valid_upper,
+)
 from .weights import Weight
 
 
@@ -86,8 +95,8 @@ class MaximalResult:
     values are the maximal function of (for iterate_maximal, the argument
     of the final pass).  argmax, computed from data on first read, is the
     smallest scale in 1..n_max whose ball average equals values bit for
-    bit: the scale a running maximum replaced only by strictly larger
-    averages would keep.
+    bit, read off the same batched averages _maximal_block takes its
+    maximum of.
     """
 
     grid: AnnularGrid
@@ -102,14 +111,8 @@ class MaximalResult:
 
     @functools.cached_property
     def argmax(self) -> np.ndarray:
-        grid, block = self.grid, self.data[:, None]
-        arg = np.zeros(grid.j_max, dtype=np.intp)
-        with np.errstate(over="ignore"):
-            dens = _scale_denominators(grid, self.n_max)
-            for n in range(1, self.n_max + 1):
-                hit = _ball_average(grid, block, n, dens[n - 1])[:, 0] == self.values
-                np.copyto(arg, n, where=hit & (arg == 0))
-        return arg
+        avgs = _scale_averages(self.grid, self.data[:, None], self.n_max)[:, :, 0]
+        return np.argmax(avgs == self.values, axis=0) + 1
 
 
 RadialData = Union[RadialFunction, Weight]
@@ -125,46 +128,42 @@ def _data_values(f: RadialData, grid: Optional[AnnularGrid] = None):
     return f.grid, np.asarray(f.values, dtype=float)
 
 
-def _scale_denominators(grid: AnnularGrid, n_max: int) -> np.ndarray:
-    """V(n) |Omega_i| for scales n = 1..n_max (rows) and annuli i (columns).
+def _scale_averages(grid: AnnularGrid, block: np.ndarray, n_max: int) -> np.ndarray:
+    """Ball averages at scales 1..n_max of every column of a (j_max x m) block.
 
-    Row n - 1 equals grid.ball_volume_at(n) * grid.measures bit for bit.
-    Huge spaces overflow to inf; callers silence the warning.
+    An (n_max x j_max x m) array: one batched product of the normalized
+    kernel stack with the block, divided in place by V(n) |Omega_i|.  This
+    is the one expression for the averages of many scales: _maximal_block
+    and MaximalResult.argmax both evaluate it.  Huge data overflows to inf
+    without a warning; callers reject the result.
     """
-    return grid.volumes[:n_max, None] * grid.measures
-
-
-def _ball_average(
-    grid: AnnularGrid, block: np.ndarray, n: int, den: np.ndarray
-) -> np.ndarray:
-    """Ball averages at scale n of every column of a (j_max x m) block.
-
-    den holds V(n) |Omega_i| per annulus.  This is the one expression for a
-    scale's averages: avg, _maximal_block and MaximalResult.argmax all
-    evaluate it.  Huge data overflows to inf; callers silence the warning
-    and reject the result.
-    """
-    return product_kernel(grid, n).matrix @ block / den[:, None]
+    stack, _ = _kernel_stack(grid, n_max)
+    with np.errstate(over="ignore"):
+        avgs = np.matmul(stack, block)
+        avgs /= _scale_denominators(grid, n_max)[:, :, None]
+    return avgs
 
 
 def avg(f: RadialData, n: int) -> RadialFunction:
     """Ball average at integer scale n.
 
-    Linear and monotone in f.  Values at annuli above valid_upper(j_max, n)
-    are biased by grid truncation.
+    Linear and monotone in f, and bit for bit slice n - 1 of the batched
+    averages the maximal functions take.  Values at annuli above
+    valid_upper(j_max, n) are biased by grid truncation.
     """
     grid, vals = _data_values(f)
+    kern = product_kernel(grid, n)
     with np.errstate(over="ignore"):
         den = grid.ball_volume_at(n) * grid.measures
-        return RadialFunction(grid, _ball_average(grid, vals[:, None], n, den)[:, 0])
+        return RadialFunction(grid, (kern.matrix @ vals[:, None])[:, 0] / den)
 
 
 def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> np.ndarray:
     """Discrete maximal functions of the columns of a (j_max x m) block.
 
-    Returns the (j_max x m) sup of the ball averages over scales 1..n_max,
-    one running maximum folded over the scales; no scale is recorded
-    (MaximalResult.argmax finds it on demand).
+    Returns the (j_max x m) sup of the ball averages over scales 1..n_max:
+    the maximum over the scale axis of _scale_averages; no scale is
+    recorded (MaximalResult.argmax finds it on demand).
     """
     require_integer(n_max, "n_max")
     # the normalized kernel of scale n needs 2n + 3 <= j_max (product_kernel)
@@ -174,11 +173,7 @@ def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> np.ndarr
             f"n_max={n_max} outside 1..{top}, the scales with a normalized "
             f"kernel on a grid with j_max={grid.j_max}"
         )
-    with np.errstate(over="ignore"):
-        dens = _scale_denominators(grid, n_max)
-        best = _ball_average(grid, block, 1, dens[0])
-        for n in range(2, n_max + 1):
-            np.maximum(best, _ball_average(grid, block, n, dens[n - 1]), out=best)
+    best = _scale_averages(grid, block, n_max).max(axis=0)
     # a maximum propagates inf and nan, so one gate on it covers every scale
     if not np.all(np.isfinite(best)):
         raise DomainError("radial data must be finite and nonnegative")
@@ -202,9 +197,12 @@ def maximal_s(w: RadialData, s: float, n_max: int) -> RadialFunction:
 
     For s >= 1 this dominates maximal_dis pointwise, since every average is
     a sub-probability mean; s = 1 is allowed and reduces to maximal_dis.
+    s must be finite: at s = inf, w^s underflows to 0 wherever w < 1 and
+    the root would read 0^0 = 1.
     """
-    if s < 1.0:
-        raise DomainError(f"power-adjusted maximal needs s >= 1, got {s}")
+    # the chained comparison is False for nan as well
+    if not 1.0 <= s < math.inf:
+        raise DomainError(f"power-adjusted maximal needs finite s >= 1, got s={s}")
     grid, vals = _data_values(w)
     powered = RadialFunction(grid, vals**s)  # refuses w^s that overflows
     values = _maximal_block(grid, powered.values[:, None], n_max)[:, 0]

@@ -27,7 +27,7 @@ from nalab.checkers import (
 )
 from nalab.errors import DomainError, UnsupportedError
 from nalab.geometry import DEFAULT_SPACE, AnnularGrid, SpaceParams, product_kernel
-from nalab.radialops import RadialFunction
+from nalab.radialops import RadialFunction, maximal_dis
 from nalab.treelab import TreeSpace, VertexFunction
 from nalab.weights import Weight, WeightSpec, materialize, weight_mass
 
@@ -481,11 +481,37 @@ def test_pair_measure_reevaluate_skips_the_kernel(monkeypatch, checker):
         rep = check_large_scale(w, 2.0, 0.5, 0.5)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("reevaluate() read product_kernel")
+        raise AssertionError("reevaluate() read the kernel stack")
 
-    monkeypatch.setattr(nalab.checkers, "product_kernel", refuse)
+    monkeypatch.setattr(nalab.checkers, "_kernel_stack", refuse)
+    monkeypatch.setattr(nalab.geometry, "_kernel_stack", refuse)
     monkeypatch.setattr(nalab.geometry, "product_kernel", refuse)
     assert abs(rep.reevaluate() - rep.constant) <= 1e-10 * abs(rep.constant)
+
+
+def test_one_kernel_stack_build_per_scale_loop(monkeypatch):
+    # a maximal function or pair-measure check takes every scale's kernel
+    # from one stack build; repeats on the grid reuse it, a larger n_max
+    # rebuilds once
+    builds = []
+    real = nalab.geometry._build_kernel_stack
+
+    def counting(grid, s, normalize):
+        builds.append((s, normalize))
+        return real(grid, s, normalize)
+
+    monkeypatch.setattr(nalab.geometry, "_build_kernel_stack", counting)
+    grid = AnnularGrid(DEFAULT_SPACE, 80)
+    w = materialize(WeightSpec.exp_radial(-0.3), grid)
+    maximal_dis(w, 25)
+    assert builds == [(25, True)]
+    maximal_dis(w, 25)
+    check_msw(w, 2.0, 25)
+    assert builds == [(25, True)]
+    check_necessary(w, 2.0, 25)
+    assert builds == [(25, True), (25, False)]
+    maximal_dis(w, 30)
+    assert builds == [(25, True), (25, False), (30, True)]
 
 
 # ---------------------------------------------------------------- weak/strong

@@ -387,6 +387,14 @@ REFUSED_INPUTS = {
         ["weight", "check", "--spec", '{"variant": "constant"}',
          "--condition", "necessary", "--j-max", "20"],
         "grid too small: j_max=20 with n_max=25"),
+    # no scale at all: easy-check crashed on max() of no sups, and the
+    # pair-measure checks wrote a constant of -inf
+    "easy-check n_max 0": (
+        ["weight", "check", "--spec", '{"variant": "constant"}',
+         "--condition", "easy-check", "--n-max", "0"], "n_max must be >= 1, got 0"),
+    "sweep axis n_max -1": (
+        {"checker": {"id": "necessary", "params": {}}, "axes": {"n_max": [25, -1]}},
+        "n_max must be >= 1, got -1"),
     "sweep axis n_max past the grid": (
         {"axes": {"n_max": [25, 79]}}, "grid too small: j_max=80 with n_max=79"),
     # the normalized kernel of scale n needs 2n + 3 <= j_max, so 38 is the top

@@ -25,8 +25,10 @@ from nalab.geometry import (
     density,
     product_kernel,
     _gauss_jacobi,
+    _kernel_stack,
     valid_upper,
 )
+from nalab.radialops import RadialFunction, maximal_dis
 
 GRID = AnnularGrid(DEFAULT_SPACE, 80)
 WIN25 = 80 - 26
@@ -310,8 +312,14 @@ def _dense_kernel(grid, n, normalize):
 )
 @pytest.mark.parametrize("normalize", [True, False])
 def test_kernel_equals_dense_construction(params, j_max, normalize):
-    grid = AnnularGrid(params, j_max)
-    top = (j_max - 3) // 2 if normalize else j_max - 1
+    # ascending single calls: every scale rebuilds the grid's stack
+    _assert_dense_kernels(AnnularGrid(params, j_max), normalize)
+
+
+def _assert_dense_kernels(grid, normalize):
+    # every admissible scale in ascending order: slices of the stack as the
+    # caller left it, then one rebuild per scale beyond it
+    top = (grid.j_max - 3) // 2 if normalize else grid.j_max - 1
     for n in range(1, top + 1):
         kern = product_kernel(grid, n, normalize=normalize)
         mat, scale = _dense_kernel(grid, n, normalize)
@@ -319,6 +327,22 @@ def test_kernel_equals_dense_construction(params, j_max, normalize):
         assert kern.scale == scale, n
     with pytest.raises(GridRangeError):
         product_kernel(grid, top + 1, normalize=normalize)
+
+
+@pytest.mark.parametrize(
+    "params, j_max", [(DEFAULT_SPACE, 80), (DEFAULT_SPACE, 120), (SpaceParams(3.5, 1.0), 80)]
+)
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("kernel_first", [False, True], ids=["maximal first", "kernel 30 first"])
+def test_kernel_stack_does_not_depend_on_call_order(params, j_max, normalize, kernel_first):
+    # a stack built by the maximal function at n_max 25, or a larger one
+    # built by one kernel call and then sliced by it, holds the same kernels
+    grid = AnnularGrid(params, j_max)
+    f = RadialFunction(grid, np.random.default_rng(j_max).uniform(0.0, 1.0, j_max))
+    if kernel_first:
+        product_kernel(grid, 30, normalize=normalize)
+    maximal_dis(f, 25)
+    _assert_dense_kernels(grid, normalize)
 
 
 @pytest.mark.parametrize("params", [DEFAULT_SPACE, SpaceParams(3.5, 1.0)])
@@ -357,7 +381,19 @@ def test_kernels_and_grid_tables_are_read_only():
     with pytest.raises(ValueError):
         kern.matrix *= 2.0
     again = product_kernel(grid, 3)
-    assert again is kern and np.array_equal(again.matrix, before)
+    assert np.shares_memory(again.matrix, kern.matrix)
+    assert np.array_equal(again.matrix, before)
+    for normalize in (True, False):
+        stack, scales = _kernel_stack(grid, 5, normalize)
+        assert stack.shape == (5, 40, 40) and scales.shape == (5,)
+        whole, whole_scales = grid._kernel_stacks[normalize]
+        for arr in (whole, whole_scales, stack, scales, stack[2], scales[2:]):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        # a caller's view cannot be made writable again
+        for view in (stack, scales, product_kernel(grid, 4, normalize).matrix):
+            with pytest.raises(ValueError):
+                view.setflags(write=True)
     for table in grid._pair_tables:
         with pytest.raises(ValueError):
             table[0] = 1

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from nalab.errors import DomainError, GridRangeError
 from nalab.fitting import fit_log_slope
-from nalab.geometry import DEFAULT_SPACE, AnnularGrid, annular_intersection, product_kernel
+from nalab.geometry import (
+    DEFAULT_SPACE,
+    AnnularGrid,
+    SpaceParams,
+    annular_intersection,
+    product_kernel,
+)
 from nalab.radialops import (
     RadialFunction,
     _maximal_block,
@@ -145,6 +151,14 @@ def test_power_adjusted_maximal():
     assert sup == pytest.approx(0.804900, abs=1e-5)
 
 
+@pytest.mark.parametrize("s", [math.inf, math.nan, 0.5])
+def test_maximal_s_refuses_s_outside_finite_s_at_least_1(s):
+    # at s = inf, w^s underflowed to 0 below w = 1 and the root read 0^0 = 1
+    w = materialize(WeightSpec.exp_radial(-0.3), GRID)
+    with pytest.raises(DomainError, match=f"got s={s}"):
+        maximal_s(w, s, 25)
+
+
 def test_iterate_maximal():
     w = materialize(WeightSpec.exp_radial(-0.3), GRID)
     it1 = iterate_maximal(w, 1, 25)
@@ -266,6 +280,45 @@ def test_maximal_block_columns_match_maximal_dis(seed, m, n_max):
             assert np.array_equal(values[:, c], ref.values)
         else:
             np.testing.assert_allclose(values[:, c], ref.values, rtol=1e-15, atol=0)
+
+
+def _running_maximum(grid, block, n_max):
+    """Values and first attaining scales of a per-scale loop of 2-D products,
+    each scale's average replacing the best only when strictly larger."""
+    best = np.full(block.shape, -np.inf)
+    arg = np.zeros(block.shape, dtype=int)
+    for n in range(1, n_max + 1):
+        den = grid.ball_volume_at(n) * grid.measures
+        a = product_kernel(grid, n).matrix @ block / den[:, None]
+        arg[a > best] = n
+        best = np.maximum(best, a)
+    return best, arg
+
+
+@pytest.mark.parametrize(
+    "params, j_max",
+    [(DEFAULT_SPACE, 80), (DEFAULT_SPACE, 120), (DEFAULT_SPACE, 130), (SpaceParams(3.5, 1.0), 80)],
+)
+def test_batched_maximal_equals_per_scale_products(params, j_max):
+    # the batched product over the kernel stack against one 2-D product per
+    # scale, bit for bit, for matrix-vector (m = 1) and matrix-matrix blocks
+    grid = AnnularGrid(params, j_max)
+    n_max = (j_max - 3) // 2
+    rng = np.random.default_rng(j_max)
+    cols = rng.uniform(0.0, 1.0, (j_max, 31)) * (rng.uniform(size=(j_max, 31)) < 0.7)
+    cols[:, 1] = 0.0
+    cols[j_max // 3, 1] = 1.0
+    if params == DEFAULT_SPACE:  # data over 26 decades
+        cols[:, 2] = np.exp(rng.uniform(-30.0, 30.0, j_max))
+    for m in (1, 3, 31):
+        block = cols[:, :m]
+        best, _ = _running_maximum(grid, block, n_max)
+        assert np.array_equal(_maximal_block(grid, block, n_max), best), m
+    for c in range(3):
+        res = maximal_dis(RadialFunction(grid, cols[:, c]), n_max)
+        best, arg = _running_maximum(grid, cols[:, c : c + 1], n_max)
+        assert np.array_equal(res.values, best[:, 0]), c
+        assert np.array_equal(res.argmax, arg[:, 0]), c
 
 
 def _per_scale_argmax(v, n_max):
