@@ -32,8 +32,9 @@ from functools import partial
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, GridRangeError, UnsupportedError
+from .errors import DomainError, GridRangeError, UnsupportedError, require_integer
 from .fitting import fit_linear, fit_log_slope
 from .geometry import _kernel_stack, annular_intersection, density, valid_upper
 from .radialops import (
@@ -81,12 +82,21 @@ def _require(ok: bool, condition: str, **values: float) -> None:
         raise DomainError(f"need finite {condition}, got {got}")
 
 
+def _near_max_floor(top: float) -> float:
+    """Least value within _TIE_REL (relative) of a maximum top."""
+    return top - _TIE_REL * abs(top) if math.isfinite(top) else top
+
+
 def _first_near_max(vals: np.ndarray) -> int:
     """Index of the first entry within _TIE_REL (relative) of the maximum."""
-    top = float(np.max(vals))
-    if math.isfinite(top):
-        top -= _TIE_REL * abs(top)
-    return int(np.argmax(vals >= top))
+    return int(np.argmax(vals >= _near_max_floor(float(np.max(vals)))))
+
+
+def _require_n_max(grid, n_max: int) -> None:
+    """Refuse an n_max that is not an integer, or outside 1..j_max."""
+    require_integer(n_max, "n_max")
+    if not 1 <= n_max <= grid.j_max:
+        raise GridRangeError(f"n_max={n_max} outside 1..{grid.j_max}")
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -378,6 +388,7 @@ def _pair_measure_check(
     them, independently of the kernel stack and of the matrix product.
     """
     grid = w.grid
+    _require_n_max(grid, n_max)
     if family is None:
         family = SetFamily.standard((1, valid_upper(grid.j_max, n_max)))
     two_rho = 2.0 * grid.params.rho
@@ -493,49 +504,53 @@ def check_easy_check(w: Weight, p: float, eta: float, n_max: int = 25) -> CheckR
     with D_j the midpoint distance of annulus j.  A finite, scale-stable
     sup certifies the pair-measure condition at exponents
     (p/(p+1-eta), p/(p+1-eta)).
+
+    Scale n is one (j_max x (2n + 1)) array on the band's diagonals: row i,
+    column c for j = i - n + c, w_j read through one window over the weight
+    padded with nan off the grid.  In the band itsc is never empty (that
+    needs |i - j| >= n + 1/2), and its cap e^(rho (n + i - j + 1/2)) and the
+    denominator depend on (n, i - j) alone.  Ratios that are not finite
+    score 0 and are counted in skipped_pairs.
     """
     _require(eta < 1.0, "p and tilt eta < 1", p=p, eta=eta)
     grid = w.grid
+    _require_n_max(grid, n_max)
     rho = grid.params.rho
-    jm = grid.j_max
-    ii = np.arange(1, jm + 1)
-    I = ii[:, None] * np.ones((1, jm), dtype=int)
-    J = np.ones((jm, 1), dtype=int) * ii[None, :]
-    D = J - 0.5
+    pad = np.full(n_max, np.nan)
+    w_js = sliding_window_view(np.concatenate((pad, w.values, pad)), 2 * n_max + 1)
+    clamps = np.minimum(grid.measures, grid.volumes[:n_max, None])  # min(m_i, V(n))
 
-    ratios = []  # per scale n, in band order
-    for n in range(1, n_max + 1):
-        band = np.abs(I - J) <= n
-        itsc = annular_intersection(grid, I[band], n, D[band])
-        with np.errstate(over="ignore"):
-            den = np.exp(rho * (n + I[band] - J[band]) * (p - eta)) * math.exp(
-                2.0 * rho * n * eta
-            )
-            vals = w.values[I[band] - 1] * itsc / (den * w.values[J[band] - 1])
-        ratios.append(np.where(np.isfinite(vals), vals, 0.0))
-    sup_by_n = [float(r.max()) for r in ratios]
+    ratios, skipped = [], 0  # per scale n, nan off the grid
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            k = np.arange(2 * n, -1, -1)  # n + i - j by column
+            itsc = np.minimum(clamps[n - 1, :, None], np.exp(rho * (k + 0.5)))
+            den = np.exp(rho * k * (p - eta)) * math.exp(2.0 * rho * n * eta)
+            w_j = w_js[:, n_max - n : n_max + n + 1]
+            vals = w.values[:, None] * itsc / (den * w_j)
+            finite = np.isfinite(vals)  # never in the n (n + 1) cells off the grid
+            dropped = vals.size - n * (n + 1) - np.count_nonzero(finite)
+            if dropped:
+                skipped += dropped
+                vals[~finite & ~np.isnan(w_j)] = 0.0
+            ratios.append(vals)
+    sup_by_n = [float(np.fmax.reduce(r, axis=None)) for r in ratios]
     best = max(sup_by_n)
-    # the witness in (n, band) order; its pair is looked up in the band of n
-    k = _first_near_max(np.concatenate(ratios))
-    starts = np.cumsum([0] + [r.size for r in ratios])
-    n = int(np.searchsorted(starts, k, side="right"))  # scales count from 1
-    band = np.abs(I - J) <= n
-    pos = k - starts[n - 1]
-    witness = {"n": n, "i": int(I[band][pos]), "j": int(J[band][pos])}
+    floor = _near_max_floor(best)
+    n = next(n for n, s in enumerate(sup_by_n, 1) if s >= floor)
+    row, c = divmod(int(np.argmax(ratios[n - 1] >= floor)), 2 * n + 1)
     slope, r2, verdict = _growth_verdict(sup_by_n)
 
     def reeval(wit: dict) -> float:
         n, i, j = int(wit["n"]), int(wit["i"]), int(wit["j"])
         itsc = annular_intersection(grid, i, n, j - 0.5)
-        den = math.exp(rho * (n + i - j) * (p - eta)) * math.exp(
-            2.0 * rho * n * eta
-        )
+        den = math.exp(rho * (n + i - j) * (p - eta)) * math.exp(2.0 * rho * n * eta)
         return w.values[i - 1] * itsc / (den * w.values[j - 1])
 
     return CheckReport(
         id="easy-check",
         constant=best,
-        witness=witness,
+        witness={"n": n, "i": row + 1, "j": row + 1 - n + c},
         verdict=verdict,
         slope=slope,
         r2=r2,
@@ -545,6 +560,7 @@ def check_easy_check(w: Weight, p: float, eta: float, n_max: int = 25) -> CheckR
             "n_max": n_max,
             "sup_by_n": sup_by_n,
             "certified_exponents": (p / (p + 1 - eta), p / (p + 1 - eta)),
+            "skipped_pairs": skipped,
         },
         _reeval=reeval,
     )

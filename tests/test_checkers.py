@@ -25,8 +25,14 @@ from nalab.checkers import (
     vector_valued_ratio,
     weak_type_ratio,
 )
-from nalab.errors import DomainError, UnsupportedError
-from nalab.geometry import DEFAULT_SPACE, AnnularGrid, SpaceParams, product_kernel
+from nalab.errors import DomainError, GridRangeError, UnsupportedError
+from nalab.geometry import (
+    DEFAULT_SPACE,
+    AnnularGrid,
+    SpaceParams,
+    annular_intersection,
+    product_kernel,
+)
 from nalab.radialops import RadialFunction, maximal_dis
 from nalab.treelab import TreeSpace, VertexFunction
 from nalab.weights import Weight, WeightSpec, materialize, weight_mass
@@ -203,6 +209,139 @@ def test_easy_check_spherical_analogue():
     rep = check_easy_check(materialize(WeightSpec.spherical_u(2.0), GRID80), 2.0, -1.0)
     assert rep.verdict == "pass"
     assert rep.constant == approx_frozen(1.707531)
+
+
+def _easy_check_band_oracle(w, p, eta, n_max):
+    """The easy-check sup by j_max x j_max band masks: annular_intersection
+    on each scale's band in row-major (i, j) order, non-finite ratios as 0,
+    and the witness the first near maximum over all scales concatenated."""
+    grid, rho = w.grid, w.grid.params.rho
+    ii = np.arange(1, grid.j_max + 1)
+    I, J = np.meshgrid(ii, ii, indexing="ij")
+    ratios = []
+    with np.errstate(all="ignore"):
+        for n in range(1, n_max + 1):
+            band = np.abs(I - J) <= n
+            itsc = annular_intersection(grid, I[band], n, J[band] - 0.5)
+            den = np.exp(rho * (n + I[band] - J[band]) * (p - eta)) * math.exp(
+                2.0 * rho * n * eta
+            )
+            vals = w.values[I[band] - 1] * itsc / (den * w.values[J[band] - 1])
+            ratios.append(np.where(np.isfinite(vals), vals, 0.0))
+    sup_by_n = [float(r.max()) for r in ratios]
+    k = nalab.checkers._first_near_max(np.concatenate(ratios))
+    starts = np.cumsum([0] + [r.size for r in ratios])
+    n = int(np.searchsorted(starts, k, side="right"))
+    band = np.abs(I - J) <= n
+    pos = k - starts[n - 1]
+    witness = {"n": n, "i": int(I[band][pos]), "j": int(J[band][pos])}
+    return max(sup_by_n), sup_by_n, witness
+
+
+EASY_CHECK_WEIGHTS = {
+    "exp-strong2": WeightSpec.exp_strong(2.0),
+    "exp+0.3": WeightSpec.exp_radial(0.3),
+    "exp-0.3": WeightSpec.exp_radial(-0.3),
+    "constant": WeightSpec.constant(),
+    "spherical-u2": WeightSpec.spherical_u(2.0),
+}
+EASY_CHECK_ETA_P = [(eta, p) for eta in (-1.0, 0.0, 0.5) for p in (1.5, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("weight", list(EASY_CHECK_WEIGHTS))
+@pytest.mark.parametrize(
+    "space", [DEFAULT_SPACE, SpaceParams(3.5, 1.0)], ids=["default", "fast"]
+)
+def test_easy_check_matches_band_oracle(space, weight):
+    # one weight on 120 annuli, cut to each grid (annulus midpoints do not
+    # depend on j_max); the 12 (j_max, n_max) cases take the nine (eta, p)
+    # pairs in turn, n_max capped at j_max
+    values = materialize(EASY_CHECK_WEIGHTS[weight], AnnularGrid(space, 120)).values
+    offset = list(EASY_CHECK_WEIGHTS).index(weight)
+    cases = [(j_max, n_max) for j_max in (30, 80, 120) for n_max in (1, 2, 25, 40)]
+    for k, (j_max, n_max) in enumerate(cases):
+        w = Weight(AnnularGrid(space, j_max), values[:j_max])
+        eta, p = EASY_CHECK_ETA_P[(k + offset) % len(EASY_CHECK_ETA_P)]
+        n_max = min(n_max, j_max)
+        rep = check_easy_check(w, p, eta, n_max)
+        got = (rep.constant, rep.meta["sup_by_n"], rep.witness)
+        assert got == _easy_check_band_oracle(w, p, eta, n_max), (j_max, n_max, eta, p)
+
+
+def test_easy_check_tie_matches_band_oracle():
+    # 54 ratios lie within 1e-12 of the sup, which one later pair attains
+    # exactly: the witness is the first of them, 5e-15 below the sup
+    w = materialize(WeightSpec.exp_radial(-0.3), GRID80)
+    rep = check_easy_check(w, 2.0, -1.0)
+    assert (rep.constant, rep.meta["sup_by_n"], rep.witness) == _easy_check_band_oracle(
+        w, 2.0, -1.0, 25
+    )
+    assert rep.constant * (1 - 1e-12) <= rep.reevaluate() < rep.constant
+
+
+def _easy_check_dropped_scalar(w, p, eta, n_max):
+    """Band pairs whose easy-check ratio is not finite, one pair at a time."""
+    grid, rho = w.grid, w.grid.params.rho
+
+    def exp(x):
+        try:
+            return math.exp(x)
+        except OverflowError:
+            return math.inf
+
+    dropped = 0
+    for n in range(1, n_max + 1):
+        vn = grid.ball_volume_at(n)
+        for i in range(1, grid.j_max + 1):
+            for j in range(max(1, i - n), min(grid.j_max, i + n) + 1):
+                itsc = min(grid.measures[i - 1], vn, exp(rho * (n + i - j + 0.5)))
+                den = exp(rho * (n + i - j) * (p - eta)) * exp(2.0 * rho * n * eta)
+                w_i, w_j = float(w.values[i - 1]), float(w.values[j - 1])
+                try:
+                    ratio = w_i * itsc / (den * w_j)
+                except ZeroDivisionError:
+                    ratio = math.nan
+                dropped += not math.isfinite(ratio)
+    return dropped
+
+
+def test_easy_check_counts_dropped_ratios_without_warning():
+    # den * w_j underflows to 0 on 90 pairs; they score 0, as before
+    w = materialize(WeightSpec.exp_radial(-3.0), GRID120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = check_easy_check(w, 2.0, -1.0)
+        dropped = _easy_check_dropped_scalar(w, 2.0, -1.0, 25)
+    assert rep.meta["skipped_pairs"] == dropped == 90
+    assert (rep.constant, rep.meta["sup_by_n"], rep.witness) == _easy_check_band_oracle(
+        w, 2.0, -1.0, 25
+    )
+    constant = check_easy_check(materialize(WeightSpec.constant(), GRID80), 2.0, 0.0)
+    assert constant.meta["skipped_pairs"] == 0
+
+
+# n_max values the pair checkers once took: easy-check crashed in max() on
+# 0 and in range() on 2.0 (as did necessary), ran True as 1, and refused
+# j_max + 1 only deep in annular_intersection
+N_MAX_CHECKS = {
+    "easy-check": lambda w, n: check_easy_check(w, 2.0, 0.0, n_max=n),
+    "necessary": lambda w, n: check_necessary(w, 2.0, n_max=n),
+    "large-scale": lambda w, n: check_large_scale(w, 2.0, 0.5, 0.5, n_max=n),
+}
+BAD_N_MAX = {
+    "0": (0, GridRangeError),
+    "2.0": (2.0, DomainError),
+    "True": (True, DomainError),
+    "j_max + 1": (41, GridRangeError),
+}
+
+
+@pytest.mark.parametrize("n_max", list(BAD_N_MAX))
+@pytest.mark.parametrize("check", list(N_MAX_CHECKS))
+def test_pair_checkers_gate_n_max(check, n_max):
+    value, error = BAD_N_MAX[n_max]
+    with pytest.raises(error, match="n_max"):
+        N_MAX_CHECKS[check](materialize(WeightSpec.constant(), GRID40), value)
 
 
 # ---------------------------------------------------------------- classical Ap
