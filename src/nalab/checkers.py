@@ -92,11 +92,12 @@ def _first_near_max(vals: np.ndarray) -> int:
     return int(np.argmax(vals >= _near_max_floor(float(np.max(vals)))))
 
 
-def _require_n_max(grid, n_max: int) -> None:
-    """Refuse an n_max that is not an integer, or outside 1..j_max."""
+def _require_n_max(grid, n_max: int, top: Optional[int] = None) -> None:
+    """Refuse an n_max that is not an integer, or outside 1..top (default j_max)."""
     require_integer(n_max, "n_max")
-    if not 1 <= n_max <= grid.j_max:
-        raise GridRangeError(f"n_max={n_max} outside 1..{grid.j_max}")
+    top = grid.j_max if top is None else top
+    if not 1 <= n_max <= top:
+        raise GridRangeError(f"n_max={n_max} outside 1..{top}")
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -388,7 +389,8 @@ def _pair_measure_check(
     them, independently of the kernel stack and of the matrix product.
     """
     grid = w.grid
-    _require_n_max(grid, n_max)
+    # the default family fills the trusted window (1, j_max - n_max - 1)
+    _require_n_max(grid, n_max, grid.j_max - 2 if family is None else grid.j_max)
     if family is None:
         family = SetFamily.standard((1, valid_upper(grid.j_max, n_max)))
     two_rho = 2.0 * grid.params.rho

@@ -26,13 +26,14 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> FitResult:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < 2:
         raise ValueError("need at least two points to fit a slope")
-    coeffs = np.polynomial.polynomial.polyfit(x, y, 1)
-    intercept, slope = float(coeffs[0]), float(coeffs[1])
-    resid = y - (intercept + slope * x)
-    ss_res = float(np.dot(resid, resid))
-    centered = y - y.mean()
-    ss_tot = float(np.dot(centered, centered))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    dx, dy = x - x.mean(), y - y.mean()
+    sxx, sxy, syy = float(np.dot(dx, dx)), float(np.dot(dx, dy)), float(np.dot(dy, dy))
+    if sxx == 0.0:
+        raise ValueError("need at least two distinct x to fit a slope")
+    slope = sxy / sxx
+    intercept = float(y.mean() - slope * x.mean())
+    # 1 - (residual sum of squares) / syy, which equals this for a fitted line
+    r2 = 1.0 if syy == 0.0 else sxy * sxy / (sxx * syy)
     return FitResult(slope=slope, intercept=intercept, r2=r2)
 
 

@@ -153,15 +153,15 @@ def test_c02_eigenfunction_ode_and_symmetry():
             tr = jacobi_phi_trace(jp, np.arange(0.1, 10.0 + h / 2, h))
             assert ode_residual(tr, jp) < 1e-6, (sg, ta, lam)
 
-    # both evaluation branches agree where they hand over
-    from nalab.specfun import _phi_ode_at, _phi_series_at
+    # the series and the Harish-Chandra expansion agree where they hand over
+    from nalab.specfun import _phi_connection, _phi_pfaff
 
     for sg, ta in ((1.0, 0.0), (1.5, 0.0), (2.0, 0.5)):
         for lam in (0.0, 1.0, 2j):
             jp = JacobiParams(sg, ta, lam)
-            sv, _ = _phi_series_at(jp, [SERIES_SWITCH])
-            ov, _ = _phi_ode_at(jp, np.array([SERIES_SWITCH]))
-            assert abs(sv[0] - ov[0]) / abs(sv[0]) < 1e-9
+            sv, _ = _phi_pfaff(jp, np.array([SERIES_SWITCH]))
+            cv, _ = _phi_connection(jp, np.array([SERIES_SWITCH]))
+            assert abs(sv[0] - cv[0]) / abs(sv[0]) < 1e-9
 
     for lam in (1.3, 2.0, 0.4 + 0.7j):
         a = jacobi_phi(JacobiParams(1.0, 0.0, lam), 2.0)

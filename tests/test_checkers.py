@@ -344,6 +344,16 @@ def test_pair_checkers_gate_n_max(check, n_max):
         N_MAX_CHECKS[check](materialize(WeightSpec.constant(), GRID40), value)
 
 
+@pytest.mark.parametrize("n_max", [39, 40])
+@pytest.mark.parametrize("check", ["necessary", "large-scale"])
+def test_default_family_gate_names_n_max(check, n_max):
+    # the default family's window (1, j_max - n_max - 1) is empty here; the
+    # refusal names n_max and its range, not the family
+    with pytest.raises(GridRangeError, match=r"n_max=\d+ outside 1\.\.38"):
+        N_MAX_CHECKS[check](materialize(WeightSpec.constant(), GRID40), n_max)
+    N_MAX_CHECKS[check](materialize(WeightSpec.constant(), GRID40), 38)
+
+
 # ---------------------------------------------------------------- classical Ap
 
 

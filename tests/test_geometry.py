@@ -91,23 +91,44 @@ def test_gauss_jacobi_against_scipy(beta):
     assert np.max(np.abs(w / ws - 1.0)) < 1e-12
 
 
-def test_grid_and_volumes_load_no_scipy():
-    # a fresh process, since this one has scipy loaded by the tests
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules that code loads in a fresh process.
+
+    Fresh, since this one has scipy loaded by the tests.
+    """
     src = os.path.dirname(os.path.dirname(nalab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, nalab\n"
-        "from nalab.geometry import DEFAULT_SPACE, AnnularGrid, ball_volume\n"
-        "AnnularGrid(DEFAULT_SPACE, 80)\n"
-        "ball_volume(DEFAULT_SPACE, 2.5)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        + code
+        + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_grid_and_volumes_load_no_scipy():
+    code = (
+        "from nalab.geometry import DEFAULT_SPACE, AnnularGrid, ball_volume\n"
+        "AnnularGrid(DEFAULT_SPACE, 80)\n"
+        "ball_volume(DEFAULT_SPACE, 2.5)\n"
+    )
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_phi_past_the_series_switch_loads_no_scipy():
+    code = (
+        "from nalab.geometry import DEFAULT_SPACE, AnnularGrid\n"
+        "from nalab.specfun import JacobiParams, jacobi_phi_trace\n"
+        "from nalab.weights import WeightSpec, materialize\n"
+        "materialize(WeightSpec.spherical_u(1.5), AnnularGrid(DEFAULT_SPACE, 80))\n"
+        "jacobi_phi_trace(JacobiParams(1.0, 0.0, 3j), [1.0, 40.0])\n"
+    )
+    assert _scipy_modules_after(code) == "[]"
 
 
 def test_panel_rule_splits_fast_growth():

@@ -51,6 +51,16 @@ def test_hyp2f1_closed_form():
 
 
 @pytest.mark.parametrize(
+    "a,b,c,z", [(-2.746, -3.746, -9.992, 0.1942), (-2.75, -3.75, -9.995, 0.19)]
+)
+def test_hyp2f1_with_c_near_a_pole(a, b, c, z):
+    # the terms dip below the stopping tolerance before n = -c, where
+    # 1/(c + n) makes them jump back up; stopping there misses 2e-12 of the sum
+    ref = complex(mp.hyp2f1(a, b, c, z))
+    assert abs(hyp2f1(a, b, c, z) - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize(
     "sg,ta,lam,t",
     [
         (1.0, 0.0, 1.3, 0.4),
@@ -69,37 +79,19 @@ def test_phi_against_mpmath(sg, ta, lam, t):
 
 
 def test_series_ode_agreement_at_switch():
-    from nalab.specfun import _phi_ode_at, _phi_series_at
+    # the Pfaff series and the Harish-Chandra expansion where they hand over
+    from nalab.specfun import _phi_connection, _phi_pfaff
 
     worst = 0.0
+    at = np.array([SERIES_SWITCH])
     for sg in (1.0, 1.5, 2.0):
         for ta in (0.0, 0.25, 0.5):
             for lam in (0.0, 1.0, 2j, 1.3 + 0.4j):
                 jp = JacobiParams(sg, ta, lam)
-                sv, _ = _phi_series_at(jp, [0.6])
-                ov, _ = _phi_ode_at(jp, np.array([0.6]))
-                worst = max(worst, abs(sv[0] - ov[0]) / abs(sv[0]))
+                sv, _ = _phi_pfaff(jp, at)
+                cv, _ = _phi_connection(jp, at)
+                worst = max(worst, abs(sv[0] - cv[0]) / abs(sv[0]))
     assert worst < 1e-9
-
-
-@pytest.mark.parametrize(
-    "sg,ta,lam",
-    [(1.0, 0.0, 1.3), (0.5, 0.0, 0.7 + 0.2j), (2.0, 0.5, 2j), (3.5, 0.25, 1.0), (1.0, 0.0, 4j)],
-)
-def test_taylor_start_against_mpmath(sg, ta, lam):
-    # value and t-derivative of the series where the ODE continuation starts
-    from nalab.specfun import _TAYLOR_START, _phi_taylor_start
-
-    val, dval = _phi_taylor_start(JacobiParams(sg, ta, lam))
-    t0 = mp.mpf(_TAYLOR_START)
-    rho, il = sg + ta + 1.0, 1j * lam
-
-    def phi(t):
-        return mp.hyp2f1((rho - il) / 2.0, (rho + il) / 2.0, sg + 1.0, -mp.sinh(t) ** 2)
-
-    ref, dref = complex(phi(t0)), complex(mp.diff(phi, t0))
-    assert abs(val - ref) <= 1e-13 * abs(ref)
-    assert abs(dval - dref) <= 1e-13 * abs(dref)
 
 
 @pytest.mark.parametrize("sg,ta,lam", [(1.0, 0.0, 1.3), (2.0, 0.5, 1 + 0.5j), (0.5, 0.25, 3j)])
@@ -202,7 +194,8 @@ def test_nonterminating_trace_against_mpmath():
 
 @pytest.mark.parametrize("sg,ta,lam", [(0.5, 0.0, 0.7), (1.0, 0.0, 1.3), (3.5, 0.25, 0.7)])
 def test_ode_error_estimate_bounds_mpmath(sg, ta, lam):
-    # on the ODE branch the reported error must bound the distance to mpmath
+    # past the defining series the reported error must bound the distance to
+    # mpmath, on both sides of SERIES_SWITCH
     ts = np.linspace(0.61, 10.0, 40)
     tr = jacobi_phi_trace(JacobiParams(sg, ta, lam), ts)
     ref = np.array([mp_phi(sg, ta, lam, t) for t in ts])
@@ -312,3 +305,61 @@ def test_spherical_normalized_limit():
     prof = spherical_profile(P, lam, ds)
     norm = np.abs(np.exp((-1j * lam + P.rho) * ds) * prof.values)
     assert (norm.max() - norm.min()) / norm.mean() < 0.01
+
+
+def _mod_2pi_i(d: complex) -> complex:
+    return complex(d.real, (d.imag + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+def test_log_gamma_against_mpmath():
+    from nalab.specfun import _log_gamma
+
+    rng = np.random.default_rng(7)
+    zs = list(rng.uniform(-25.0, 25.0, 200) + 1j * rng.uniform(-25.0, 25.0, 200))
+    # within 1e-3 of the poles, on the imaginary axis, and far off the real axis
+    zs += [-k + d for k in range(12) for d in (1e-3, -1e-3, 1e-3j, -7e-4 + 7e-4j, 1e-8)]
+    zs += [0.5, 1.0, 2.0, 0.25j, 3j, -5.5j, 13.75, -13.75, 40.0 + 0.1j, -3.2 + 60j, 2.0 - 300j]
+    got = _log_gamma(np.array(zs))
+    for z, g in zip(zs, got):
+        ref = complex(mp.loggamma(mp.mpc(z)))
+        # 1e-14 absolute up to |log Gamma| = 1, then relative: the value's own ulp
+        assert abs(_mod_2pi_i(g - ref)) <= 1e-14 * max(1.0, abs(ref)), z
+
+
+def test_log_gamma_is_inf_on_the_poles():
+    from nalab.specfun import _log_gamma
+
+    assert np.all(np.isposinf(_log_gamma(np.array([0.0, -1.0, -7.0])).real))
+
+
+# (space, lam): generic points, points on and just off the imaginary axis
+# near i*Z (half and full circle), and spherical_u's at p = 1.25..2.5
+GATE_POINTS = [
+    ((1.0, 0.0), 1.3), ((3.5, 0.25), 0.7 + 0.2j), ((1.0, 0.0), 0.0), ((3.5, 1.0), 0.0),
+    ((1.3, 0.2), 3j), ((0.5, 0.0), 2.5j), ((3.5, 1.0), (3 + 1e-8) * 1j),
+    ((1.0, 0.0), (3 + 1e-3) * 1j), ((1.0, 0.0), 1e-4 + 2j), ((3.5, 1.0), 2e-3 + 3j),
+] + [
+    ((sg, ta), 1j * (sg + ta + 1.0) * p)
+    for sg, ta in ((1.0, 0.0), (3.5, 1.0))
+    for p in (1.25, 1.5, 2.0, 2.5)
+]
+
+
+@pytest.mark.parametrize("space,lam", GATE_POINTS)
+def test_phi_within_1e13_of_the_local_envelope(space, lam):
+    # a subset of the full gate (CHANGES.md): t in [0.61, 130] past the
+    # defining series, on both sides of SERIES_SWITCH; the envelope is
+    # max |phi| over [t - 0.5, t + 0.5]
+    jp = JacobiParams(*space, lam)
+    # |phi| grows like exp((|Im lam| - rho) t): stop short of the float range
+    t_max = min(130.0, 600.0 / max(abs(complex(lam).imag) - jp.rho, 1e-3))
+    ts = np.array([0.61, 1.0, 1.8, 1.85, 3.0, 10.0, 40.0, 100.0, 130.0])
+    ts = ts[ts <= t_max]
+    fine_ts = np.arange(0.11, t_max + 0.5, 0.01)
+    fine = np.abs(jacobi_phi_trace(jp, fine_ts).values)
+    tr = jacobi_phi_trace(jp, ts)
+    for t, v, e in zip(ts, tr.values, tr.err):
+        ref = mp_phi(*space, lam, t)
+        envelope = fine[np.abs(fine_ts - t) <= 0.5].max()
+        assert abs(v - ref) <= 1e-13 * envelope, t
+        assert abs(v - ref) <= e, t
