@@ -15,7 +15,6 @@ from .checkers import (
     check_large_scale,
     check_msw,
     check_necessary,
-    default_lambda_grid,
     fs_ratio,
     strong_type_ratio,
     vector_valued_ratio,
@@ -45,7 +44,6 @@ from .geometry import (
     AnnularGrid,
     SpaceParams,
     annular_intersection,
-    ball_intersection,
     ball_volume,
     density,
     product_kernel,
@@ -55,8 +53,6 @@ from .radialops import (
     MaximalResult,
     RadialFunction,
     avg,
-    distribution_mass,
-    iterate_maximal,
     maximal_dis,
     maximal_s,
 )
@@ -85,6 +81,6 @@ from .treelab import (
     tree_product_measure,
     weak11_constant,
 )
-from .weights import Weight, WeightSpec, materialize, weight_mass, weight_power
+from .weights import Weight, WeightSpec, materialize, weight_mass
 
 __version__ = "0.1.0"

@@ -17,8 +17,8 @@ change in the data does not move the witness; the constant stays the sup.
 The level-set quotients (weak-type, fs-ratio) are built on blocks: a block
 helper takes a (j_max x m) block whose columns are functions, computes
 their maximal functions in one radialops._maximal_block call and the
-masses of their superlevel sets at every level of default_lambda_grid()
-in one masked sum, and returns numerators and denominators per column.
+masses of their superlevel sets at every level of _LAMBDA_GRID in one
+masked sum, and returns numerators and denominators per column.
 weak_type_ratio and fs_ratio are its m = 1 case; the divergence sequences
 in experiments pass all their indicators as one block through
 _level_set_sups.
@@ -41,7 +41,6 @@ from .radialops import (
     RadialFunction,
     _maximal_block,
     _superlevel_mass,
-    iterate_maximal,
     maximal_dis,
     maximal_s,
 )
@@ -51,7 +50,6 @@ from .weights import Weight, weight_mass
 __all__ = [
     "SetFamily",
     "CheckReport",
-    "default_lambda_grid",
     "check_ap_loc",
     "check_large_scale",
     "check_easy_check",
@@ -73,6 +71,9 @@ _CLASSICAL_AP_RADII = range(5, 31)  # ball radii j of the classical product
 _STRONG_FIT_RANGE = (20, 60)  # J range of the strong-type rate fit
 _STRONG_SLOPE_TOL = 0.5  # fitted rates at or above this are divergent
 _TIE_REL = 1e-12  # ratios this close (relative) to the sup tie for the witness
+# levels of the level-set quotients: 2^a, a = -40..10, resolving exponential scales
+_LAMBDA_GRID = 2.0 ** np.arange(-40, 11, dtype=float)
+_LAMBDA_GRID.setflags(write=False)
 
 
 def _require(ok: bool, condition: str, **values: float) -> None:
@@ -98,11 +99,6 @@ def _require_n_max(grid, n_max: int, top: Optional[int] = None) -> None:
     top = grid.j_max if top is None else top
     if not 1 <= n_max <= top:
         raise GridRangeError(f"n_max={n_max} outside 1..{top}")
-
-
-def default_lambda_grid() -> np.ndarray:
-    """Geometric level grid 2^a, a = -40..10; resolves exponential scales."""
-    return 2.0 ** np.arange(-40, 11, dtype=float)
 
 
 @dataclass
@@ -163,12 +159,6 @@ class SetFamily:
         s = cls.singletons(window)
         d = cls.dyadic_blocks(window)
         return cls(s.sets + d.sets, "singletons+dyadic", window)
-
-    def filter_by_mass(self, w: Weight, min_mass: float) -> "SetFamily":
-        kept = [s for s in self.sets if weight_mass(w, s) >= min_mass]
-        if not kept:
-            raise UnsupportedError("mass filter removed every set")
-        return SetFamily(kept, f"{self.label}|mass>={min_mass}", self.window)
 
 
 @dataclass
@@ -689,7 +679,7 @@ def _fs_block(
     if s > 1.0:
         g_vals = maximal_s(w, s, n_max).values
     else:
-        g_vals = iterate_maximal(w, k, n_max).values
+        g_vals = maximal_dis(w, n_max, iterations=k).values
     g_hi = valid_upper(grid.j_max, n_max, iterations=1 if s > 1.0 else k)
     dens = (g_vals[:g_hi] * grid.measures[:g_hi]) @ block[:g_hi]
     return _level_set_numerators(w, block, 1.0, n_max, levels), dens
@@ -699,10 +689,9 @@ def _level_set_sups(block_fn: Callable) -> np.ndarray:
     """Level-set quotient constants of every column of a block.
 
     block_fn(levels) is a block helper with all but its levels bound; the
-    sup runs over default_lambda_grid(), and every denominator must be
-    positive.
+    sup runs over _LAMBDA_GRID, and every denominator must be positive.
     """
-    nums, dens = block_fn(default_lambda_grid())
+    nums, dens = block_fn(_LAMBDA_GRID)
     return (nums / dens[:, None]).max(axis=1)
 
 
@@ -711,12 +700,11 @@ def _level_set_ratio(
 ) -> CheckReport:
     """Report of a level-set quotient of one function.
 
-    ratios are its quotients over default_lambda_grid(), from block_fn, a
+    ratios are its quotients over _LAMBDA_GRID, from block_fn, a
     block helper bound to the one-column block of the function; the first
     maximizer is the witness.  reevaluate() calls block_fn at the witness
     level, recomputing every maximal function the quotient needs.
     """
-    levels = default_lambda_grid()
     k = int(np.argmax(ratios))
 
     def reeval(wit: dict) -> float:
@@ -726,7 +714,7 @@ def _level_set_ratio(
     return CheckReport(
         id=report_id,
         constant=float(ratios[k]),
-        witness={"lambda": float(levels[k])},
+        witness={"lambda": float(_LAMBDA_GRID[k])},
         verdict="pass" if np.isfinite(ratios[k]) else "fail",
         meta=meta,
         _reeval=reeval,
@@ -741,12 +729,12 @@ def weak_type_ratio(
 ) -> CheckReport:
     """Weak-(p,p) quotient sup_l l^p w({Mf > l}) / ||f||_{L^p(w)}^p.
 
-    The sup runs over default_lambda_grid(); the first maximizing level is
-    the witness.
+    The sup runs over _LAMBDA_GRID; the first maximizing level is the
+    witness.
     """
     _require(p >= 1, "p >= 1", p=p)
     block_fn = partial(_weak_type_block, w, p, f.values[:, None], n_max)
-    nums, norm_p = block_fn(default_lambda_grid())
+    nums, norm_p = block_fn(_LAMBDA_GRID)
     if norm_p[0] == 0.0:
         meta = {"p": p, "degenerate": "zero function"}
         return _zero_report("weak-type", {"lambda": None}, "pass", meta)
@@ -837,7 +825,7 @@ def fs_ratio(
     """
     _require(s >= 1.0, "s >= 1", s=s)
     block_fn = partial(_fs_block, w, s, f.values[:, None], k, n_max)
-    nums, den = block_fn(default_lambda_grid())
+    nums, den = block_fn(_LAMBDA_GRID)
     support_hi = int(np.max(np.nonzero(f.values)[0]) + 1) if np.any(f.values) else 0
     if den[0] == 0.0:
         verdict = "pass" if support_hi == 0 else "info"

@@ -23,11 +23,13 @@ Conventions fixed here and relied on everywhere else:
 * the intersection model clamps exp(rho (s + t - d)) by the two ball
   volumes and vanishes for d >= s + t;
 * the product kernels of scales 1..s live in one read-only stack per grid
-  and normalization, built in one vectorized pass from two tables the grid
-  computes once, lazily: m_i m_j and min(m_i, m_j).  Per scale n the pass
-  adds one row of exp(rho (n + k)) over the index sums k = i + j, read as a
-  Hankel matrix, so a scale costs 2 j_max - 1 exponentials instead of
-  j_max^2.  A request beyond s rebuilds the stack once at the larger size.
+  and normalization, built in one vectorized pass from two (j_max x j_max)
+  tables, m_i m_j and min(m_i, m_j).  Per scale n the pass adds one row of
+  exp(rho (n + k)) over the index sums k = i + j, read as a Hankel matrix,
+  so a scale costs 2 j_max - 1 exponentials instead of j_max^2.  A request
+  beyond s rebuilds the stack at max(n, 2 s) scales, capped at the largest
+  scale the normalization allows, so ascending requests rebuild it
+  O(log n) times.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "ProductKernel",
     "density",
     "ball_volume",
-    "ball_intersection",
     "annular_intersection",
     "product_kernel",
     "valid_upper",
@@ -206,22 +207,6 @@ def ball_volume(params: SpaceParams, r: float) -> float:
     return float(_panel_integrals(params, np.minimum(1.0, r - lefts)).sum())
 
 
-def ball_intersection(params: SpaceParams, s: float, t: float, d: float) -> float:
-    """Model measure of the intersection of balls of radii s, t at center distance d.
-
-    Zero when d >= s + t; otherwise exp(rho (s + t - d)) clamped by both
-    ball volumes. Monotone nonincreasing in d, symmetric in (s, t).
-    """
-    if s < 0 or t < 0 or d < 0:
-        raise DomainError("radii and distance must be nonnegative")
-    if not math.isfinite(d):
-        raise DomainError(f"center distance must be finite, got {d}")
-    if d >= s + t:
-        return 0.0
-    cap = math.exp(params.rho * (s + t - d))
-    return min(ball_volume(params, s), ball_volume(params, t), cap)
-
-
 class AnnularGrid:
     """Unit-width annular discretization of the radial model.
 
@@ -258,21 +243,6 @@ class AnnularGrid:
                 f"annulus {j[bad[0]]} breaks the exponential growth band: "
                 f"log-measure ratio {ratio[bad[0]]:.4f}"
             )
-
-    @functools.cached_property
-    def _pair_tables(self) -> tuple:
-        """The scale-free parts of every product kernel, read-only.
-
-        (m_i m_j, min(m_i, m_j)) over annuli i, j: two (j_max x j_max) tables.
-        """
-        m = self.measures
-        # m_i * m_j may overflow to inf for large rho (see product_kernel)
-        with np.errstate(over="ignore"):
-            products = np.multiply.outer(m, m)
-        minima = np.minimum.outer(m, m)
-        for arr in (products, minima):
-            arr.setflags(write=False)
-        return products, minima
 
     def check_index(self, j: int):
         if not (1 <= j <= self.j_max):
@@ -367,7 +337,7 @@ def _build_kernel_stack(grid: AnnularGrid, s: int, normalize: bool) -> tuple:
     One vectorized pass over all scales, each entry computed as a per-scale
     build would, so slice n - 1 is bit for bit the kernel of scale n: the
     minima V(n) min(m_i, m_j), which equal min(m_i V(n), m_j V(n)) exactly
-    because rounding is monotone; then the grid's m_i m_j table; then an
+    because rounding is monotone; then the m_i m_j table; then an
     (s x (2 j_max - 1)) table of exp(rho (n + i + j)), read as one Hankel
     matrix per scale through a strided view, since the cap depends on i + j
     alone.  Off-band entries are zeroed by a minimum with a 0/inf Toeplitz
@@ -378,12 +348,13 @@ def _build_kernel_stack(grid: AnnularGrid, s: int, normalize: bool) -> tuple:
     jm = grid.j_max
     if normalize and 2 * s + 3 > jm:
         raise GridRangeError(f"no interior rows for n={s} on a grid with j_max={jm}")
-    products, minima = grid._pair_tables
+    m = grid.measures
     ns = np.arange(1.0, s + 1)
     # m_i * m_j and m_i * V(n) may overflow to inf for large rho; the min
     # always has a finite competitor on the band, so band entries stay finite
     with np.errstate(over="ignore"):
-        stack = minima * grid.volumes[:s, None, None]
+        products = np.multiply.outer(m, m)
+        stack = np.minimum.outer(m, m) * grid.volumes[:s, None, None]
         caps = np.exp(grid.params.rho * (ns[:, None] + np.arange(2.0, 2 * jm + 1)))
     np.minimum(stack, products, out=stack)
     step = caps.itemsize
@@ -412,9 +383,10 @@ def _kernel_stack(grid: AnnularGrid, n: int, normalize: bool = True) -> tuple:
     """The read-only kernels and scales of scales 1..n on a grid.
 
     Views of the first n entries of the grid's stack for this normalization;
-    a stack with fewer than n scales is rebuilt once at n scales.  n must be
-    an integer in 1..j_max - 1, and 2n + 3 <= j_max when normalized: a float
-    or bool n is refused before the stack is read.
+    a stack of s < n scales is rebuilt at max(n, min(2 s, top)) scales, top
+    the largest scale the normalization allows.  n must be an integer in
+    1..j_max - 1, and 2n + 3 <= j_max when normalized: a float or bool n is
+    refused before the stack is read.
     """
     require_integer(n, "kernel scale n")
     if not (1 <= n <= grid.j_max - 1):
@@ -422,7 +394,9 @@ def _kernel_stack(grid: AnnularGrid, n: int, normalize: bool = True) -> tuple:
     normalize = bool(normalize)
     stack, scales = grid._kernel_stacks.get(normalize, ((), ()))
     if len(stack) < n:
-        stack, scales = _build_kernel_stack(grid, int(n), normalize)
+        top = (grid.j_max - 3) // 2 if normalize else grid.j_max - 1
+        size = max(int(n), min(2 * len(stack), top))
+        stack, scales = _build_kernel_stack(grid, size, normalize)
         grid._kernel_stacks[normalize] = stack, scales
     return stack[:n], scales[:n]
 
@@ -439,7 +413,7 @@ def product_kernel(grid: AnnularGrid, n: int, normalize: bool = True) -> Product
 
     The kernel is slice n - 1 of the grid's stack for this normalization
     (_build_kernel_stack), read-only; a scale beyond the stack rebuilds it
-    once at n scales, so loops over scales take _kernel_stack once instead.
+    (_kernel_stack), so loops over scales take _kernel_stack once instead.
     The scale must be an integer: a float or bool n is refused.
     """
     stack, scales = _kernel_stack(grid, n, normalize)

@@ -17,10 +17,11 @@ is bit for bit the 2-D product with that scale's kernel, so avg agrees with
 it exactly.  The core returns values alone; MaximalResult.argmax evaluates
 the same batched averages of its own function on first read and takes the
 smallest scale that attains the value.  maximal_dis is the core's m = 1
-case, bit-identical to a matrix-vector product; the other columns of a
-larger block agree with it to rounding.  Superlevel masses have one core
-too: _superlevel_mass weighs the masks of many functions at many levels in
-one masked sum, and distribution_mass is its one-function, one-level case.
+case, bit-identical to a matrix-vector product, applied once per iteration
+for the iterated maximal function; the other columns of a larger block
+agree with it to rounding.  Superlevel masses have one core too:
+_superlevel_mass weighs the masks of many functions at many levels in one
+masked sum, and distribution_mass is its one-function, one-level case.
 
 Scales, truncations and iteration counts must be integers: a float such as
 2.0, a bool or nan raises DomainError.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -92,11 +93,11 @@ class MaximalResult:
     window = (lo, hi) is the inclusive range of annulus indices whose values
     are unaffected by grid truncation; entries outside it are still computed
     but biased low near the outer edge.  data is a copy of the function the
-    values are the maximal function of (for iterate_maximal, the argument
-    of the final pass).  argmax, computed from data on first read, is the
-    smallest scale in 1..n_max whose ball average equals values bit for
-    bit, read off the same batched averages _maximal_block takes its
-    maximum of.
+    values are the maximal function of (for an iterated maximal function,
+    the argument of the final pass).  argmax, computed from data on first
+    read, is the smallest scale in 1..n_max whose ball average equals
+    values bit for bit, read off the same batched averages _maximal_block
+    takes its maximum of.
     """
 
     grid: AnnularGrid
@@ -104,10 +105,6 @@ class MaximalResult:
     n_max: int
     window: tuple
     data: np.ndarray
-
-    def window_slice(self) -> slice:
-        lo, hi = self.window
-        return slice(lo - 1, hi)
 
     @functools.cached_property
     def argmax(self) -> np.ndarray:
@@ -118,13 +115,9 @@ class MaximalResult:
 RadialData = Union[RadialFunction, Weight]
 
 
-def _data_values(f: RadialData, grid: Optional[AnnularGrid] = None):
+def _data_values(f: RadialData):
     if not hasattr(f, "grid") or not hasattr(f, "values"):
         raise DomainError("expected radial data with a grid and values")
-    if grid is not None and f.grid is not grid:
-        g = f.grid
-        if g.params != grid.params or g.j_max != grid.j_max:
-            raise DomainError("operands live on incompatible grids")
     return f.grid, np.asarray(f.values, dtype=float)
 
 
@@ -180,16 +173,31 @@ def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> np.ndarr
     return best
 
 
-def maximal_dis(f: RadialData, n_max: int) -> MaximalResult:
+def maximal_dis(f: RadialData, n_max: int, iterations: int = 1) -> MaximalResult:
     """Discrete maximal function: sup of ball averages over scales 1..n_max.
 
-    The attaining scale (ties to the smallest) is read on demand, from a
-    copy of f's values taken here.
+    iterations = k composes it k times.  Each pass reads n_max + 1 annuli
+    above its argument, so the trustworthy window shrinks by that amount
+    per pass; the returned window reflects all k passes, and the attaining
+    scale (ties to the smallest), read on demand, refers to the final pass,
+    from a copy of its argument taken here.
     """
+    require_integer(iterations, "iteration count")
+    require_integer(n_max, "n_max")
+    if iterations < 1:
+        raise DomainError(f"iteration count must be >= 1, got {iterations}")
     grid, vals = _data_values(f)
-    values = _maximal_block(grid, vals[:, None], n_max)[:, 0]
-    hi = valid_upper(grid.j_max, n_max)
-    return MaximalResult(grid, values, int(n_max), (1, hi), vals.copy())
+    hi = valid_upper(grid.j_max, n_max, iterations)
+    # one pass at a valid n_max leaves a window, so this gates k >= 2 alone
+    if iterations > 1 and hi < 1:
+        raise GridRangeError(
+            f"{iterations} maximal passes at n_max={n_max} exhaust a grid with "
+            f"j_max={grid.j_max}"
+        )
+    values = vals
+    for _ in range(iterations):
+        data, values = values, _maximal_block(grid, values[:, None], n_max)[:, 0]
+    return MaximalResult(grid, values, int(n_max), (1, hi), data.copy())
 
 
 def maximal_s(w: RadialData, s: float, n_max: int) -> RadialFunction:
@@ -207,30 +215,6 @@ def maximal_s(w: RadialData, s: float, n_max: int) -> RadialFunction:
     powered = RadialFunction(grid, vals**s)  # refuses w^s that overflows
     values = _maximal_block(grid, powered.values[:, None], n_max)[:, 0]
     return RadialFunction(grid, values ** (1.0 / s))
-
-
-def iterate_maximal(w: RadialData, k: int, n_max: int) -> MaximalResult:
-    """k-fold composition of the discrete maximal function.
-
-    Each pass reads n_max + 1 annuli above its argument, so the trustworthy
-    window shrinks by that amount per pass; the returned window reflects all
-    k passes and the argmax refers to the final pass.
-    """
-    require_integer(k, "iteration count k")
-    require_integer(n_max, "n_max")
-    if k < 1:
-        raise DomainError(f"iteration count must be >= 1, got {k}")
-    grid, vals = _data_values(w)
-    hi = valid_upper(grid.j_max, n_max, iterations=k)
-    if hi < 1:
-        raise GridRangeError(
-            f"{k} maximal passes at n_max={n_max} exhaust a grid with "
-            f"j_max={grid.j_max}"
-        )
-    values = vals
-    for _ in range(k):
-        data, values = values, _maximal_block(grid, values[:, None], n_max)[:, 0]
-    return MaximalResult(grid, values, int(n_max), (1, hi), data.copy())
 
 
 def _superlevel_mass(
@@ -260,12 +244,16 @@ def distribution_mass(
     g: Union[RadialFunction, MaximalResult],
     lam: float,
 ) -> float:
-    """Weighted mass of the superlevel set {g > lam}.
+    """Weighted mass of the superlevel set {g > lam}; nonincreasing in lam.
 
-    Maximal results restrict the sum to their valid window.  Nonincreasing
-    in lam.
+    Maximal results restrict the sum to their valid window.  This is the
+    one-function, one-level case of _superlevel_mass, which nalab itself
+    calls; the entry point stays while the benchmark's per-layer metrics
+    name it.
     """
-    grid, gvals = _data_values(g, grid=w.grid)
+    grid, gvals = _data_values(g)
+    if (grid.params, grid.j_max) != (w.grid.params, w.grid.j_max):
+        raise DomainError("operands live on incompatible grids")
     window = g.window if isinstance(g, MaximalResult) else (1, grid.j_max)
     lo, hi = int(window[0]), int(window[1])
     if lo < 1 or hi > grid.j_max:

@@ -330,22 +330,32 @@ def jacobi_phi_trace(jp: JacobiParams, ts) -> FunctionTrace:
 
     A terminating defining series is a polynomial in sinh^2 t and serves
     every t.  Otherwise the Pfaff-transformed series serves t <=
-    SERIES_SWITCH and the Harish-Chandra expansion the rest.
+    SERIES_SWITCH and the Harish-Chandra expansion the rest.  Where phi or
+    its error estimate overflows the float range, DomainError names the
+    first such t.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
         raise DomainError(f"argument must be nonnegative, got {ts.min()}")
     a, b, c = jp.series_abc()
-    # the test is exact because _gauss_series stops only on an exact zero factor
-    if _is_nonpositive_int(a, tol=0.0) or _is_nonpositive_int(b, tol=0.0):
-        values, err = _gauss_series(a, b, c, -np.sinh(ts) ** 2)
-    else:
-        values = np.empty(ts.shape, dtype=complex)
-        err = np.empty(ts.shape, dtype=float)
-        near = ts <= SERIES_SWITCH
-        values[near], err[near] = _phi_pfaff(jp, ts[near])
-        if not near.all():
-            values[~near], err[~near] = _phi_connection(jp, ts[~near])
+    # an overflowed scale times a series reads inf * 0 = nan in complex
+    # arithmetic: silenced here and refused by the gate below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the test is exact because _gauss_series stops only on an exact zero factor
+        if _is_nonpositive_int(a, tol=0.0) or _is_nonpositive_int(b, tol=0.0):
+            values, err = _gauss_series(a, b, c, -np.sinh(ts) ** 2)
+        else:
+            values = np.empty(ts.shape, dtype=complex)
+            err = np.empty(ts.shape, dtype=float)
+            near = ts <= SERIES_SWITCH
+            values[near], err[near] = _phi_pfaff(jp, ts[near])
+            if not near.all():
+                values[~near], err[~near] = _phi_connection(jp, ts[~near])
+    bad = ~(np.isfinite(values) & np.isfinite(err))
+    if bad.any():
+        raise DomainError(
+            f"phi_lam at lam={jp.lam} overflows the float range at t={ts[bad][0]}"
+        )
     return FunctionTrace(grid=ts, values=values, err=err)
 
 

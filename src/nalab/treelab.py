@@ -37,11 +37,12 @@ demand.  The pair measure and the ball-size table need every radius up to
 row by the same identity.  Because the children of consecutive parents are
 consecutive, every step is a vector operation on contiguous rows.
 
-Ball sizes depend only on depth(v), since the tree's automorphisms act
-transitively on each level: one (2 depth + 1) x (depth + 1) table per
-(k, depth) holds them all, and _local_counts spreads it once over the
-rows of _ball_sums, for exact division.  No TreeSpace carries state beyond
-its shape arrays.
+Ball sizes are _ball_sums of the constant 1, taken once per (k, depth)
+by _local_counts, for exact division.  argmax_radius reads them from a
+smaller table: a ball's size depends only on depth(v), since the tree's
+automorphisms act transitively on each level, so one (2 depth + 1) x
+(depth + 1) table per (k, depth) holds every radius.  No TreeSpace carries
+state beyond its shape arrays.
 """
 
 from __future__ import annotations
@@ -95,29 +96,6 @@ class TreeSpace:
     def check_vertex(self, v: int):
         if not (0 <= v < self.size):
             raise GridRangeError(f"vertex {v} outside 0..{self.size - 1}")
-
-    def path_of(self, v: int) -> str:
-        """Root path of a vertex as dot-joined child indices; root is ''."""
-        self.check_vertex(v)
-        parts = []
-        while v != 0:
-            parts.append(str((v - 1) % self.k))
-            v = int(self.parent[v])
-        return ".".join(reversed(parts))
-
-    def vertex_at(self, path: str) -> int:
-        """Inverse of path_of."""
-        v = 0
-        if path == "":
-            return 0
-        for part in path.split("."):
-            c = int(part)
-            if not (0 <= c < self.k):
-                raise GridRangeError(f"child index {c} outside 0..{self.k - 1}")
-            v = self.k * v + 1 + c
-            if v >= self.size:
-                raise GridRangeError(f"path {path!r} leaves the tree")
-        return v
 
     def distance(self, x: int, y: int) -> int:
         self.check_vertex(x)
@@ -337,15 +315,11 @@ def _level_counts(k: int, depth: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _local_counts(k: int, depth: int) -> tuple:
-    """_level_counts in the layout of _ball_sums: row r as one column; read-only."""
+    """The local rows of _ball_sums on the constant 1, the ball sizes; read-only."""
     tree = TreeSpace(k, depth)
-    s = tree._level_starts
-    counts = _level_counts(k, depth)
-    rows = []
-    for r in range(depth + 2):
-        row = counts[r, tree.depths[: s[min(depth - r + 2, depth + 1)]], None]
+    rows = _ball_sums(tree, np.ones((tree.size, 1)))
+    for row in rows:
         row.flags.writeable = False
-        rows.append(row)
     return tuple(rows)
 
 

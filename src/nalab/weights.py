@@ -248,16 +248,3 @@ def weight_mass(w: Weight, annuli: Iterable[int]) -> float:
     sel = idx - 1
     return float(np.dot(w.values[sel], w.grid.measures[sel]))
 
-
-def weight_power(w: Weight, s: float) -> Weight:
-    """Pointwise power of a weight; exact at midpoints by construction."""
-    if s <= 0:
-        raise DomainError(f"power must be positive, got {s}")
-    profile = None
-    if w.profile is not None:
-        base = w.profile
-
-        def profile(t):
-            return base(t) ** s
-
-    return Weight(w.grid, w.values**s, profile=profile)

@@ -335,6 +335,7 @@ def test_cli_weight_check_matches_direct_call(tmp_path, monkeypatch, capsys, con
         '{"variant": "exp_radial", "gamma": "x"}',  # malformed numbers
         '{"variant": "exp_strong", "p": "2"}',
         '{"variant": "spherical_u", "p": true}',
+        '{"variant": "spherical_u", "p": 40.5}',  # phi overflows the float range
     ],
 )
 def test_cli_weight_check_crash_exits_two(tmp_path, monkeypatch, capsys, spec):

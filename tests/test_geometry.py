@@ -20,7 +20,6 @@ from nalab.geometry import (
     AnnularGrid,
     SpaceParams,
     annular_intersection,
-    ball_intersection,
     ball_volume,
     density,
     product_kernel,
@@ -219,23 +218,6 @@ def test_annulus_measures_partition_the_ball():
     assert far == pytest.approx(0.43233236, rel=1e-6)
 
 
-def test_ball_intersection_clamps():
-    p = DEFAULT_SPACE
-    # far-apart centers: the clamp formula reduces to e^(rho (s + t - d))
-    assert ball_intersection(p, 10.0, 10.0, 10.0) == pytest.approx(math.exp(10.0), rel=1e-12)
-    # nested balls: intersection is the smaller volume
-    assert ball_intersection(p, 3.0, 20.0, 1.0) == pytest.approx(
-        ball_volume(p, 3.0), rel=1e-12
-    )
-    assert ball_intersection(p, 3.0, 4.0, 10.0) == 0.0
-
-
-def test_ball_intersection_refuses_non_finite_distances():
-    for d in (math.nan, math.inf):
-        with pytest.raises(DomainError):
-            ball_intersection(DEFAULT_SPACE, 1.0, 1.0, d)
-
-
 @pytest.mark.parametrize("j, d", [(5, math.nan), (5, math.inf), ([5, 6], [4.0, math.nan])])
 def test_annular_intersection_refuses_non_finite_distances(j, d):
     with pytest.raises(DomainError):
@@ -366,6 +348,26 @@ def test_kernel_stack_does_not_depend_on_call_order(params, j_max, normalize, ke
     _assert_dense_kernels(grid, normalize)
 
 
+@pytest.mark.parametrize(
+    "normalize, sizes", [(True, [1, 2, 4, 8, 16, 32, 38]), (False, [1, 2, 4, 8, 16, 32, 64, 79])]
+)
+def test_ascending_scales_grow_the_stack_geometrically(monkeypatch, normalize, sizes):
+    # each rebuild doubles the stack, capped at the top scale: 38 normalized
+    # (2n + 3 <= 80) and 79 raw
+    builds = []
+    real = nalab.geometry._build_kernel_stack
+
+    def counting(grid, s, normalize):
+        builds.append(s)
+        return real(grid, s, normalize)
+
+    monkeypatch.setattr(nalab.geometry, "_build_kernel_stack", counting)
+    grid = AnnularGrid(DEFAULT_SPACE, 80)
+    for n in range(1, sizes[-1] + 1):
+        product_kernel(grid, n, normalize=normalize)
+    assert builds == sizes
+
+
 @pytest.mark.parametrize("params", [DEFAULT_SPACE, SpaceParams(3.5, 1.0)])
 def test_kernel_against_scalar_loop(params):
     # independent oracle: the kernel formula entry by entry with math.exp
@@ -415,9 +417,6 @@ def test_kernels_and_grid_tables_are_read_only():
         for view in (stack, scales, product_kernel(grid, 4, normalize).matrix):
             with pytest.raises(ValueError):
                 view.setflags(write=True)
-    for table in grid._pair_tables:
-        with pytest.raises(ValueError):
-            table[0] = 1
 
 
 def test_normalized_row_ratios():

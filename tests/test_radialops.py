@@ -21,7 +21,6 @@ from nalab.radialops import (
     _maximal_block,
     avg,
     distribution_mass,
-    iterate_maximal,
     maximal_dis,
     maximal_s,
 )
@@ -120,7 +119,7 @@ def test_maximal_rejects_nonfinite_average():
 
 def test_maximal_of_one_band():
     res = maximal_dis(ONE, 25)
-    sl = res.window_slice()
+    sl = slice(0, res.window[1])
     assert 0.25 <= res.values[sl].min() and res.values[sl].max() <= 4.0
 
 
@@ -130,7 +129,7 @@ def test_decaying_weight_sup_stable():
         g = AnnularGrid(DEFAULT_SPACE, jm)
         w = materialize(WeightSpec.exp_radial(-0.75), g)
         res = maximal_dis(w, 25)
-        sl = res.window_slice()
+        sl = slice(0, res.window[1])
         sups[jm] = float(np.max(res.values[sl] / w.values[sl]))
     assert abs(sups[120] - sups[60]) / sups[60] < 0.20
     assert sups[60] == pytest.approx(0.712611, abs=1e-5)
@@ -161,23 +160,26 @@ def test_maximal_s_refuses_s_outside_finite_s_at_least_1(s):
 
 def test_iterate_maximal():
     w = materialize(WeightSpec.exp_radial(-0.3), GRID)
-    it1 = iterate_maximal(w, 1, 25)
+    it1 = maximal_dis(w, 25, iterations=1)
     assert np.array_equal(it1.values, maximal_dis(w, 25).values)
     assert it1.window == (1, 54)
 
-    it2 = iterate_maximal(ONE, 2, 25)
+    it2 = maximal_dis(ONE, 25, iterations=2)
     assert it2.window == (1, 28)
-    band = it2.values[it2.window_slice()]
+    band = it2.values[:28]
     assert 0.0625 <= band.min() and band.max() <= 16.0
 
     w_m1 = materialize(WeightSpec.exp_radial(-1.0), GRID)
     for k in (1, 2):
-        it = iterate_maximal(w_m1, k, 25)
-        sl = it.window_slice()
+        it = maximal_dis(w_m1, 25, iterations=k)
+        sl = slice(0, it.window[1])
         ratio = float(np.max(it.values[sl] / w_m1.values[sl]))
         assert np.isfinite(ratio) and ratio < 50.0
-    with pytest.raises(GridRangeError):
-        iterate_maximal(w_m1, 4, 25)  # four passes exhaust j_max = 80
+    with pytest.raises(GridRangeError, match="exhaust"):
+        maximal_dis(w_m1, 25, iterations=4)  # four passes exhaust j_max = 80
+    for bad in (0, -1):
+        with pytest.raises(DomainError, match="iteration count"):
+            maximal_dis(w_m1, 25, iterations=bad)
 
 
 def test_distribution_mass():
@@ -193,6 +195,9 @@ def test_distribution_mass():
     for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="level"):
             distribution_mass(w, g1, bad)
+    other = RadialFunction.ones(AnnularGrid(SpaceParams(3.5, 1.0), 80))
+    with pytest.raises(DomainError, match="incompatible grids"):
+        distribution_mass(w, other, 0.5)
 
 
 def test_superlevel_mass_grows_linearly():
@@ -351,7 +356,7 @@ def test_iterate_maximal_argmax_is_the_final_pass(k):
     passes = [w.values]
     for _ in range(k):
         passes.append(maximal_dis(RadialFunction(GRID, passes[-1]), 10).values)
-    it = iterate_maximal(w, k, 10)
+    it = maximal_dis(w, 10, iterations=k)
     assert np.array_equal(it.values, passes[-1])
     assert np.array_equal(it.argmax, _per_scale_argmax(passes[-2], 10))
     # the first pass's own scales differ, so the check has teeth
@@ -375,9 +380,9 @@ _F = RadialFunction.indicator(GRID, [5])
         pytest.param(lambda: maximal_dis(_F, True), id="maximal_dis n_max True"),
         pytest.param(lambda: maximal_dis(_F, math.nan), id="maximal_dis n_max nan"),
         pytest.param(lambda: maximal_s(ONE, 2.0, 5.0), id="maximal_s n_max 5.0"),
-        pytest.param(lambda: iterate_maximal(_F, 1.5, 5), id="iterate_maximal k 1.5"),
-        pytest.param(lambda: iterate_maximal(_F, True, 5), id="iterate_maximal k True"),
-        pytest.param(lambda: iterate_maximal(_F, 2, 5.0), id="iterate_maximal n_max 5.0"),
+        pytest.param(lambda: maximal_dis(_F, 5, iterations=1.5), id="iterate_maximal k 1.5"),
+        pytest.param(lambda: maximal_dis(_F, 5, iterations=True), id="iterate_maximal k True"),
+        pytest.param(lambda: maximal_dis(_F, 5.0, iterations=2), id="iterate_maximal n_max 5.0"),
     ],
 )
 def test_scales_and_counts_must_be_integers(call):
@@ -390,5 +395,5 @@ def test_numpy_integer_scales_are_accepted():
     assert np.array_equal(avg(_F, np.int32(2)).values, avg(_F, 2).values)
     res = maximal_dis(_F, np.int64(7))
     assert np.array_equal(res.values, maximal_dis(_F, 7).values) and res.n_max == 7
-    it = iterate_maximal(_F, np.int64(2), np.int16(5))
-    assert np.array_equal(it.values, iterate_maximal(_F, 2, 5).values)
+    it = maximal_dis(_F, np.int16(5), iterations=np.int64(2))
+    assert np.array_equal(it.values, maximal_dis(_F, 5, iterations=2).values)

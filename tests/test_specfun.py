@@ -121,6 +121,17 @@ def test_trace_grid_gates():
         jacobi_phi_trace(jp, np.array([-1.0, 0.5]))
 
 
+@pytest.mark.parametrize("lam", [40.5j, 40j], ids=["expansion", "terminating series"])
+def test_phi_that_overflows_names_the_first_t(lam):
+    # |phi| ~ exp(38.5 t) passes 1.8e308 between t = 18.5 and 19; no
+    # RuntimeWarning escapes on the way (pytest turns nalab's into errors)
+    jp = JacobiParams(1.0, 0.0, lam)
+    ts = [1.0, 10.0, 18.0, 18.5, 19.0, 25.0]
+    with pytest.raises(DomainError, match="overflows the float range at t=19.0"):
+        jacobi_phi_trace(jp, ts)
+    assert np.all(np.isfinite(jacobi_phi_trace(jp, ts[:4]).values))
+
+
 @pytest.mark.parametrize(
     "sigma, tau, lam",
     [(math.inf, 0.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.0, complex(0.0, math.nan)),

@@ -31,14 +31,6 @@ def test_size_and_parents(k, depth):
         assert t.parent[v] == (v - 1) // k
 
 
-def test_paths_round_trip():
-    t = TreeSpace(2, 5)
-    v = t.vertex_at("0.1.0")
-    assert t.path_of(v) == "0.1.0"
-    assert t.vertex_at("") == 0 and t.path_of(0) == ""
-    assert t.depths[v] == 3
-
-
 def test_distance_symmetry_and_table():
     t = TreeSpace(2, 5)
     rng = np.random.default_rng(7)

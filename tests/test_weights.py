@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from nalab import weights
 from nalab.errors import ConfigError, DomainError
 from nalab.fitting import fit_log_slope
-from nalab.geometry import DEFAULT_SPACE, AnnularGrid
-from nalab.weights import WeightSpec, materialize, weight_mass, weight_power
+from nalab.geometry import DEFAULT_SPACE, AnnularGrid, SpaceParams
+from nalab.weights import WeightSpec, materialize, weight_mass
 
 GRID = AnnularGrid(DEFAULT_SPACE, 80)
 MIDS = GRID.midpoints
@@ -36,6 +37,16 @@ def test_exp_strong_is_exp_radial_at_p_minus_one():
     a = materialize(WeightSpec.exp_strong(2.0), GRID)
     b = materialize(WeightSpec.exp_radial(1.0), GRID)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize(
+    "p, space, j_max", [(40.5, DEFAULT_SPACE, 80), (4.0, SpaceParams(3.5, 1.0), 120)]
+)
+def test_spherical_weight_whose_phi_overflows_is_refused(p, space, j_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="phi_lam .* overflows the float range at t="):
+            materialize(WeightSpec.spherical_u(p), AnnularGrid(space, j_max))
 
 
 def test_spherical_u_growth():
@@ -93,14 +104,6 @@ def test_eta_product_bump():
     assert np.max(np.abs(factor - np.exp(1.0 / (1.0 + MIDS)))) < 1e-15
 
 
-def test_weight_power_round_trip():
-    w = materialize(WeightSpec.exp_radial(1.0), GRID)
-    half = weight_power(w, 0.5)
-    assert np.max(np.abs(half.values**2 / w.values - 1.0)) < 1e-13
-    with pytest.raises(DomainError):
-        weight_power(w, -1.0)
-
-
 def test_profile_matches_values_at_midpoints():
     specs = [
         WeightSpec.exp_radial(-0.75),
@@ -127,7 +130,6 @@ def test_profile_matches_values_at_midpoints():
             WeightSpec.custom(lambda t: 1.0 + math.sin(t) ** 2),
         )
     ]
-    weights.append(weight_power(weights[3], 0.5))
     for w in weights:
         assert np.array_equal(w.profile(MIDS), w.values)
 
