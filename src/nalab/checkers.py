@@ -34,7 +34,8 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, GridRangeError, UnsupportedError, require_integer
+from .errors import DomainError, GridRangeError, UnsupportedError
+from .errors import require_index, require_integer
 from .fitting import fit_linear, fit_log_slope
 from .geometry import _kernel_stack, annular_intersection, density, valid_upper
 from .radialops import (
@@ -45,7 +46,7 @@ from .radialops import (
     maximal_s,
 )
 from .treelab import VertexFunction, _tree_maximal_block
-from .weights import Weight, weight_mass
+from .weights import Weight, _annuli_mass, _annulus_set, weight_mass
 
 __all__ = [
     "SetFamily",
@@ -93,17 +94,13 @@ def _first_near_max(vals: np.ndarray) -> int:
     return int(np.argmax(vals >= _near_max_floor(float(np.max(vals)))))
 
 
-def _require_n_max(grid, n_max: int, top: Optional[int] = None) -> None:
-    """Refuse an n_max that is not an integer, or outside 1..top (default j_max)."""
-    require_integer(n_max, "n_max")
-    top = grid.j_max if top is None else top
-    if not 1 <= n_max <= top:
-        raise GridRangeError(f"n_max={n_max} outside 1..{top}")
-
-
 @dataclass
 class SetFamily:
-    """Test sets of annulus indices, all inside a fixed window."""
+    """Test sets of annulus indices, all inside a fixed window.
+
+    Each set is gated once here and stored sorted and without repeats, so
+    the checkers read its masses without gating it again.
+    """
 
     sets: List[np.ndarray]
     label: str
@@ -113,17 +110,9 @@ class SetFamily:
         lo, hi = self.window
         if not self.sets:
             raise UnsupportedError("set family is empty")
-        cleaned = []
-        for s in self.sets:
-            arr = np.asarray(sorted(set(int(j) for j in s)), dtype=int)
-            if arr.size == 0:
-                raise UnsupportedError("set family contains an empty set")
-            if arr.min() < lo or arr.max() > hi:
-                raise GridRangeError(
-                    f"family set {arr} leaves the window {self.window}"
-                )
-            cleaned.append(arr)
-        self.sets = cleaned
+        self.sets = [_annulus_set(s, lo, hi) for s in self.sets]
+        if any(s.size == 0 for s in self.sets):
+            raise UnsupportedError("set family contains an empty set")
 
     @classmethod
     def singletons(cls, window: tuple) -> "SetFamily":
@@ -290,6 +279,7 @@ def check_ap_loc(
     converges, a singular one keeps growing as the quadrature resolves
     the singularity).  Requires a continuum profile.
     """
+    require_integer(refinements, "refinements")
     _require(
         p > 1 and step > 0 and refinements >= 0,
         "p > 1, step > 0 and refinements >= 0",
@@ -380,9 +370,11 @@ def _pair_measure_check(
     """
     grid = w.grid
     # the default family fills the trusted window (1, j_max - n_max - 1)
-    _require_n_max(grid, n_max, grid.j_max - 2 if family is None else grid.j_max)
+    n_max = require_index(n_max, 1, grid.j_max - (2 if family is None else 0), "n_max")
     if family is None:
         family = SetFamily.standard((1, valid_upper(grid.j_max, n_max)))
+    # SetFamily gated its sets against its window; the window must fit the grid
+    require_index(family.window, 1, grid.j_max, "family window")
     two_rho = 2.0 * grid.params.rho
     sets = family.sets
     ind = np.zeros((len(sets), w.values.size))
@@ -390,7 +382,7 @@ def _pair_measure_check(
     ind[rows, np.concatenate(sets) - 1] = 1.0
     # the scalar pow that reevaluate() uses: numpy's vectorized pow can
     # differ from it in the last bit, enough to reorder exact ties
-    mass = [weight_mass(w, s) for s in sets]
+    mass = [_annuli_mass(w, s) for s in sets]
     m_e = np.array([m ** (alpha / p) for m in mass])
     m_f = np.array([m ** (1.0 - alpha / p) for m in mass])
 
@@ -506,7 +498,7 @@ def check_easy_check(w: Weight, p: float, eta: float, n_max: int = 25) -> CheckR
     """
     _require(eta < 1.0, "p and tilt eta < 1", p=p, eta=eta)
     grid = w.grid
-    _require_n_max(grid, n_max)
+    n_max = require_index(n_max, 1, grid.j_max, "n_max")
     rho = grid.params.rho
     pad = np.full(n_max, np.nan)
     w_js = sliding_window_view(np.concatenate((pad, w.values, pad)), 2 * n_max + 1)
@@ -619,8 +611,6 @@ def check_classical_ap(w: Weight, p: float) -> CheckReport:
         return avg_w * avg_d ** (p - 1.0)
 
     js = list(_CLASSICAL_AP_RADII)
-    if js[-1] > grid.j_max:
-        raise GridRangeError("ball radius leaves the grid")
     prods = np.array([product_at(j) for j in js])
     k = int(np.argmax(prods))
     slope, r2, verdict = _growth_verdict(prods, js)
@@ -757,10 +747,21 @@ def strong_type_ratio(
     annulus terms of constant size fit a rate near 1 (one term per unit
     J), a convergent tail fits a rate near 0, and a rate at or above 0.5
     is reported as divergence.  The reported constant is the quotient
-    S(j_cut) / ||f||_{L^p(w)}^p.
+    S(j_cut) / ||f||_{L^p(w)}^p.  The measured annuli 1 .. min(j_cut, the
+    valid window's end) must reach past the start of the fit range, else
+    GridRangeError.
     """
     _require(p >= 1, "p >= 1", p=p)
+    require_integer(j_cut, "j_cut")
     grid = w.grid
+    res = maximal_dis(f, n_max)
+    hi = min(j_cut, res.window[1])
+    lo_fit, hi_fit = _STRONG_FIT_RANGE[0], min(hi, _STRONG_FIT_RANGE[1])
+    if hi_fit <= lo_fit:
+        raise GridRangeError(
+            f"strong-type measures annuli 1..{hi} (j_cut={j_cut}, window "
+            f"{res.window}); the fit range {_STRONG_FIT_RANGE} needs 1..{lo_fit + 1}"
+        )
     norm_p = float(np.dot(w.values * grid.measures, f.values**p))
     if norm_p == 0.0:
         meta = {"p": p, "degenerate": "zero function"}
@@ -769,12 +770,8 @@ def strong_type_ratio(
     def terms_upto(j: int, mf: np.ndarray) -> np.ndarray:
         return mf[:j] ** p * w.values[:j] * grid.measures[:j]
 
-    res = maximal_dis(f, n_max)
-    hi = min(j_cut, res.window[1])
     terms = terms_upto(hi, res.values)
     partial = np.cumsum(terms) / norm_p
-    lo_fit = max(2, _STRONG_FIT_RANGE[0])
-    hi_fit = min(hi, _STRONG_FIT_RANGE[1])
     js = np.arange(lo_fit, hi_fit + 1, dtype=float)
     t_ref = terms[lo_fit - 1] / norm_p
     if t_ref > 0:
@@ -823,7 +820,8 @@ def fs_ratio(
     M^(k) w at s = 1; the denominator runs over G's valid window, and
     configurations whose denominator vanishes are recorded, not passed.
     """
-    _require(s >= 1.0, "s >= 1", s=s)
+    require_integer(k, "k")
+    _require(s >= 1.0 and k >= 1, "s >= 1 and k >= 1", s=s, k=k)
     block_fn = partial(_fs_block, w, s, f.values[:, None], k, n_max)
     nums, den = block_fn(_LAMBDA_GRID)
     support_hi = int(np.max(np.nonzero(f.values)[0]) + 1) if np.any(f.values) else 0

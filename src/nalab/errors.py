@@ -1,8 +1,19 @@
 """Exception types shared across the package, the check every number read
-from outside passes, and the check every integer scale or count passes."""
+from outside passes, and the one gate of every integer index.
+
+require_index is that gate: every scale, radius, annulus, vertex and n_max
+the package takes passes through it, alone or as a flat sequence, and comes
+out as an int or an int64 array inside its range; so does every other
+integer whose range violations are GridRangeErrors (j_max, with hi = inf).
+require_integer is its integer step.  On its own it gates the integers that
+have no upper bound and whose lower bound is a domain condition, refused
+with DomainError: iteration, refinement and pass counts, pair distances and
+the tree's shape; and j_cut, whose range depends on the valid window.
+"""
 
 import numbers
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -59,3 +70,31 @@ def require_integer(x, name: str) -> None:
     """
     if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {x!r}")
+
+
+def require_index(x, lo, hi, name: str):
+    """x as an int in lo..hi, or a flat sequence of such ints as an int64 array.
+
+    Any iterable is a sequence, so sets, ranges and generators pass; order
+    and repeats are kept.  Bools, values that are not integers (2.0 among
+    them), nan and nested sequences raise DomainError naming name; an index
+    outside lo..hi raises GridRangeError naming the first such index.
+    """
+    if not isinstance(x, Iterable):
+        require_integer(x, name)
+        if not lo <= x <= hi:
+            raise GridRangeError(f"{name}={x} outside {lo}..{hi}")
+        return int(x)
+    if not isinstance(x, np.ndarray):
+        x = list(x)
+        for v in x:  # numpy would store [1, True] as the integers [1, 1]
+            require_integer(v, name)
+    arr = np.asarray(x)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise DomainError(
+            f"{name} must be a flat sequence of integers, got {arr.dtype} of shape {arr.shape}"
+        )
+    if arr.size and (arr.min() < lo or arr.max() > hi):
+        bad = arr[(arr < lo) | (arr > hi)][0]
+        raise GridRangeError(f"{name}={bad} outside {lo}..{hi}")
+    return arr.astype(np.int64, copy=False)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DomainError, GridRangeError, require_integer
+from .errors import DomainError, require_index
 
 __all__ = [
     "SpaceParams",
@@ -216,10 +216,8 @@ class AnnularGrid:
     """
 
     def __init__(self, params: SpaceParams, j_max: int):
-        if j_max < 1:
-            raise GridRangeError(f"j_max must be >= 1, got {j_max}")
         self.params = params
-        self.j_max = int(j_max)
+        self.j_max = require_index(j_max, 1, math.inf, "j_max")
         pieces = _panel_integrals(params, np.ones(self.j_max))
         if not np.all(np.isfinite(pieces)):
             raise DomainError(
@@ -244,16 +242,9 @@ class AnnularGrid:
                 f"log-measure ratio {ratio[bad[0]]:.4f}"
             )
 
-    def check_index(self, j: int):
-        if not (1 <= j <= self.j_max):
-            raise GridRangeError(f"annulus index {j} outside 1..{self.j_max}")
-
     def ball_volume_at(self, n: int) -> float:
         """V(n) for integer n within the grid; a float or bool n is refused."""
-        require_integer(n, "radius n")
-        if not (1 <= n <= self.j_max):
-            raise GridRangeError(f"radius {n} outside 1..{self.j_max}")
-        return float(self.volumes[n - 1])
+        return float(self.volumes[require_index(n, 1, self.j_max, "radius n") - 1])
 
     def __repr__(self):
         p = self.params
@@ -267,8 +258,7 @@ def valid_upper(j_max: int, n_max: int, iterations: int = 1) -> int:
     above its argument, so the trustworthy window shrinks by that amount
     per pass.
     """
-    if iterations < 0:
-        raise GridRangeError("iterations must be nonnegative")
+    require_index(iterations, 0, math.inf, "iterations")
     return j_max - iterations * (n_max + 1)
 
 
@@ -278,25 +268,17 @@ def annular_intersection(grid: AnnularGrid, j, n: int, dist):
     Vanishes when j - 1 >= dist + n (annulus entirely outside the ball) or
     dist >= j + n (ball entirely inside the annulus hole); otherwise the
     clamp model min(measure_j, V(n), exp(rho (n + j - dist))).
-    Vectorized over j and dist jointly.  Annulus indices and the scale must
-    be integers, bools excluded, and distances positive and finite.
+    Vectorized over j, an annulus index or a flat sequence of them, and dist
+    jointly.  Annulus indices and the scale must be integers, bools
+    excluded, and distances positive and finite.
     """
-    require_integer(n, "scale n")
-    if not (1 <= n <= grid.j_max):
-        raise GridRangeError(f"scale n={n} outside 1..{grid.j_max}")
-    # numpy would store [5, True] as the integers [5, 1]
-    if isinstance(j, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in j):
-        raise DomainError("annulus indices must be integers, got a bool")
-    j_arr = np.asarray(j)
-    if j_arr.dtype.kind not in "iu":
-        raise DomainError(f"annulus indices must be integers, got {j_arr.dtype}")
+    n = require_index(n, 1, grid.j_max, "scale n")
+    j_arr = np.asarray(require_index(j, 1, grid.j_max, "annulus j"))
     d_arr = np.asarray(dist, dtype=float)
-    if np.any(j_arr < 1) or np.any(j_arr > grid.j_max):
-        raise GridRangeError("annulus index outside grid")
     # min and max propagate nan, so one pair of reductions refuses nan too
     if d_arr.size and not (d_arr.min() > 0 and d_arr.max() < math.inf):
         raise DomainError("center distance must be positive and finite")
-    vn = grid.ball_volume_at(n)
+    vn = float(grid.volumes[n - 1])
     meas = grid.measures[j_arr - 1]
     cap = np.exp(grid.params.rho * (n + j_arr - d_arr))
     val = np.minimum(np.minimum(meas, vn), cap)
@@ -346,8 +328,6 @@ def _build_kernel_stack(grid: AnnularGrid, s: int, normalize: bool) -> tuple:
     Both arrays are returned read-only.
     """
     jm = grid.j_max
-    if normalize and 2 * s + 3 > jm:
-        raise GridRangeError(f"no interior rows for n={s} on a grid with j_max={jm}")
     m = grid.measures
     ns = np.arange(1.0, s + 1)
     # m_i * m_j and m_i * V(n) may overflow to inf for large rho; the min
@@ -383,19 +363,18 @@ def _kernel_stack(grid: AnnularGrid, n: int, normalize: bool = True) -> tuple:
     """The read-only kernels and scales of scales 1..n on a grid.
 
     Views of the first n entries of the grid's stack for this normalization;
-    a stack of s < n scales is rebuilt at max(n, min(2 s, top)) scales, top
-    the largest scale the normalization allows.  n must be an integer in
-    1..j_max - 1, and 2n + 3 <= j_max when normalized: a float or bool n is
-    refused before the stack is read.
+    a stack of s < n scales is rebuilt at max(n, min(2 s, top)) scales.  n
+    must be an integer in 1..top, the largest scale the normalization
+    allows: j_max - 1 raw, and (j_max - 3) // 2 normalized, since a
+    normalized kernel needs an interior row (2n + 3 <= j_max).  A float or
+    bool n is refused before the stack is read.
     """
-    require_integer(n, "kernel scale n")
-    if not (1 <= n <= grid.j_max - 1):
-        raise GridRangeError(f"kernel scale n={n} outside 1..{grid.j_max - 1}")
     normalize = bool(normalize)
+    top = (grid.j_max - 3) // 2 if normalize else grid.j_max - 1
+    n = require_index(n, 1, top, "kernel scale n")
     stack, scales = grid._kernel_stacks.get(normalize, ((), ()))
     if len(stack) < n:
-        top = (grid.j_max - 3) // 2 if normalize else grid.j_max - 1
-        size = max(int(n), min(2 * len(stack), top))
+        size = max(n, min(2 * len(stack), top))
         stack, scales = _build_kernel_stack(grid, size, normalize)
         grid._kernel_stacks[normalize] = stack, scales
     return stack[:n], scales[:n]

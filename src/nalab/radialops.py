@@ -23,8 +23,9 @@ agree with it to rounding.  Superlevel masses have one core too:
 _superlevel_mass weighs the masks of many functions at many levels in one
 masked sum, and distribution_mass is its one-function, one-level case.
 
-Scales, truncations and iteration counts must be integers: a float such as
-2.0, a bool or nan raises DomainError.
+Scales, truncations, annulus indices and iteration counts must be integers:
+a float such as 2.0, a bool or nan raises DomainError, and an index outside
+its range GridRangeError (errors.require_index).
 
 Local averaging at sub-unit radii is not representable on a unit grid; the
 tree backend and the 1D local surrogate in the condition checkers cover
@@ -40,7 +41,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, GridRangeError, require_integer
+from .errors import DomainError, GridRangeError, require_index, require_integer
 from .geometry import (
     AnnularGrid,
     _kernel_stack,
@@ -80,9 +81,7 @@ class RadialFunction:
     @classmethod
     def indicator(cls, grid: AnnularGrid, annuli: Sequence[int]) -> "RadialFunction":
         vals = np.zeros(grid.j_max)
-        for j in annuli:
-            grid.check_index(int(j))
-            vals[int(j) - 1] = 1.0
+        vals[require_index(annuli, 1, grid.j_max, "annulus") - 1] = 1.0
         return cls(grid, vals)
 
 
@@ -158,14 +157,8 @@ def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> np.ndarr
     the maximum over the scale axis of _scale_averages; no scale is
     recorded (MaximalResult.argmax finds it on demand).
     """
-    require_integer(n_max, "n_max")
     # the normalized kernel of scale n needs 2n + 3 <= j_max (product_kernel)
-    top = (grid.j_max - 3) // 2
-    if not (1 <= n_max <= top):
-        raise GridRangeError(
-            f"n_max={n_max} outside 1..{top}, the scales with a normalized "
-            f"kernel on a grid with j_max={grid.j_max}"
-        )
+    n_max = require_index(n_max, 1, (grid.j_max - 3) // 2, "n_max")
     best = _scale_averages(grid, block, n_max).max(axis=0)
     # a maximum propagates inf and nan, so one gate on it covers every scale
     if not np.all(np.isfinite(best)):
@@ -183,13 +176,12 @@ def maximal_dis(f: RadialData, n_max: int, iterations: int = 1) -> MaximalResult
     from a copy of its argument taken here.
     """
     require_integer(iterations, "iteration count")
-    require_integer(n_max, "n_max")
     if iterations < 1:
         raise DomainError(f"iteration count must be >= 1, got {iterations}")
     grid, vals = _data_values(f)
+    n_max = require_index(n_max, 1, (grid.j_max - 3) // 2, "n_max")
     hi = valid_upper(grid.j_max, n_max, iterations)
-    # one pass at a valid n_max leaves a window, so this gates k >= 2 alone
-    if iterations > 1 and hi < 1:
+    if hi < 1:  # never at one pass: a valid n_max leaves annuli 1..j_max - n_max - 1
         raise GridRangeError(
             f"{iterations} maximal passes at n_max={n_max} exhaust a grid with "
             f"j_max={grid.j_max}"
@@ -197,7 +189,7 @@ def maximal_dis(f: RadialData, n_max: int, iterations: int = 1) -> MaximalResult
     values = vals
     for _ in range(iterations):
         data, values = values, _maximal_block(grid, values[:, None], n_max)[:, 0]
-    return MaximalResult(grid, values, int(n_max), (1, hi), data.copy())
+    return MaximalResult(grid, values, n_max, (1, hi), data.copy())
 
 
 def maximal_s(w: RadialData, s: float, n_max: int) -> RadialFunction:
@@ -255,7 +247,5 @@ def distribution_mass(
     if (grid.params, grid.j_max) != (w.grid.params, w.grid.j_max):
         raise DomainError("operands live on incompatible grids")
     window = g.window if isinstance(g, MaximalResult) else (1, grid.j_max)
-    lo, hi = int(window[0]), int(window[1])
-    if lo < 1 or hi > grid.j_max:
-        raise GridRangeError(f"window {window} outside 1..{grid.j_max}")
+    lo, hi = require_index(window, 1, grid.j_max, "window")
     return float(_superlevel_mass(w, gvals[:, None], (lo, hi), [lam])[0, 0])

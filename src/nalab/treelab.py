@@ -32,17 +32,18 @@ function splits v's radii into the interior ones r < D - d, whose balls
 clear the truncation depth, the two pivot radii D - d and D - d + 1, and
 the inherited tail, a running maximum of the pivot averages down the root
 path.  It yields values and flags; TreeMaximal finds the argmax radius on
-demand.  The pair measure and the ball-size table need every radius up to
-2 D; they fill the deeper levels of each row from the parent's previous
+demand from the same local rows, carrying the tail's argmax down the root
+path as the tail is carried.  The pair measure needs every radius up to
+2 D; it fills the deeper levels of each row from the parent's previous
 row by the same identity.  Because the children of consecutive parents are
 consecutive, every step is a vector operation on contiguous rows.
 
 Ball sizes are _ball_sums of the constant 1, taken once per (k, depth)
-by _local_counts, for exact division.  argmax_radius reads them from a
-smaller table: a ball's size depends only on depth(v), since the tree's
-automorphisms act transitively on each level, so one (2 depth + 1) x
-(depth + 1) table per (k, depth) holds every radius.  No TreeSpace carries
-state beyond its shape arrays.
+by _local_counts, for exact division; it is the one ball-size table, read
+by the maximal function and its argmax alike.  No TreeSpace carries state
+beyond its shape arrays.  Vertex ids, radii and pair distances pass
+errors.require_index or errors.require_integer: a bool or a float such as
+2.0 raises DomainError, and a vertex or radius off the tree GridRangeError.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GridRangeError
+from .errors import DomainError, require_index, require_integer
 
 __all__ = [
     "TreeSpace",
@@ -78,6 +79,8 @@ class TreeSpace:
     """
 
     def __init__(self, k: int, depth: int):
+        require_integer(k, "branching factor")
+        require_integer(depth, "depth")
         if k < 2:
             raise DomainError(f"branching factor must be >= 2, got {k}")
         if depth < 1:
@@ -93,13 +96,9 @@ class TreeSpace:
         self.depths = np.repeat(np.arange(depth + 1, dtype=np.int64), widths)
         self._level_starts = np.concatenate([[0], np.cumsum(widths)])
 
-    def check_vertex(self, v: int):
-        if not (0 <= v < self.size):
-            raise GridRangeError(f"vertex {v} outside 0..{self.size - 1}")
-
     def distance(self, x: int, y: int) -> int:
-        self.check_vertex(x)
-        self.check_vertex(y)
+        x = require_index(x, 0, self.size - 1, "vertex")
+        y = require_index(y, 0, self.size - 1, "vertex")
         dx, dy = int(self.depths[x]), int(self.depths[y])
         d = 0
         while dx > dy:
@@ -124,12 +123,12 @@ class TreeSpace:
         common ancestor with x: a deeper ancestor's blocks lie inside the
         shallower ones' and overwrite them.
         """
-        self.check_vertex(x)
+        x = require_index(x, 0, self.size - 1, "vertex")
         s, k, dx = self._level_starts.tolist(), self.k, int(self.depths[x])
         lca = np.zeros(self.size, dtype=np.int64)
         for e in range(1, dx + 1):
             # the ancestor's place on level e
-            offset = (int(x) - s[dx]) // k ** (dx - e)
+            offset = (x - s[dx]) // k ** (dx - e)
             for lvl in range(e, self.depth + 1):
                 width = k ** (lvl - e)
                 lo = s[lvl] + offset * width
@@ -160,8 +159,8 @@ class VertexFunction:
 
     @classmethod
     def dirac(cls, tree: TreeSpace, vertices: Sequence[int]) -> "VertexFunction":
-        counts = np.bincount(_vertex_ids(tree, vertices), minlength=tree.size)
-        return cls(tree, counts.astype(float))
+        ids = require_index(vertices, 0, tree.size - 1, "vertex")
+        return cls(tree, np.bincount(np.atleast_1d(ids), minlength=tree.size).astype(float))
 
     def norm1(self) -> float:
         return float(self.values.sum())
@@ -199,8 +198,13 @@ class TreeMaximal:
     boundary is True where no ball that avoids the truncation depth attains
     the maximum.  argmax_radius, computed from data (a copy of the
     function's values) on first read, is the smallest r in 0..2*depth whose
-    ball average equals values bit for bit; a radius that repeats an
-    ancestor's ball repeats that ball's sum and size bit for bit.
+    ball average equals values bit for bit.  It reads the local rows of
+    _ball_sums that the values come from: the first interior radius that
+    attains the value, else the tail's argmax.  A radius that repeats the
+    parent's ball repeats its sum and size bit for bit, so the tail's
+    argmax runs down the root path one level at a time: the first pivot
+    radius attaining P(v) where P(v) >= T(parent), else the parent's tail
+    argmax + 1 (see _tree_maximal_block for P and T).
     """
 
     tree: TreeSpace
@@ -214,11 +218,24 @@ class TreeMaximal:
     @functools.cached_property
     def argmax_radius(self) -> np.ndarray:
         tree = self.tree
-        counts = _level_counts(tree.k, tree.depth)[:, tree.depths]
+        D, k, s = tree.depth, tree.k, tree._level_starts.tolist()
+        avgs = [a[:, 0] for a in _local_averages(tree, self.data[:, None])]
         arg = np.full(tree.size, -1)
-        for r, sums in enumerate(_all_ball_sums(tree, self.data[:, None])):
-            np.copyto(arg, r, where=(arg < 0) & (sums[:, 0] / counts[r] == self.values))
-        return arg
+        for r in range(D):  # interior: row r's vertices at depth < depth - r
+            n = s[D - r]
+            np.copyto(arg[:n], r, where=(arg[:n] < 0) & (avgs[r][:n] == self.values[:n]))
+        tail, tail_arg = np.empty(tree.size), np.full(tree.size, D + 1)
+        for d in range(D + 1):  # level d's pivots: radii D - d and D - d + 1
+            lo, hi = s[d], s[d + 1]
+            a0, a1 = avgs[D - d][lo:hi], avgs[D - d + 1][lo:hi]
+            np.maximum(a0, a1, out=tail[lo:hi])
+            tail_arg[lo:hi] -= d + (a0 >= a1)  # D - d + 1, or D - d where a0 attains P
+            if d:  # the parent's tail where it beats P(v), one radius further
+                t, r = tail[lo:hi].reshape(-1, k), tail_arg[lo:hi].reshape(-1, k)
+                inherit = t < tail[s[d - 1] : lo, None]
+                np.copyto(t, tail[s[d - 1] : lo, None], where=inherit)
+                np.copyto(r, tail_arg[s[d - 1] : lo, None] + 1, where=inherit)
+        return np.where(arg < 0, tail_arg, arg)
 
 
 def tree_ball(tree: TreeSpace, x: int, r: int) -> TreeBall:
@@ -227,14 +244,11 @@ def tree_ball(tree: TreeSpace, x: int, r: int) -> TreeBall:
     touches_boundary is depth(x) + r >= depth: the ball reaches the
     truncation wall, so on the untruncated tree it would hold more vertices.
     """
-    if r < 0 or r > 2 * tree.depth:
-        raise GridRangeError(
-            f"radius {r} outside 0..{2 * tree.depth} (tree diameter)"
-        )
-    dist = tree.distances_from(x)
-    verts = np.flatnonzero(dist <= r)
+    r = require_index(r, 0, 2 * tree.depth, "radius")
+    x = require_index(x, 0, tree.size - 1, "vertex")
+    verts = np.flatnonzero(tree.distances_from(x) <= r)
     flag = bool(int(tree.depths[x]) + r >= tree.depth)
-    return TreeBall(center=int(x), radius=int(r), vertices=verts, touches_boundary=flag)
+    return TreeBall(center=x, radius=r, vertices=verts, touches_boundary=flag)
 
 
 def _ball_sums(tree: TreeSpace, block: np.ndarray) -> list:
@@ -298,22 +312,6 @@ def _all_ball_sums(tree: TreeSpace, block: np.ndarray) -> Iterator[np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
-def _level_counts(k: int, depth: int) -> np.ndarray:
-    """counts[r, d] = |B(v, r)| for every vertex v at depth d; read-only.
-
-    The automorphisms of the truncated tree act transitively on each level,
-    so a ball's size depends only on its centre's depth and the first
-    vertex of each level stands for all of them.
-    """
-    tree = TreeSpace(k, depth)
-    firsts = tree._level_starts[:-1]
-    ones = np.ones((tree.size, 1))
-    counts = np.stack([s[firsts, 0] for s in _all_ball_sums(tree, ones)])
-    counts.flags.writeable = False
-    return counts
-
-
-@functools.lru_cache(maxsize=16)
 def _local_counts(k: int, depth: int) -> tuple:
     """The local rows of _ball_sums on the constant 1, the ball sizes; read-only."""
     tree = TreeSpace(k, depth)
@@ -321,6 +319,19 @@ def _local_counts(k: int, depth: int) -> tuple:
     for row in rows:
         row.flags.writeable = False
     return tuple(rows)
+
+
+def _local_averages(tree: TreeSpace, block: np.ndarray) -> list:
+    """The local rows of _ball_sums of a C-contiguous block, divided by the
+    ball sizes: the one expression for the averages that the maximal
+    function and its argmax both read."""
+    D = tree.depth
+    avgs, counts = _ball_sums(tree, block), _local_counts(tree.k, D)
+    # in place; row 0 is the caller's, row D + 1 views row D's root (same count)
+    avgs[0] = avgs[0] / counts[0]
+    for a, c in zip(avgs[1 : D + 1], counts[1 : D + 1]):
+        a /= c
+    return avgs
 
 
 def _tree_maximal_block(tree: TreeSpace, block: np.ndarray) -> tuple:
@@ -338,11 +349,7 @@ def _tree_maximal_block(tree: TreeSpace, block: np.ndarray) -> tuple:
     D, k, s = tree.depth, tree.k, tree._level_starts.tolist()
     block = np.ascontiguousarray(block, dtype=float)
     V, m = block.shape
-    avgs, counts = _ball_sums(tree, block), _local_counts(k, D)
-    # in place; row 0 is the caller's, row D + 1 views row D's root (same count)
-    avgs[0] = avgs[0] / counts[0]
-    for a, c in zip(avgs[1 : D + 1], counts[1 : D + 1]):
-        a /= c
+    avgs = _local_averages(tree, block)
     tail = np.empty((V, m))
     for d in range(D + 1):  # level d's pivots: rows D - d and D - d + 1
         lo, hi = s[d], s[d + 1]
@@ -398,33 +405,9 @@ def tree_maximal_naive(f: VertexFunction) -> TreeMaximal:
     return result
 
 
-def _vertex_ids(tree: TreeSpace, E: Iterable[int]) -> np.ndarray:
-    """E as a flat int64 array of vertex ids, repeats kept.
-
-    Non-integer ids, bools among them, raise DomainError rather than being
-    truncated to a vertex; ids outside the tree raise GridRangeError.
-    """
-    if not isinstance(E, np.ndarray):
-        E = list(E)
-        # numpy would store [1, True] as the integers [1, 1]
-        if any(isinstance(v, (bool, np.bool_)) for v in E):
-            raise DomainError("vertex ids must be integers, got a bool")
-    arr = np.asarray(E)
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
-        raise DomainError(
-            f"vertex ids must be a flat sequence of integers, got {arr.dtype} "
-            f"of shape {arr.shape}"
-        )
-    if arr.min() < 0 or arr.max() >= tree.size:
-        raise GridRangeError(f"vertex set leaves the tree 0..{tree.size - 1}")
-    return arr.astype(np.int64, copy=False)
-
-
 def _as_vertex_array(tree: TreeSpace, E: Iterable[int]) -> np.ndarray:
     """The distinct vertex ids of E, sorted."""
-    return np.unique(_vertex_ids(tree, E))
+    return np.unique(require_index(E, 0, tree.size - 1, "vertex"))
 
 
 def tree_product_measure(
@@ -446,8 +429,9 @@ def tree_product_measure(
     """
     if mode not in ("exact-distance", "less-than"):
         raise DomainError(f"unknown pair mode {mode!r}")
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"pair distance must be a nonnegative integer, got {n!r}")
+    require_integer(n, "pair distance")
+    if n < 0:
+        raise DomainError(f"pair distance must be nonnegative, got {n}")
     tree = w.tree
     ex = _as_vertex_array(tree, E)
     fy = _as_vertex_array(tree, F)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GridRangeError, finite_number
+from .errors import ConfigError, DomainError, finite_number, require_index
 from .geometry import AnnularGrid
 from .specfun import JacobiParams, jacobi_phi_second_trace, jacobi_phi_trace
 
@@ -237,14 +237,18 @@ def materialize(spec: WeightSpec, grid: AnnularGrid) -> Weight:
 
 def weight_mass(w: Weight, annuli: Iterable[int]) -> float:
     """Weighted measure of a union of annuli: sum of w_j |Omega_j|."""
-    idx = np.asarray(sorted(set(int(j) for j in annuli)), dtype=int)
-    if idx.size == 0:
-        return 0.0
-    if idx.min() < 1 or idx.max() > w.grid.j_max:
-        raise GridRangeError(
-            f"annulus indices must lie in 1..{w.grid.j_max}, got "
-            f"{idx.min()}..{idx.max()}"
-        )
-    sel = idx - 1
+    return _annuli_mass(w, _annulus_set(annuli, 1, w.grid.j_max))
+
+
+def _annulus_set(annuli: Iterable[int], lo: int, hi: int) -> np.ndarray:
+    """The distinct indices of annuli, sorted; an index outside lo..hi is refused."""
+    # not np.unique: its first call imports numpy.ma, about 20 ms
+    idx = np.atleast_1d(require_index(annuli, lo, hi, "annulus"))
+    return np.array(sorted(set(idx.tolist())), dtype=np.int64)
+
+
+def _annuli_mass(w: Weight, annuli: np.ndarray) -> float:
+    """weight_mass of an _annulus_set, taken as valid on w's grid."""
+    sel = annuli - 1
     return float(np.dot(w.values[sel], w.grid.measures[sel]))
 

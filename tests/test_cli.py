@@ -359,6 +359,10 @@ def f_params(indicator):
     return {"checker": {"id": "weak-type", "params": {"f": {"indicator": indicator}}}}
 
 
+def strong_params(params):
+    return {"checker": {"id": "strong-type", "params": params}}
+
+
 # malformed inputs, each with the text its error message must name; a dict
 # is a set of sweep_config overrides run through `nalab sweep`
 REFUSED_INPUTS = {
@@ -402,6 +406,12 @@ REFUSED_INPUTS = {
     "msw n_max past the kernel scales": (
         check_msw_spec('{"variant": "constant"}', "--j-max", "80", "--n-max", "50"),
         "n_max=50 outside 1..38"),
+    # strong-type fits annuli 20..60, so it must measure annuli 1..21 at least;
+    # these crashed with exit 70 (IndexError, or ValueError from the fit)
+    "strong-type j_cut 0": (strong_params({"j_cut": 0}), "j_cut=0, window (1, 54)"),
+    "strong-type j_cut 20": (strong_params({"j_cut": 20}), "j_cut=20, window (1, 54)"),
+    "strong-type window short of the fit range": (
+        {**strong_params({}), "grid": {"j_max": 30, "n_max": 10}}, "j_cut=60, window (1, 19)"),
 }
 
 

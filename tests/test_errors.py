@@ -1,0 +1,150 @@
+"""The one integer gate, errors.require_index, and every entry point that
+takes an integer index or an integer parameter through it."""
+import math
+
+import numpy as np
+import pytest
+
+from nalab.checkers import (
+    SetFamily,
+    check_ap_loc,
+    check_large_scale,
+    check_easy_check,
+    check_necessary,
+    fs_ratio,
+    strong_type_ratio,
+)
+from nalab.errors import DomainError, GridRangeError, require_index
+from nalab.geometry import DEFAULT_SPACE, AnnularGrid, annular_intersection, product_kernel
+from nalab.radialops import RadialFunction, avg, maximal_dis, maximal_s
+from nalab.treelab import (
+    TreeSpace,
+    VertexFunction,
+    VertexWeight,
+    tree_ball,
+    tree_kolmogorov,
+    tree_product_measure,
+)
+from nalab.weights import WeightSpec, materialize, weight_mass
+
+
+def test_require_index_returns_ints_and_int64_arrays():
+    assert require_index(np.int32(3), 1, 5, "j") == 3
+    assert type(require_index(np.int32(3), 1, 5, "j")) is int
+    for seq in ([3, 1, 3], (3, 1, 3), np.array([3, 1, 3], dtype=np.uint8), (v for v in (3, 1, 3))):
+        got = require_index(seq, 1, 5, "j")
+        assert got.dtype == np.int64 and got.tolist() == [3, 1, 3]
+    assert sorted(require_index({5, 1}, 1, 5, "j").tolist()) == [1, 5]
+    assert require_index(range(2, 4), 1, 5, "j").tolist() == [2, 3]
+    for empty in ([], (), np.zeros(0, dtype=np.int64), np.zeros(0)):
+        got = require_index(empty, 1, 5, "j")
+        assert got.dtype == np.int64 and got.size == 0
+    assert require_index(10**6, 1, math.inf, "j_max") == 10**6
+
+
+@pytest.mark.parametrize(
+    "x",
+    [1.5, 2.0, True, np.True_, math.nan, None, "2", [[1, 2]], [[1], 2], [1, True], [np.True_],
+     [2.0], ["2"], np.array([1.0, 2.0]), np.array([True]), np.array(3), np.array([[1, 2]]),
+     [2**70]],
+    ids=repr,
+)
+def test_require_index_refuses_what_is_not_an_integer_index(x):
+    with pytest.raises(DomainError, match="'j'|j must"):
+        require_index(x, 0, 5, "j")
+
+
+@pytest.mark.parametrize("x, bad", [(0, 0), (6, 6), ([1, 0, 7], 0), (np.array([5, 9]), 9)])
+def test_require_index_names_the_index_outside_the_range(x, bad):
+    with pytest.raises(GridRangeError, match=rf"^j={bad} outside 1\.\.5$"):
+        require_index(x, 1, 5, "j")
+
+
+GRID = AnnularGrid(DEFAULT_SPACE, 40)
+W = materialize(WeightSpec.constant(), GRID)
+F = RadialFunction.indicator(GRID, [5])
+TREE = TreeSpace(2, 3)
+TREE_W = VertexWeight.ones(TREE)
+TREE_F = VertexFunction.dirac(TREE, [3])
+
+
+def _set(v):
+    """v as a set argument: itself if a list, else the one-element list."""
+    return v if isinstance(v, list) else [v]
+
+
+# entry point -> (call with one bad value, an out-of-range value, its error);
+# a set-valued argument takes the bad value as its one element
+ENTRY_POINTS = {
+    "AnnularGrid j_max": (lambda v: AnnularGrid(DEFAULT_SPACE, v), 0, GridRangeError),
+    "ball_volume_at n": (lambda v: GRID.ball_volume_at(v), 41, GridRangeError),
+    "annular_intersection n": (lambda v: annular_intersection(GRID, 5, v, 4.0), 41, GridRangeError),
+    "annular_intersection j": (lambda v: annular_intersection(GRID, v, 3, 4.0), 0, GridRangeError),
+    "annular_intersection j list": (
+        lambda v: annular_intersection(GRID, _set(v), 3, 4.0), [41], GridRangeError),
+    "product_kernel n": (lambda v: product_kernel(GRID, v), 19, GridRangeError),
+    "avg n": (lambda v: avg(F, v), 19, GridRangeError),
+    "indicator": (lambda v: RadialFunction.indicator(GRID, _set(v)), [41], GridRangeError),
+    "maximal_dis n_max": (lambda v: maximal_dis(F, v), 19, GridRangeError),
+    "maximal_s n_max": (lambda v: maximal_s(W, 2.0, v), 19, GridRangeError),
+    "weight_mass": (lambda v: weight_mass(W, _set(v)), [0], GridRangeError),
+    "necessary n_max": (lambda v: check_necessary(W, 2.0, n_max=v), 39, GridRangeError),
+    "easy-check n_max": (lambda v: check_easy_check(W, 2.0, 0.0, n_max=v), 41, GridRangeError),
+    "SetFamily": (lambda v: SetFamily([[1], _set(v)], "t", (1, 10)), [11], GridRangeError),
+    "ap-loc refinements": (lambda v: check_ap_loc(W, 2.0, refinements=v), -1, DomainError),
+    "fs-ratio k": (lambda v: fs_ratio(W, 2.0, F, k=v), 0, DomainError),
+    "strong-type j_cut": (
+        lambda v: strong_type_ratio(W, 2.0, F, j_cut=v, n_max=10), 20, GridRangeError),
+    "TreeSpace k": (lambda v: TreeSpace(v, 3), 1, DomainError),
+    "TreeSpace depth": (lambda v: TreeSpace(2, v), 0, DomainError),
+    "dirac": (lambda v: VertexFunction.dirac(TREE, _set(v)), [15], GridRangeError),
+    "distance": (lambda v: TREE.distance(v, 2), 15, GridRangeError),
+    "distances_from": (lambda v: TREE.distances_from(v), -1, GridRangeError),
+    "tree_ball centre": (lambda v: tree_ball(TREE, v, 1), 15, GridRangeError),
+    "tree_ball radius": (lambda v: tree_ball(TREE, 0, v), 7, GridRangeError),
+    "product measure E": (
+        lambda v: tree_product_measure(TREE_W, _set(v), [1], 1), [15], GridRangeError),
+    "product measure n": (lambda v: tree_product_measure(TREE_W, [1], [2], v), -1, DomainError),
+    "kolmogorov B": (lambda v: tree_kolmogorov(0.5, TREE_F, _set(v)), [-1], GridRangeError),
+}
+BAD_VALUES = {"1.5": 1.5, "2.0": 2.0, "True": True, "np.True_": np.True_, "nan": math.nan,
+              "[[1, 2]]": [[1, 2]]}
+
+
+@pytest.mark.parametrize("value", [*BAD_VALUES, "out of range"])
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_every_integer_entry_point_refuses_bad_indices(entry, value):
+    # at the parent commit, annulus 1.5 and True read as annulus 1, radius
+    # 1.5 as radius 1, k = 1.5 was recorded, and several values crashed
+    # with a bare TypeError, IndexError or ValueError
+    call, outside, error = ENTRY_POINTS[entry]
+    if value == "out of range":
+        with pytest.raises(error):
+            call(outside)
+    else:
+        with pytest.raises(DomainError):
+            call(BAD_VALUES[value])
+
+
+def test_strong_type_refusal_names_j_cut_the_window_and_the_fit_range():
+    with pytest.raises(GridRangeError, match=r"j_cut=20, window \(1, 29\)\).*\(20, 60\)"):
+        strong_type_ratio(W, 2.0, F, j_cut=20, n_max=10)
+    short = AnnularGrid(DEFAULT_SPACE, 30)
+    f = RadialFunction.indicator(short, [1])
+    with pytest.raises(GridRangeError, match=r"j_cut=60, window \(1, 19\)"):
+        strong_type_ratio(materialize(WeightSpec.constant(), short), 2.0, f, n_max=10)
+    # the zero function is refused too, before its degenerate report
+    with pytest.raises(GridRangeError, match="j_cut=0"):
+        strong_type_ratio(W, 2.0, RadialFunction.zeros(GRID), j_cut=0, n_max=10)
+    rep = strong_type_ratio(W, 2.0, F, j_cut=21, n_max=5)
+    assert rep.meta["fit_range"] == (20, 21) and rep.witness == {"j_cut": 21}
+
+
+@pytest.mark.parametrize("window, sets", [((0, 10), [[0, 1]]), ((1, 50), [[45]])])
+def test_pair_checkers_refuse_a_family_window_off_the_grid(window, sets):
+    # SetFamily gates its sets against its own window; the checker reads
+    # their masses ungated, so the window itself must fit the grid
+    family = SetFamily(sets, "t", window)
+    for check in (check_necessary, lambda *a, **kw: check_large_scale(*a[:2], 0.5, 0.5, **kw)):
+        with pytest.raises(GridRangeError, match="family window"):
+            check(W, 2.0, n_max=5, family=family)

@@ -17,7 +17,8 @@ from nalab.treelab import (
     tree_maximal_naive,
     tree_product_measure,
     weak11_constant,
-    _level_counts,
+    _all_ball_sums,
+    _local_counts,
     _tree_maximal_block,
 )
 
@@ -55,15 +56,16 @@ def test_ball_counts():
             assert len(tree_ball(tk, 0, r)) == (k ** (r + 1) - 1) // (k - 1)
 
 
-def test_level_counts_match_every_ball():
-    # level symmetry: |B(v, r)| depends on depth(v) only
+def test_local_counts_match_every_ball():
+    # row r holds |B(v, r)| for every v with a local radius r, depth(v) <= depth - r + 1
     for k, depth in ((2, 7), (3, 5), (4, 4), (5, 3), (2, 1)):
         t = TreeSpace(k, depth)
-        counts = _level_counts(k, depth)
-        assert counts.shape == (2 * depth + 1, depth + 1)
-        for v in range(t.size):
-            for r in range(2 * depth + 1):
-                assert counts[r, t.depths[v]] == len(tree_ball(t, v, r)), (k, depth, v, r)
+        counts = _local_counts(k, depth)
+        assert len(counts) == depth + 2
+        for r, row in enumerate(counts):
+            assert row.shape == (t._level_starts[min(depth - r + 2, depth + 1)], 1)
+            for v in range(len(row)):
+                assert row[v, 0] == len(tree_ball(t, v, r)), (k, depth, v, r)
 
 
 def test_ball_nesting_and_boundary_flag():
@@ -303,6 +305,37 @@ def test_argmax_radius_reads_the_data_at_call_time():
     res = tree_maximal(f)
     f.values[:] = f.values[::-1]
     assert np.array_equal(res.argmax_radius, expected)
+
+
+def _argmax_by_scan(res):
+    """The smallest radius whose ball average, over every radius of
+    _all_ball_sums, equals the value bit for bit: the argmax as it was read
+    before the tail's argmax was carried down the root path."""
+    tree = res.tree
+    sizes = _all_ball_sums(tree, np.ones((tree.size, 1)))
+    arg = np.full(tree.size, -1)
+    for r, (sums, size) in enumerate(zip(_all_ball_sums(tree, res.data[:, None]), sizes)):
+        np.copyto(arg, r, where=(arg < 0) & (sums[:, 0] / size[:, 0] == res.values))
+    return arg
+
+
+@pytest.mark.parametrize("kind", ["integer", "uniform", "dirac", "exp+30", "exp-30"])
+@pytest.mark.parametrize(
+    "k, depth", [(2, 8), (3, 8), (4, 8), (2, 1), (5, 3), (8, 4), (2, 12), (3, 5)]
+)
+def test_argmax_radius_matches_the_scan_over_every_radius(k, depth, kind):
+    # float data included: ties between radii are decided on the same sums
+    tree = TreeSpace(k, depth)
+    rng = np.random.default_rng([k, depth])
+    vals = {
+        "integer": lambda: rng.integers(0, 20, tree.size).astype(float),
+        "uniform": lambda: rng.uniform(0.0, 1.0, tree.size),
+        "dirac": lambda: VertexFunction.dirac(tree, rng.integers(0, tree.size, 10)).values,
+        "exp+30": lambda: np.exp(30.0 * rng.uniform(0.0, 1.0, tree.size)),
+        "exp-30": lambda: np.exp(-30.0 * rng.uniform(0.0, 1.0, tree.size)),
+    }[kind]()
+    res = tree_maximal(VertexFunction(tree, vals))
+    assert np.array_equal(res.argmax_radius, _argmax_by_scan(res))
 
 
 @pytest.mark.parametrize("k, depth", [(2, 5), (3, 3), (4, 3)])
