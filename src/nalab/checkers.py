@@ -14,28 +14,29 @@ Witnesses are stable: where ratios tie to rounding, a checker names the
 first configuration within _TIE_REL (relative) of the sup, so a last-bit
 change in the data does not move the witness; the constant stays the sup.
 
-The level-set quotients (weak-type, fs-ratio) are built on blocks: a block
-helper takes a (j_max x m) block whose columns are functions, computes
-their maximal functions in one radialops._maximal_block call and the
-masses of their superlevel sets at every level of _LAMBDA_GRID in one
-masked sum, and returns numerators and denominators per column.
-weak_type_ratio and fs_ratio are its m = 1 case; the divergence sequences
-in experiments pass all their indicators as one block through
-_level_set_sups.
+The level-set quotients l^p w({Mf > l}) / D(f) (weak-type, fs-ratio) have
+one evaluation path, _level_set_quotients: it takes a (j_max x m) block
+whose columns are functions and their denominators, computes their maximal
+functions in one radialops._maximal_block call and the masses of their
+superlevel sets at every level in one masked sum, and returns the quotients
+per column and level.  The denominators come from _weak_type_dens (the
+L^p(w) norm to the p) and _fs_dens (the pairing with the comparison weight
+G, computed once per block).  weak_type_ratio and fs_ratio are its m = 1
+case; the divergence sequences in experiments pass all their indicators
+as one block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, GridRangeError, UnsupportedError
-from .errors import require_index, require_integer
+from .errors import require_index, require_index_set, require_integer
 from .fitting import fit_linear, fit_log_slope
 from .geometry import _kernel_stack, annular_intersection, density, valid_upper
 from .radialops import (
@@ -46,7 +47,7 @@ from .radialops import (
     maximal_s,
 )
 from .treelab import VertexFunction, _tree_maximal_block
-from .weights import Weight, _annuli_mass, _annulus_set, weight_mass
+from .weights import Weight, _annuli_mass, weight_mass
 
 __all__ = [
     "SetFamily",
@@ -110,27 +111,18 @@ class SetFamily:
         lo, hi = self.window
         if not self.sets:
             raise UnsupportedError("set family is empty")
-        self.sets = [_annulus_set(s, lo, hi) for s in self.sets]
+        self.sets = [require_index_set(s, lo, hi, "annulus") for s in self.sets]
         if any(s.size == 0 for s in self.sets):
             raise UnsupportedError("set family contains an empty set")
 
     @classmethod
     def singletons(cls, window: tuple) -> "SetFamily":
-        lo, hi = window
-        return cls([np.array([j]) for j in range(lo, hi + 1)], "singletons", window)
+        return cls(_singleton_sets(*window), "singletons", window)
 
     @classmethod
     def dyadic_blocks(cls, window: tuple) -> "SetFamily":
         """Contiguous blocks {j : 2^a <= j < 2^(a+1)} clipped to the window."""
-        lo, hi = window
-        sets = []
-        a = 0
-        while 2**a <= hi:
-            block = np.arange(max(2**a, lo), min(2 ** (a + 1) - 1, hi) + 1)
-            if block.size:
-                sets.append(block)
-            a += 1
-        return cls(sets, "dyadic-blocks", window)
+        return cls(_dyadic_sets(*window), "dyadic-blocks", window)
 
     @classmethod
     def random_unions(cls, window: tuple, seed: int, count: int) -> "SetFamily":
@@ -145,9 +137,18 @@ class SetFamily:
     @classmethod
     def standard(cls, window: tuple) -> "SetFamily":
         """Singletons plus dyadic blocks: the proof-side decomposition."""
-        s = cls.singletons(window)
-        d = cls.dyadic_blocks(window)
-        return cls(s.sets + d.sets, "singletons+dyadic", window)
+        sets = _singleton_sets(*window) + _dyadic_sets(*window)
+        return cls(sets, "singletons+dyadic", window)
+
+
+def _singleton_sets(lo: int, hi: int) -> List[np.ndarray]:
+    return [np.array([j]) for j in range(lo, hi + 1)]
+
+
+def _dyadic_sets(lo: int, hi: int) -> List[np.ndarray]:
+    """The nonempty blocks [2^a, 2^(a+1)) clipped to lo..hi, for every 2^a <= hi."""
+    ends = [(max(2**a, lo), min(2 ** (a + 1) - 1, hi)) for a in range(int(hi).bit_length())]
+    return [np.arange(a, b + 1) for a, b in ends if a <= b]
 
 
 @dataclass
@@ -640,66 +641,54 @@ def _zero_report(report_id: str, witness: dict, verdict: str, meta: dict) -> Che
     return CheckReport(report_id, 0.0, witness, verdict, meta=meta, _reeval=lambda wit: 0.0)
 
 
-def _level_set_numerators(
-    w: Weight, block: np.ndarray, power: float, n_max: int, levels: np.ndarray
+def _level_set_quotients(
+    w: Weight, block: np.ndarray, power: float, n_max: int, dens: np.ndarray, levels=_LAMBDA_GRID
 ) -> np.ndarray:
-    """l^power w({M f > l}) over M's valid window, for every column f of the
-    (j_max x m) block (rows) and level l (columns)."""
+    """l^power w({M f > l}) / den over M's valid window, for every column f
+    of the (j_max x m) block (rows), with its denominator den in dens, and
+    every level l (columns).
+
+    A zero denominator gives inf or nan without a warning; callers report
+    it before reading the quotients.
+    """
     mf = _maximal_block(w.grid, block, n_max)
     window = (1, valid_upper(w.grid.j_max, n_max))
-    return levels**power * _superlevel_mass(w, mf, window, levels)
+    nums = levels**power * _superlevel_mass(w, mf, window, levels)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return nums / dens[:, None]
 
 
-def _weak_type_block(
-    w: Weight, p: float, block: np.ndarray, n_max: int, levels: np.ndarray
-) -> tuple:
-    """weak_type_ratio's numerators l^p w({M f > l}) and denominators
-    ||f||_{L^p(w)}^p for every column f of the block."""
-    norms = (w.values * w.grid.measures) @ block**p
-    return _level_set_numerators(w, block, p, n_max, levels), norms
+def _weak_type_dens(w: Weight, p: float, block: np.ndarray) -> np.ndarray:
+    """weak_type_ratio's denominators ||f||_{L^p(w)}^p, one per column f."""
+    return (w.values * w.grid.measures) @ block**p
 
 
-def _fs_block(
-    w: Weight, s: float, block: np.ndarray, k: int, n_max: int, levels: np.ndarray
-) -> tuple:
-    """fs_ratio's numerators l w({M f > l}) and denominators
-    sum_j f_j G_j |Omega_j| over G's valid window, for every column f of the
-    block; the comparison weight G is computed once for the block."""
+def _fs_dens(w: Weight, s: float, block: np.ndarray, k: int, n_max: int) -> np.ndarray:
+    """fs_ratio's denominators sum_j f_j G_j |Omega_j| over G's valid window,
+    one per column f; the comparison weight G is computed once per block."""
     grid = w.grid
     if s > 1.0:
         g_vals = maximal_s(w, s, n_max).values
     else:
         g_vals = maximal_dis(w, n_max, iterations=k).values
-    g_hi = valid_upper(grid.j_max, n_max, iterations=1 if s > 1.0 else k)
-    dens = (g_vals[:g_hi] * grid.measures[:g_hi]) @ block[:g_hi]
-    return _level_set_numerators(w, block, 1.0, n_max, levels), dens
-
-
-def _level_set_sups(block_fn: Callable) -> np.ndarray:
-    """Level-set quotient constants of every column of a block.
-
-    block_fn(levels) is a block helper with all but its levels bound; the
-    sup runs over _LAMBDA_GRID, and every denominator must be positive.
-    """
-    nums, dens = block_fn(_LAMBDA_GRID)
-    return (nums / dens[:, None]).max(axis=1)
+    g_hi = valid_upper(grid.j_max, n_max, iterations=k)
+    return (g_vals[:g_hi] * grid.measures[:g_hi]) @ block[:g_hi]
 
 
 def _level_set_ratio(
-    report_id: str, block_fn: Callable, ratios: np.ndarray, meta: dict
+    report_id: str, ratios: np.ndarray, quotients: Callable, meta: dict
 ) -> CheckReport:
     """Report of a level-set quotient of one function.
 
-    ratios are its quotients over _LAMBDA_GRID, from block_fn, a
-    block helper bound to the one-column block of the function; the first
-    maximizer is the witness.  reevaluate() calls block_fn at the witness
+    ratios are its quotients over _LAMBDA_GRID; the first maximizer is the
+    witness.  quotients(levels) recomputes them at any positive levels
+    through _level_set_quotients, and reevaluate() calls it at the witness
     level, recomputing every maximal function the quotient needs.
     """
     k = int(np.argmax(ratios))
 
     def reeval(wit: dict) -> float:
-        nums, dens = block_fn(np.array([float(wit["lambda"])]))
-        return float(nums[0, 0] / dens[0])
+        return float(quotients(np.array([float(wit["lambda"])]))[0, 0])
 
     return CheckReport(
         id=report_id,
@@ -723,13 +712,15 @@ def weak_type_ratio(
     witness.
     """
     _require(p >= 1, "p >= 1", p=p)
-    block_fn = partial(_weak_type_block, w, p, f.values[:, None], n_max)
-    nums, norm_p = block_fn(_LAMBDA_GRID)
+    block = f.values[:, None]
+    norm_p = _weak_type_dens(w, p, block)
+    ratios = _level_set_quotients(w, block, p, n_max, norm_p)[0]  # gates n_max
     if norm_p[0] == 0.0:
         meta = {"p": p, "degenerate": "zero function"}
         return _zero_report("weak-type", {"lambda": None}, "pass", meta)
     meta = {"p": p, "n_max": n_max, "window": (1, valid_upper(w.grid.j_max, n_max))}
-    return _level_set_ratio("weak-type", block_fn, nums[0] / norm_p[0], meta)
+    return _level_set_ratio("weak-type", ratios, lambda levels: _level_set_quotients(
+        w, block, p, n_max, _weak_type_dens(w, p, block), levels), meta)
 
 
 def strong_type_ratio(
@@ -817,22 +808,28 @@ def fs_ratio(
     """Two-weight quotient sup_l l w({Mf > l}) / sum_j |f_j| G_j |Omega_j|.
 
     The comparison weight G is M_s w for s > 1 and the k-fold iterate
-    M^(k) w at s = 1; the denominator runs over G's valid window, and
-    configurations whose denominator vanishes are recorded, not passed.
+    M^(k) w at s = 1, so k other than 1 is refused when s > 1; the
+    denominator runs over G's valid window, and configurations whose
+    denominator vanishes are recorded, not passed.
     """
     require_integer(k, "k")
-    _require(s >= 1.0 and k >= 1, "s >= 1 and k >= 1", s=s, k=k)
-    block_fn = partial(_fs_block, w, s, f.values[:, None], k, n_max)
-    nums, den = block_fn(_LAMBDA_GRID)
+    _require(
+        s >= 1.0 and k >= 1 and (s == 1.0 or k == 1),
+        "s >= 1 and k >= 1, with k = 1 when s > 1", s=s, k=k,
+    )
+    block = f.values[:, None]
+    den = _fs_dens(w, s, block, k, n_max)
+    ratios = _level_set_quotients(w, block, 1.0, n_max, den)[0]
     support_hi = int(np.max(np.nonzero(f.values)[0]) + 1) if np.any(f.values) else 0
     if den[0] == 0.0:
         verdict = "pass" if support_hi == 0 else "info"
         meta = {"s": s, "k": k, "degenerate": "zero denominator"}
         return _zero_report("fs-ratio", {"lambda": None}, verdict, meta)
-    g_hi = valid_upper(w.grid.j_max, n_max, iterations=1 if s > 1.0 else k)
+    g_hi = valid_upper(w.grid.j_max, n_max, iterations=k)
     meta = {"s": s, "k": k, "n_max": n_max, "g_window": (1, g_hi),
             "support_inside_window": support_hi <= g_hi}
-    return _level_set_ratio("fs-ratio", block_fn, nums[0] / den[0], meta)
+    return _level_set_ratio("fs-ratio", ratios, lambda levels: _level_set_quotients(
+        w, block, 1.0, n_max, _fs_dens(w, s, block, k, n_max), levels), meta)
 
 
 def _space_of(f: Union[VertexFunction, RadialFunction]) -> tuple:

@@ -1,14 +1,22 @@
 """Exception types shared across the package, the check every number read
-from outside passes, and the one gate of every integer index.
+from outside passes, and the gates of every integer index and data array.
 
-require_index is that gate: every scale, radius, annulus, vertex and n_max
-the package takes passes through it, alone or as a flat sequence, and comes
-out as an int or an int64 array inside its range; so does every other
-integer whose range violations are GridRangeErrors (j_max, with hi = inf).
-require_integer is its integer step.  On its own it gates the integers that
-have no upper bound and whose lower bound is a domain condition, refused
-with DomainError: iteration, refinement and pass counts, pair distances and
-the tree's shape; and j_cut, whose range depends on the valid window.
+require_index is the gate of integer indices: every scale, radius, annulus,
+vertex and n_max the package takes passes through it, alone or as a flat
+sequence, and comes out as an int or an int64 array inside its range; so
+does every other integer whose range violations are GridRangeErrors (j_max,
+with hi = inf).  require_integer is its integer step.  On its own it gates
+the integers that have no upper bound and whose lower bound is a domain
+condition, refused with DomainError: iteration, refinement and pass counts,
+pair distances and the tree's shape; and j_cut, whose range depends on the
+valid window.  require_index_set is its form for index sets, whose order
+and repeats do not count (test sets of annuli, vertex sets of the tree):
+the distinct indices come out sorted.
+
+require_data is the gate of data arrays: the values of every radial
+function, radial weight, vertex function and vertex weight pass through it
+and come out as a float array with one finite, nonnegative (for weights,
+positive) entry per annulus or vertex.
 """
 
 import numbers
@@ -98,3 +106,25 @@ def require_index(x, lo, hi, name: str):
         bad = arr[(arr < lo) | (arr > hi)][0]
         raise GridRangeError(f"{name}={bad} outside {lo}..{hi}")
     return arr.astype(np.int64, copy=False)
+
+
+def require_index_set(x, lo, hi, name: str) -> np.ndarray:
+    """The distinct indices of x, sorted, as an int64 array; x as in require_index.
+
+    The indices are marked in a boolean mask over lo..hi, not passed to
+    numpy's unique, whose first call in a process imports numpy.ma.
+    """
+    mask = np.zeros(max(hi - lo + 1, 0), dtype=bool)
+    mask[require_index(x, lo, hi, name) - lo] = True
+    return (np.flatnonzero(mask) + lo).astype(np.int64, copy=False)
+
+
+def require_data(values, size: int, name: str, positive: bool = False) -> np.ndarray:
+    """values as a float array of shape (size,), finite and nonnegative, or
+    positive when positive; else DomainError naming name."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (size,):
+        raise DomainError(f"{name} must have shape ({size},), got shape {arr.shape}")
+    if not (np.all(np.isfinite(arr)) and np.all(arr > 0 if positive else arr >= 0)):
+        raise DomainError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
+    return arr

@@ -19,7 +19,6 @@ import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
 from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
@@ -27,9 +26,9 @@ import numpy as np
 from .checkers import (
     CheckReport,
     SetFamily,
-    _fs_block,
-    _level_set_sups,
-    _weak_type_block,
+    _fs_dens,
+    _level_set_quotients,
+    _weak_type_dens,
     check_ap_loc,
     check_classical_ap,
     check_easy_check,
@@ -197,25 +196,26 @@ def _pipe_apnot(seed: int) -> List[CheckReport]:
 
 def _divergence_sequence(
     report_id: str,
-    block_fn: Callable,
+    quotients: Callable,
     witness: dict,
     meta: dict,
     relative: bool,
 ) -> CheckReport:
     """Constants c_j of the indicators 1_(Omega_j), j = 10..40, and their growth.
 
-    w is exp_radial(-1) on a j_max 120 grid.  block_fn(w, F, levels) is a
-    level-set block helper of checkers with its parameters bound; the 31
-    indicators go through it as one block.  The linear rate is fitted to
-    c_j / c_10 when relative, else to c_j; reevaluate() recomputes c_(j_hi)
-    as a one-column block, the path of the single-function checker.
+    w is exp_radial(-1) on a j_max 120 grid.  quotients(w, F) returns the
+    level-set quotients of every column of the block F over the lambda grid,
+    through checkers._level_set_quotients; the 31 indicators go through it
+    as one block, the columns of an identity matrix, and c_j is the sup of
+    its row.  The linear rate is fitted to c_j / c_10 when relative, else to
+    c_j; reevaluate() recomputes c_(j_hi) as a one-column block, the path of
+    the single-function checker.
     """
     grid = _canonical_grid(120)
     w = materialize(WeightSpec.exp_radial(-1.0), grid)
 
     def constants(js) -> np.ndarray:
-        block = np.stack([RadialFunction.indicator(grid, [j]).values for j in js], axis=1)
-        return _level_set_sups(partial(block_fn, w, block))
+        return quotients(w, np.eye(grid.j_max)[:, np.asarray(js) - 1]).max(axis=1)
 
     js = np.arange(10, 41)
     consts = constants(js)
@@ -240,7 +240,7 @@ def _pipe_growthnec(seed: int) -> List[CheckReport]:
     )
     growth = _divergence_sequence(
         "weak-type-growth",
-        lambda w, block, levels: _weak_type_block(w, 2.0, block, 42, levels),
+        lambda w, F: _level_set_quotients(w, F, 2.0, 42, _weak_type_dens(w, 2.0, F)),
         {"n_max": 42}, {"p": 2.0}, relative=True,
     )
     return [nec, growth]
@@ -250,7 +250,8 @@ def _pipe_fs_failure(seed: int) -> List[CheckReport]:
     """s = 1 two-weight constants c_j grow linearly: no uniform bound."""
     rep = _divergence_sequence(
         "fs-divergence",
-        lambda w, block, levels: _fs_block(w, 1.0, block, 1, CANONICAL_N_MAX, levels),
+        lambda w, F: _level_set_quotients(
+            w, F, 1.0, CANONICAL_N_MAX, _fs_dens(w, 1.0, F, 1, CANONICAL_N_MAX)),
         {"s": 1.0, "k": 1}, {}, relative=False,
     )
     return [rep]

@@ -41,7 +41,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, GridRangeError, require_index, require_integer
+from .errors import DomainError, GridRangeError, require_data, require_index, require_integer
 from .geometry import (
     AnnularGrid,
     _kernel_stack,
@@ -64,11 +64,7 @@ class RadialFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.j_max,):
-            raise DomainError("radial data must cover every annulus")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
-            raise DomainError("radial data must be finite and nonnegative")
+        self.values = require_data(self.values, self.grid.j_max, "radial data")
 
     @classmethod
     def zeros(cls, grid: AnnularGrid) -> "RadialFunction":

@@ -42,8 +42,9 @@ Ball sizes are _ball_sums of the constant 1, taken once per (k, depth)
 by _local_counts, for exact division; it is the one ball-size table, read
 by the maximal function and its argmax alike.  No TreeSpace carries state
 beyond its shape arrays.  Vertex ids, radii and pair distances pass
-errors.require_index or errors.require_integer: a bool or a float such as
-2.0 raises DomainError, and a vertex or radius off the tree GridRangeError.
+errors.require_index or errors.require_integer, and vertex sets
+errors.require_index_set: a bool or a float such as 2.0 raises DomainError,
+and a vertex or radius off the tree GridRangeError.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, require_index, require_integer
+from .errors import DomainError, require_data, require_index, require_index_set, require_integer
 
 __all__ = [
     "TreeSpace",
@@ -147,11 +148,7 @@ class VertexFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.tree.size,):
-            raise DomainError("vertex data must cover every vertex")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
-            raise DomainError("vertex data must be finite and nonnegative")
+        self.values = require_data(self.values, self.tree.size, "vertex data")
 
     @classmethod
     def zeros(cls, tree: TreeSpace) -> "VertexFunction":
@@ -171,9 +168,7 @@ class VertexWeight(VertexFunction):
     """Strictly positive data on the vertices."""
 
     def __post_init__(self):
-        super().__post_init__()
-        if np.any(self.values <= 0):
-            raise DomainError("vertex weights must be strictly positive")
+        self.values = require_data(self.values, self.tree.size, "vertex weights", positive=True)
 
     @classmethod
     def ones(cls, tree: TreeSpace) -> "VertexWeight":
@@ -405,11 +400,6 @@ def tree_maximal_naive(f: VertexFunction) -> TreeMaximal:
     return result
 
 
-def _as_vertex_array(tree: TreeSpace, E: Iterable[int]) -> np.ndarray:
-    """The distinct vertex ids of E, sorted."""
-    return np.unique(require_index(E, 0, tree.size - 1, "vertex"))
-
-
 def tree_product_measure(
     w: VertexWeight,
     E: Iterable[int],
@@ -433,8 +423,8 @@ def tree_product_measure(
     if n < 0:
         raise DomainError(f"pair distance must be nonnegative, got {n}")
     tree = w.tree
-    ex = _as_vertex_array(tree, E)
-    fy = _as_vertex_array(tree, F)
+    ex = require_index_set(E, 0, tree.size - 1, "vertex")
+    fy = require_index_set(F, 0, tree.size - 1, "vertex")
     if ex.size == 0 or fy.size == 0:
         return 0.0
     wf = np.zeros(tree.size)
@@ -500,7 +490,7 @@ def tree_kolmogorov(
     if not (0.0 < q < 1.0):
         raise DomainError(f"Kolmogorov exponent must lie in (0,1), got {q}")
     tree = f.tree
-    bv = _as_vertex_array(tree, B)
+    bv = require_index_set(B, 0, tree.size - 1, "vertex")
     res = tree_maximal(f) if result is None else result
     weak_constant = weak11_constant(f, res)
     trusted = res.trusted()[bv]

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, finite_number, require_index
+from .errors import ConfigError, DomainError, finite_number, require_data, require_index_set
 from .geometry import AnnularGrid
 from .specfun import JacobiParams, jacobi_phi_second_trace, jacobi_phi_trace
 
@@ -136,11 +136,7 @@ class Weight:
     profile: Optional[Profile] = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.j_max,):
-            raise DomainError("weight values must cover every annulus")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0):
-            raise DomainError("weight values must be positive and finite")
+        self.values = require_data(self.values, self.grid.j_max, "weight values", positive=True)
 
 
 # array-in, array-out evaluator of a spec on increasing 1-d distances
@@ -237,18 +233,11 @@ def materialize(spec: WeightSpec, grid: AnnularGrid) -> Weight:
 
 def weight_mass(w: Weight, annuli: Iterable[int]) -> float:
     """Weighted measure of a union of annuli: sum of w_j |Omega_j|."""
-    return _annuli_mass(w, _annulus_set(annuli, 1, w.grid.j_max))
-
-
-def _annulus_set(annuli: Iterable[int], lo: int, hi: int) -> np.ndarray:
-    """The distinct indices of annuli, sorted; an index outside lo..hi is refused."""
-    # not np.unique: its first call imports numpy.ma, about 20 ms
-    idx = np.atleast_1d(require_index(annuli, lo, hi, "annulus"))
-    return np.array(sorted(set(idx.tolist())), dtype=np.int64)
+    return _annuli_mass(w, require_index_set(annuli, 1, w.grid.j_max, "annulus"))
 
 
 def _annuli_mass(w: Weight, annuli: np.ndarray) -> float:
-    """weight_mass of an _annulus_set, taken as valid on w's grid."""
+    """weight_mass of a gated annulus set, taken as valid on w's grid."""
     sel = annuli - 1
     return float(np.dot(w.values[sel], w.grid.measures[sel]))
 

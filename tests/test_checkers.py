@@ -33,7 +33,7 @@ from nalab.geometry import (
     annular_intersection,
     product_kernel,
 )
-from nalab.radialops import RadialFunction, maximal_dis
+from nalab.radialops import RadialFunction, maximal_dis, maximal_s
 from nalab.treelab import TreeSpace, VertexFunction
 from nalab.weights import Weight, WeightSpec, materialize, weight_mass
 
@@ -732,6 +732,83 @@ def test_fs_consistent_with_weak_at_constant_weight():
     assert c_wk == approx_frozen(0.286662)
     assert fs_ratio(materialize(WeightSpec.exp_radial(-1.0), GRID80), 2.0,
                     RadialFunction.zeros(GRID80)).constant == 0.0
+
+
+def _superlevel_quotient_loop(w, f, power, lam, n_max, den):
+    """lam^power sum of w_j |Omega_j| over {Mf > lam} in M's valid window,
+    divided by den, one annulus at a time."""
+    res = maximal_dis(f, n_max)
+    lo, hi = res.window
+    mass = 0.0
+    for j in range(lo, hi + 1):
+        if res.values[j - 1] > lam:
+            mass += w.values[j - 1] * w.grid.measures[j - 1]
+    return lam**power * mass / den
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.0123, 0.55])
+def test_weak_type_reevaluates_off_grid_levels(lam):
+    w = materialize(WeightSpec.exp_radial(-0.5), GRID80)
+    f = RadialFunction.indicator(GRID80, [5, 6])
+    rep = weak_type_ratio(w, 2.0, f, n_max=20)
+    norm_p = sum(w.values[j - 1] * GRID80.measures[j - 1] * f.values[j - 1] ** 2.0
+                 for j in range(1, 81))
+    want = _superlevel_quotient_loop(w, f, 2.0, lam, 20, norm_p)
+    assert want > 0
+    rep.witness["lambda"] = lam
+    assert rep.reevaluate() == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.0123, 0.55])
+@pytest.mark.parametrize("s, k", [(2.0, 1), (1.0, 1), (1.0, 2)])
+def test_fs_ratio_reevaluates_off_grid_levels(lam, s, k):
+    w = materialize(WeightSpec.exp_radial(-0.5), GRID80)
+    f = RadialFunction.indicator(GRID80, [5, 6])
+    rep = fs_ratio(w, s, f, k=k, n_max=20)
+    g = maximal_s(w, s, 20).values if s > 1 else maximal_dis(w, 20, iterations=k).values
+    g_hi = rep.meta["g_window"][1]
+    den = sum(f.values[j - 1] * g[j - 1] * GRID80.measures[j - 1] for j in range(1, g_hi + 1))
+    want = _superlevel_quotient_loop(w, f, 1.0, lam, 20, den)
+    assert want > 0
+    rep.witness["lambda"] = lam
+    assert rep.reevaluate() == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("meter", [weak_type_ratio, fs_ratio])
+def test_zero_function_with_n_max_off_the_grid_is_refused(meter):
+    # n_max is gated before the zero function's degenerate report
+    w = materialize(WeightSpec.exp_radial(-0.5), GRID80)
+    z = RadialFunction.zeros(GRID80)
+    with pytest.raises(GridRangeError, match=r"^n_max=40 outside 1\.\.38$"):
+        meter(w, 2.0, z, n_max=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = meter(w, 2.0, z, n_max=38)
+    assert rep.constant == 0.0 and rep.witness == {"lambda": None}
+
+
+@pytest.mark.parametrize("s, k", [(2.0, 3), (1.5, 2), (1.0 + 1e-9, 2)])
+def test_fs_ratio_refuses_k_other_than_1_when_s_exceeds_1(s, k):
+    # k iterates M only at s = 1; it used to be ignored, yet recorded in meta
+    w = materialize(WeightSpec.exp_radial(-0.5), GRID80)
+    f = RadialFunction.indicator(GRID80, [5])
+    with pytest.raises(DomainError, match=r"k = 1 when s > 1"):
+        fs_ratio(w, s, f, k=k)
+    assert fs_ratio(w, s, f, k=1).meta["k"] == 1
+    assert fs_ratio(w, 1.0, f, k=k).meta["k"] == k
+
+
+def test_standard_family_gates_each_set_once(monkeypatch):
+    calls = []
+    real = nalab.checkers.require_index_set
+
+    def counting(x, *args):
+        calls.append(x)
+        return real(x, *args)
+
+    monkeypatch.setattr(nalab.checkers, "require_index_set", counting)
+    family = SetFamily.standard((1, 54))
+    assert len(calls) == len(family.sets) == 54 + 6
 
 
 # ---------------------------------------------------------------- vector valued

@@ -1,6 +1,11 @@
 """The one integer gate, errors.require_index, and every entry point that
-takes an integer index or an integer parameter through it."""
+takes an integer index or an integer parameter through it; its set form,
+errors.require_index_set; and the data gate, errors.require_data, behind
+every radial and vertex container."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +19,10 @@ from nalab.checkers import (
     fs_ratio,
     strong_type_ratio,
 )
-from nalab.errors import DomainError, GridRangeError, require_index
+import nalab
+from nalab.errors import (
+    DomainError, GridRangeError, require_data, require_index, require_index_set,
+)
 from nalab.geometry import DEFAULT_SPACE, AnnularGrid, annular_intersection, product_kernel
 from nalab.radialops import RadialFunction, avg, maximal_dis, maximal_s
 from nalab.treelab import (
@@ -25,7 +33,7 @@ from nalab.treelab import (
     tree_kolmogorov,
     tree_product_measure,
 )
-from nalab.weights import WeightSpec, materialize, weight_mass
+from nalab.weights import Weight, WeightSpec, materialize, weight_mass
 
 
 def test_require_index_returns_ints_and_int64_arrays():
@@ -148,3 +156,110 @@ def test_pair_checkers_refuse_a_family_window_off_the_grid(window, sets):
     for check in (check_necessary, lambda *a, **kw: check_large_scale(*a[:2], 0.5, 0.5, **kw)):
         with pytest.raises(GridRangeError, match="family window"):
             check(W, 2.0, n_max=5, family=family)
+
+
+# ---------------------------------------------------------------- index sets
+
+
+def test_require_index_set_returns_distinct_sorted_int64():
+    uint8 = np.array([3, 1, 1], dtype=np.uint8)
+    for seq in ([3, 1, 3], (3, 3, 1), uint8, {1, 3}, (v for v in (3, 1))):
+        got = require_index_set(seq, 1, 5, "j")
+        assert got.dtype == np.int64 and got.tolist() == [1, 3]
+    assert require_index_set(np.int32(4), 1, 5, "j").tolist() == [4]
+    assert require_index_set([0, 9, 0], 0, 9, "j").tolist() == [0, 9]
+    for empty in ([], (), np.zeros(0, dtype=np.int64)):
+        got = require_index_set(empty, 1, 5, "j")
+        assert got.dtype == np.int64 and got.size == 0
+
+
+@pytest.mark.parametrize(
+    "x", [True, [1, True], [2.0], 1.5, math.nan, [math.nan], [[1, 2]], [[1], 2]], ids=repr
+)
+def test_require_index_set_refuses_what_is_not_an_integer_index(x):
+    with pytest.raises(DomainError, match="'j'|j must"):
+        require_index_set(x, 0, 5, "j")
+
+
+@pytest.mark.parametrize("x, bad", [([1, 0, 7], 0), ([5, 5, 9], 9), (6, 6)])
+def test_require_index_set_names_the_index_outside_the_range(x, bad):
+    with pytest.raises(GridRangeError, match=rf"^j={bad} outside 1\.\.5$"):
+        require_index_set(x, 1, 5, "j")
+
+
+def test_index_set_entry_points_load_no_numpy_ma():
+    # numpy's unique imports numpy.ma on its first call, 12-17 ms
+    src = os.path.dirname(os.path.dirname(nalab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from nalab.checkers import SetFamily\n"
+        "from nalab.geometry import DEFAULT_SPACE, AnnularGrid\n"
+        "from nalab.treelab import TreeSpace, VertexFunction, VertexWeight\n"
+        "from nalab.treelab import tree_kolmogorov, tree_product_measure\n"
+        "from nalab.weights import WeightSpec, materialize, weight_mass\n"
+        "tree = TreeSpace(2, 4)\n"
+        "tree_kolmogorov(0.5, VertexFunction.dirac(tree, [3]), [2, 1, 2])\n"
+        "tree_product_measure(VertexWeight.ones(tree), [1, 2], [3, 3], 2)\n"
+        "weight_mass(materialize(WeightSpec.constant(), AnnularGrid(DEFAULT_SPACE, 40)), [3, 1])\n"
+        "SetFamily.standard((1, 20))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------- data arrays
+
+
+def test_require_data_returns_float_arrays():
+    got = require_data([0, 1, 2], 3, "data")
+    assert got.dtype == np.float64 and got.tolist() == [0.0, 1.0, 2.0]
+    ints = np.array([1, 2], dtype=np.int8)
+    assert require_data(ints, 2, "w", positive=True).tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "values, positive, match",
+    [([1.0, 2.0], False, r"shape \(3,\), got shape \(2,\)"),
+     ([[1.0, 2.0, 3.0]], False, r"shape \(3,\), got shape \(1, 3\)"),
+     (5.0, False, r"got shape \(\)"),
+     ([1.0, math.nan, 1.0], False, "finite and nonnegative"),
+     ([1.0, math.inf, 1.0], False, "finite and nonnegative"),
+     ([1.0, -1e-300, 1.0], False, "finite and nonnegative"),
+     ([1.0, 0.0, 1.0], True, "finite and positive"),
+     ([1.0, -math.inf, 1.0], True, "finite and positive")],
+)
+def test_require_data_refuses_bad_arrays(values, positive, match):
+    with pytest.raises(DomainError, match=f"^data must .*{match}"):
+        require_data(values, 3, "data", positive=positive)
+
+
+CONTAINERS = {
+    "RadialFunction": (lambda v: RadialFunction(GRID, v), GRID.j_max, False),
+    "Weight": (lambda v: Weight(GRID, v), GRID.j_max, True),
+    "VertexFunction": (lambda v: VertexFunction(TREE, v), TREE.size, False),
+    "VertexWeight": (lambda v: VertexWeight(TREE, v), TREE.size, True),
+}
+
+
+@pytest.mark.parametrize("bad", ["short", "long", "2-d", "nan", "inf", "negative", "zero"])
+@pytest.mark.parametrize("container", list(CONTAINERS))
+def test_every_container_gates_its_data(container, bad):
+    make, size, positive = CONTAINERS[container]
+    values = {
+        "short": np.ones(size - 1), "long": np.ones(size + 1), "2-d": np.ones((1, size)),
+        "nan": math.nan, "inf": math.inf, "negative": -1.0, "zero": 0.0,
+    }[bad]
+    if np.ndim(values) == 0:
+        values = np.concatenate([np.ones(size - 1), [values]])
+    if bad == "zero" and not positive:
+        assert make(values).values[-1] == 0.0
+        return
+    with pytest.raises(DomainError):
+        make(values)
+    assert make(np.ones(size)).values.dtype == np.float64
