@@ -17,6 +17,8 @@ import csv
 import itertools
 import json
 import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, List, NamedTuple, Optional
@@ -124,10 +126,40 @@ def make_envelope(
     return env
 
 
+@contextmanager
+def _rewrite(path: str):
+    """A text handle that writes path over its old bytes, then cuts the file
+    at the end of the new ones.
+
+    Reports are rewritten under the same names pass after pass, and an
+    O_TRUNC open of an existing file costs far more than writing in place:
+    on ext4 the open frees the blocks and the close flushes the file
+    (auto_da_alloc).  A new file gets mode 0o666 & ~umask, as open() gives
+    it.  Only a regular file is cut, so a report path that resolves to a
+    device such as /dev/null still works.  A crash mid-write damages the
+    file, as it would after a truncating open.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    # on a descriptor, "w" only makes the handle writable: nothing is truncated
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        finally:
+            if regular:
+                fh.truncate()
+
+
 def write_json_report(env: dict, path: str):
+    """Write env to path as indented JSON with a final newline.
+
+    The text is encoded before the file is opened, so an envelope that does
+    not encode leaves an existing file untouched; the file is then
+    rewritten in place (see _rewrite).
+    """
     # one encode and one write: json.dump writes each encoder chunk
     text = json.dumps(env, indent=2) + "\n"
-    with open(path, "w") as fh:
+    with _rewrite(path) as fh:
         fh.write(text)
 
 
@@ -479,6 +511,14 @@ def _parse_space(obj) -> SpaceParams:
     return SpaceParams.from_mk(**nums) if layers else SpaceParams(**nums)
 
 
+def _file_name(output: dict, key: str, default: str) -> str:
+    """The output block's file name under key, which must be a nonempty string."""
+    name = output.get(key, default)
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"output {key!r} must be a nonempty file name, got {name!r}")
+    return name
+
+
 @dataclass
 class ExperimentConfig:
     """Validated sweep description; rejects any field it does not know."""
@@ -538,6 +578,13 @@ class ExperimentConfig:
                 _param(name, value)
 
         output = _object(obj.get("output", {}), "output", {"csv", "json"})
+        csv_name = _file_name(output, "csv", "sweep.csv")
+        json_name = _file_name(output, "json", "sweep.json")
+        if os.path.normpath(csv_name) == os.path.normpath(json_name):
+            raise ConfigError(
+                f"output 'csv' and 'json' must name different files, "
+                f"got {csv_name!r} and {json_name!r}"
+            )
         seed = finite_number(obj.get("seed", CANONICAL_SEED), "seed", True)
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
@@ -551,8 +598,8 @@ class ExperimentConfig:
             params=params,
             axes=axes,
             seed=seed,
-            csv_name=str(output.get("csv", "sweep.csv")),
-            json_name=str(output.get("json", "sweep.json")),
+            csv_name=csv_name,
+            json_name=json_name,
         )
 
 
@@ -689,7 +736,7 @@ def run_sweep(cfg: ExperimentConfig, outdir: Optional[str] = None):
 
     out = report_dir(outdir)
     csv_path = os.path.join(out, cfg.csv_name)
-    with open(csv_path, "w", newline="") as fh:
+    with _rewrite(csv_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", *axis_names, "constant", "slope", "r2", "verdict"])
         for row in rows:
