@@ -22,14 +22,16 @@ Conventions fixed here and relied on everywhere else:
   j - 1 and j, and its representative distance is the midpoint j - 1/2;
 * the intersection model clamps exp(rho (s + t - d)) by the two ball
   volumes and vanishes for d >= s + t;
-* the product kernels of scales 1..s live in one read-only stack per grid
-  and normalization, built in one vectorized pass from two (j_max x j_max)
-  tables, m_i m_j and min(m_i, m_j).  Per scale n the pass adds one row of
-  exp(rho (n + k)) over the index sums k = i + j, read as a Hankel matrix,
-  so a scale costs 2 j_max - 1 exponentials instead of j_max^2.  A request
-  beyond s rebuilds the stack at max(n, 2 s) scales, capped at the largest
-  scale the normalization allows, so ascending requests rebuild it
-  O(log n) times.
+* the raw product kernels of scales 1..s live in one read-only stack per
+  grid, built in three vectorized passes: a minimum of V(n) on the band with
+  max(m_i, m_j), read as one Toeplitz matrix per scale; a product with
+  min(m_i, m_j); and a minimum with exp(rho (n + i + j)), read as one Hankel
+  matrix per scale, so a scale costs 2 j_max - 1 exponentials instead of
+  j_max^2.  The normalization scales belong to the stack: one vector,
+  computed from its row sums on the first normalized request after a build.
+  A request beyond s rebuilds the stack at max(n, 2 s) scales, capped at the
+  largest scale the request's normalization allows, so ascending requests
+  rebuild it O(log n) times.
 """
 
 from __future__ import annotations
@@ -227,8 +229,8 @@ class AnnularGrid:
         self.measures = pieces
         self.volumes = np.cumsum(pieces)
         self.midpoints = np.arange(1, j_max + 1) - 0.5
-        # normalize flag -> (kernel stack, scales); see _kernel_stack
-        self._kernel_stacks: dict[bool, tuple] = {}
+        # (raw kernel stack, its normalization scales or None); see _kernel_stack
+        self._kernels: tuple = ((), None)
         self._validate_growth_band()
 
     def _validate_growth_band(self):
@@ -303,9 +305,10 @@ class ProductKernel:
     matrix[i-1, j-1] models the mass of pairs (x, y) with x in annulus i,
     y in annulus j and d(x, y) <= n; zero outside the band |i - j| <= n + 1.
     A normalized kernel has been divided by ``scale`` so that no row sum of
-    matrix / (V(n) measure_i) exceeds 1; a raw kernel has scale 1.  matrix
-    is a read-only slice of its grid's kernel stack, the same memory for
-    every caller.
+    matrix / (V(n) measure_i) exceeds 1; a raw kernel has scale 1.  A raw
+    matrix is a read-only slice of its grid's kernel stack, the same memory
+    for every caller; a normalized matrix is a fresh read-only array, that
+    slice divided by its scale.
     """
 
     n: int
@@ -313,75 +316,101 @@ class ProductKernel:
     scale: float
 
 
-def _build_kernel_stack(grid: AnnularGrid, s: int, normalize: bool) -> tuple:
-    """The kernels P_1..P_s of a grid as one (s x j_max x j_max) array, and their scales.
+def _build_kernel_stack(grid: AnnularGrid, s: int) -> np.ndarray:
+    """The raw kernels P_1..P_s of a grid as one read-only (s x j_max x j_max) array.
 
-    One vectorized pass over all scales, each entry computed as a per-scale
-    build would, so slice n - 1 is bit for bit the kernel of scale n: the
-    minima V(n) min(m_i, m_j), which equal min(m_i V(n), m_j V(n)) exactly
-    because rounding is monotone; then the m_i m_j table; then an
-    (s x (2 j_max - 1)) table of exp(rho (n + i + j)), read as one Hankel
-    matrix per scale through a strided view, since the cap depends on i + j
-    alone.  Off-band entries are zeroed by a minimum with a 0/inf Toeplitz
-    view, since the band depends on |i - j| alone.  Normalization divides
-    each scale by the largest ratio of its row sums to V(n) m_i, in place.
-    Both arrays are returned read-only.
+    Three vectorized passes over all scales, each entry computed as a
+    per-scale build would, so slice n - 1 is bit for bit the kernel of
+    scale n:
+
+    1. the minimum of max(m_i, m_j) with an (s x (2 j_max - 1)) table that
+       holds V(n) on the band |i - j| <= n + 1 and 0 off it, read as one
+       Toeplitz matrix per scale through a strided view, since the band
+       depends on |i - j| alone;
+    2. a product with min(m_i, m_j), in place: for a > 0 rounding is
+       monotone, so fl(a min(x, y)) = min(fl(a x), fl(a y)) and the band
+       entries become min(m_i V(n), m_j V(n), m_i m_j) exactly;
+    3. the minimum with an (s x (2 j_max - 1)) table of exp(rho (n + i + j)),
+       in place, read as one Hankel matrix per scale, since the cap depends
+       on i + j alone.
+
+    On fast-growing spaces the products and caps overflow to inf without a
+    warning, and band entries can be inf where all three competitors are;
+    the pair checkers take such entries as infinite pair masses, and a
+    normalized request refuses them (_kernel_stack).
     """
     jm = grid.j_max
     m = grid.measures
+    step = m.itemsize
+    # band[n - 1, jm - 1 + d] is V(n) for |d| <= n + 1 and 0 beyond; read
+    # with strides (-1, +1) items it is the scale's band at offset d = j - i
+    offsets = np.abs(np.arange(1 - jm, jm))
     ns = np.arange(1.0, s + 1)
-    # m_i * m_j and m_i * V(n) may overflow to inf for large rho; the min
-    # always has a finite competitor on the band, so band entries stay finite
+    band = np.where(offsets <= ns[:, None] + 1, grid.volumes[:s, None], 0.0)
+    toeplitz = as_strided(band[:, jm - 1 :], (s, jm, jm), (band.strides[0], -step, step))
+    stack = np.minimum(toeplitz, np.maximum.outer(m, m))
     with np.errstate(over="ignore"):
-        products = np.multiply.outer(m, m)
-        stack = np.minimum.outer(m, m) * grid.volumes[:s, None, None]
+        stack *= np.minimum.outer(m, m)
         caps = np.exp(grid.params.rho * (ns[:, None] + np.arange(2.0, 2 * jm + 1)))
-    np.minimum(stack, products, out=stack)
-    step = caps.itemsize
     hankel = as_strided(caps, (s, jm, jm), (caps.strides[0], step, step))
     np.minimum(stack, hankel, out=stack)
-    # band[n - 1, jm - 1 + d] is inf for |d| <= n + 1 and 0 beyond; read with
-    # strides (-1, +1) items it is the scale's band at offset d = j - i
-    offsets = np.abs(np.arange(1 - jm, jm))
-    band = np.where(offsets <= ns[:, None] + 1, np.inf, 0.0)
-    toeplitz = as_strided(band[:, jm - 1 :], (s, jm, jm), (band.strides[0], -step, step))
-    np.minimum(stack, toeplitz, out=stack)
+    stack.setflags(write=False)
+    return stack
 
-    scales = np.ones(s)
-    if normalize:
-        # every row, not just interior: low-edge rows can exceed the interior
-        # maximum and the power-mean guarantee needs row ratios <= 1 globally
-        row_ratio = stack.sum(axis=2) / _scale_denominators(grid, s)
-        scales = row_ratio.max(axis=1)
-        stack /= scales[:, None, None]
-    for arr in (stack, scales):
-        arr.setflags(write=False)
-    return stack, scales
+
+def _normalization_scales(grid: AnnularGrid, stack: np.ndarray) -> np.ndarray:
+    """The largest ratio of row sum to V(n) m_i of each raw kernel in stack, read-only.
+
+    Every row counts, not just the interior ones: low-edge rows can exceed
+    the interior maximum, and the power-mean guarantee needs row ratios
+    <= 1 globally.  A row whose V(n) m_i overflows reads 0; a row holding an
+    inf entry, or whose sum overflows, makes its scale inf or nan, silently.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = stack.sum(axis=2) / _scale_denominators(grid, len(stack))
+    scales = ratios.max(axis=1)
+    scales.setflags(write=False)
+    return scales
 
 
 def _kernel_stack(grid: AnnularGrid, n: int, normalize: bool = True) -> tuple:
-    """The read-only kernels and scales of scales 1..n on a grid.
+    """The read-only raw kernels of scales 1..n on a grid, and their normalization scales.
 
-    Views of the first n entries of the grid's stack for this normalization;
-    a stack of s < n scales is rebuilt at max(n, min(2 s, top)) scales.  n
-    must be an integer in 1..top, the largest scale the normalization
-    allows: j_max - 1 raw, and (j_max - 3) // 2 normalized, since a
-    normalized kernel needs an interior row (2n + 3 <= j_max).  A float or
-    bool n is refused before the stack is read.
+    Views of the first n entries of the grid's one stack; a stack of s < n
+    scales is rebuilt at max(n, min(2 s, top)) scales.  n must be an integer
+    in 1..top, the largest scale the normalization allows: j_max - 1 raw,
+    and (j_max - 3) // 2 normalized, since a normalized kernel needs an
+    interior row (2n + 3 <= j_max).  A float or bool n is refused before
+    the stack is read.  A raw request returns None for the scales.  A
+    normalized request computes the scales of the whole stack on first use
+    after a build, and refuses with DomainError when any of scales 1..n is
+    not finite: its kernel holds an entry or a row sum beyond the float
+    range.
     """
     normalize = bool(normalize)
     top = (grid.j_max - 3) // 2 if normalize else grid.j_max - 1
     n = require_index(n, 1, top, "kernel scale n")
-    stack, scales = grid._kernel_stacks.get(normalize, ((), ()))
+    stack, scales = grid._kernels
     if len(stack) < n:
-        size = max(n, min(2 * len(stack), top))
-        stack, scales = _build_kernel_stack(grid, size, normalize)
-        grid._kernel_stacks[normalize] = stack, scales
+        stack, scales = _build_kernel_stack(grid, max(n, min(2 * len(stack), top))), None
+        grid._kernels = stack, scales
+    if not normalize:
+        return stack[:n], None
+    if scales is None:
+        scales = _normalization_scales(grid, stack[:top])
+        grid._kernels = stack, scales
+    bad = np.flatnonzero(~np.isfinite(scales[:n]))
+    if bad.size:
+        raise DomainError(
+            f"the normalized kernel of scale n={bad[0] + 1} on {grid!r} is not "
+            "finite: a pair mass or a row sum overflows the float range; "
+            "shrink j_max, n_max or the growth rate rho"
+        )
     return stack[:n], scales[:n]
 
 
 def product_kernel(grid: AnnularGrid, n: int, normalize: bool = True) -> ProductKernel:
-    """Pair-mass kernel P_n(i, j) on the annular grid: one slice of its kernel stack.
+    """Pair-mass kernel P_n(i, j) on the annular grid, from its grid's kernel stack.
 
     P_n(i, j) = min(m_i m_j, m_i V(n), m_j V(n), exp(rho (n + i + j))) on the
     band |i - j| <= n + 1, where m_i is the measure of annulus i. The
@@ -390,10 +419,16 @@ def product_kernel(grid: AnnularGrid, n: int, normalize: bool = True) -> Product
     the constant function 1 land in (0, 1] everywhere; this keeps the
     power-mean comparison between maximal variants exact.
 
-    The kernel is slice n - 1 of the grid's stack for this normalization
-    (_build_kernel_stack), read-only; a scale beyond the stack rebuilds it
+    A raw kernel is slice n - 1 of the grid's raw stack (_build_kernel_stack),
+    read-only and shared; a normalized kernel is that slice divided by its
+    scale, a fresh read-only array.  A scale beyond the stack rebuilds it
     (_kernel_stack), so loops over scales take _kernel_stack once instead.
     The scale must be an integer: a float or bool n is refused.
     """
     stack, scales = _kernel_stack(grid, n, normalize)
-    return ProductKernel(n=int(n), matrix=stack[-1], scale=float(scales[-1]))
+    if not normalize:
+        return ProductKernel(n=int(n), matrix=stack[-1], scale=1.0)
+    matrix = stack[-1] / scales[-1]
+    matrix.setflags(write=False)
+    # a view of a read-only array cannot be made writable again
+    return ProductKernel(n=int(n), matrix=matrix.view(), scale=float(scales[-1]))

@@ -1,27 +1,31 @@
 """Averaging and maximal operators on the annular grid.
 
 The ball average at integer scale n is one formula,
-product_kernel(grid, n).matrix @ F / (V(n) measure), with the kernel
-normalized so that averages of the constant 1 lie in (0, 1] everywhere; this
-keeps the power-mean comparison between maximal variants exact.  The
-maximal function takes the pointwise supremum over scales up to a truncation
-n_max.  Truncation bias is deliberate and visible: results carry the window
-of annuli unaffected by grid truncation, and the attaining scale on demand.
+(P_n @ F) / (V(n) measure) / scale_n, with P_n the raw kernel of the
+grid's one kernel stack and scale_n its normalization scale, so that
+averages of the constant 1 lie in (0, 1] everywhere; this keeps the
+power-mean comparison between maximal variants exact.  The maximal
+function takes the pointwise supremum over scales up to a truncation n_max.
+Truncation bias is deliberate and visible: results carry the window of
+annuli unaffected by grid truncation, and the attaining scale on demand.
 
-One private core serves every maximal function: _maximal_block takes a
+One private core serves every average: _scale_averages takes a
 (j_max x m) block whose columns are functions and evaluates the averages of
-every scale at once, with the scale as an array axis: one batched product
-of the grid's kernel stack with the block, one in-place division by the
-V(n) measure table, and a maximum over the scale axis.  Each scale's slice
-is bit for bit the 2-D product with that scale's kernel, so avg agrees with
-it exactly.  The core returns values alone; MaximalResult.argmax evaluates
-the same batched averages of its own function on first read and takes the
-smallest scale that attains the value.  maximal_dis is the core's m = 1
-case, bit-identical to a matrix-vector product, applied once per iteration
-for the iterated maximal function; the other columns of a larger block
-agree with it to rounding.  Superlevel masses have one core too:
-_superlevel_mass weighs the masks of many functions at many levels in one
-masked sum, and distribution_mass is its one-function, one-level case.
+a range of scales at once, with the scale as an array axis: one batched
+product of the raw kernel stack with the block, restricted to the kernel
+columns lo..hi - 1 that meet the block's nonzero rows, then one in-place
+division by the V(n) measure table and one by the scales.  Each scale's
+slice is bit for bit the 2-D product with that scale's raw kernel, so avg,
+the one-scale case, agrees with the maximal functions exactly.
+_maximal_block takes the maximum over the scale axis and returns values
+alone; MaximalResult.argmax evaluates the same batched averages of its own
+function on first read and takes the smallest scale that attains the
+value.  maximal_dis is the core's m = 1 case, bit-identical to a
+matrix-vector product, applied once per iteration for the iterated maximal
+function; the other columns of a larger block agree with it to rounding.
+Superlevel masses have one core too: _superlevel_mass weighs the masks of
+many functions at many levels in one masked sum, and distribution_mass is
+its one-function, one-level case.
 
 Scales, truncations, annulus indices and iteration counts must be integers:
 a float such as 2.0, a bool or nan raises DomainError, and an index outside
@@ -42,13 +46,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DomainError, GridRangeError, require_data, require_index, require_integer
-from .geometry import (
-    AnnularGrid,
-    _kernel_stack,
-    _scale_denominators,
-    product_kernel,
-    valid_upper,
-)
+from .geometry import AnnularGrid, _kernel_stack, _scale_denominators, valid_upper
 from .weights import Weight
 
 
@@ -116,19 +114,31 @@ def _data_values(f: RadialData):
     return f.grid, np.asarray(f.values, dtype=float)
 
 
-def _scale_averages(grid: AnnularGrid, block: np.ndarray, n_max: int) -> np.ndarray:
-    """Ball averages at scales 1..n_max of every column of a (j_max x m) block.
+def _scale_averages(
+    grid: AnnularGrid, block: np.ndarray, n_max: int, n_min: int = 1
+) -> np.ndarray:
+    """Ball averages at scales n_min..n_max of every column of a (j_max x m) block.
 
-    An (n_max x j_max x m) array: one batched product of the normalized
-    kernel stack with the block, divided in place by V(n) |Omega_i|.  This
-    is the one expression for the averages of many scales: _maximal_block
-    and MaximalResult.argmax both evaluate it.  Huge data overflows to inf
-    without a warning; callers reject the result.
+    An ((n_max - n_min + 1) x j_max x m) array: one batched product of the
+    raw kernel stack with the block, divided in place by V(n) |Omega_i| and
+    then by the normalization scales.  Only the rows lo..hi - 1 of the block
+    that hold its nonzero entries enter the product, with the matching
+    kernel columns as a view: products with zero rows add exact zeros, so
+    the result equals the full product to rounding, and a block whose
+    first and last rows are nonzero takes the full product itself.  This
+    is the one expression for ball averages: avg, _maximal_block and
+    MaximalResult.argmax all evaluate it.  Huge data overflows to inf
+    without a warning, or to nan where V(n) |Omega_i| overflows too; callers
+    reject the result.
     """
-    stack, _ = _kernel_stack(grid, n_max)
-    with np.errstate(over="ignore"):
-        avgs = np.matmul(stack, block)
-        avgs /= _scale_denominators(grid, n_max)[:, :, None]
+    stack, scales = _kernel_stack(grid, n_max)
+    rows = np.flatnonzero(block.any(axis=1))
+    lo, hi = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
+    # inf / inf reads nan where both overflow; callers reject nan and inf alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        avgs = np.matmul(stack[n_min - 1 :, :, lo:hi], block[lo:hi])
+        avgs /= _scale_denominators(grid, n_max)[n_min - 1 :, :, None]
+    avgs /= scales[n_min - 1 :, None, None]
     return avgs
 
 
@@ -140,10 +150,7 @@ def avg(f: RadialData, n: int) -> RadialFunction:
     valid_upper(j_max, n) are biased by grid truncation.
     """
     grid, vals = _data_values(f)
-    kern = product_kernel(grid, n)
-    with np.errstate(over="ignore"):
-        den = grid.ball_volume_at(n) * grid.measures
-        return RadialFunction(grid, (kern.matrix @ vals[:, None])[:, 0] / den)
+    return RadialFunction(grid, _scale_averages(grid, vals[:, None], n, n)[0, :, 0])
 
 
 def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> np.ndarray:
@@ -153,7 +160,7 @@ def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> np.ndarr
     the maximum over the scale axis of _scale_averages; no scale is
     recorded (MaximalResult.argmax finds it on demand).
     """
-    # the normalized kernel of scale n needs 2n + 3 <= j_max (product_kernel)
+    # the normalized kernel of scale n needs 2n + 3 <= j_max (_kernel_stack)
     n_max = require_index(n_max, 1, (grid.j_max - 3) // 2, "n_max")
     best = _scale_averages(grid, block, n_max).max(axis=0)
     # a maximum propagates inf and nan, so one gate on it covers every scale

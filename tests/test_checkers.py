@@ -641,28 +641,55 @@ def test_pair_measure_reevaluate_skips_the_kernel(monkeypatch, checker):
 
 def test_one_kernel_stack_build_per_scale_loop(monkeypatch):
     # a maximal function or pair-measure check takes every scale's kernel
-    # from one stack build; repeats on the grid reuse it, a larger n_max
-    # rebuilds once, at twice the scales, capped at the largest the grid
-    # allows
+    # from one stack build; repeats on the grid reuse it, raw or normalized,
+    # and a larger n_max rebuilds once, at twice the scales, capped at the
+    # largest the normalized request allows
     builds = []
     real = nalab.geometry._build_kernel_stack
 
-    def counting(grid, s, normalize):
-        builds.append((s, normalize))
-        return real(grid, s, normalize)
+    def counting(grid, s):
+        builds.append(s)
+        return real(grid, s)
 
     monkeypatch.setattr(nalab.geometry, "_build_kernel_stack", counting)
     grid = AnnularGrid(DEFAULT_SPACE, 80)
     w = materialize(WeightSpec.exp_radial(-0.3), grid)
     maximal_dis(w, 25)
-    assert builds == [(25, True)]
+    assert builds == [25]
     maximal_dis(w, 25)
     check_msw(w, 2.0, 25)
-    assert builds == [(25, True)]
+    assert builds == [25]
     check_necessary(w, 2.0, 25)
-    assert builds == [(25, True), (25, False)]
+    assert builds == [25]
     maximal_dis(w, 30)
-    assert builds == [(25, True), (25, False), (38, True)]
+    assert builds == [25, 38]
+
+
+def test_pair_check_then_maximal_builds_the_stack_once(monkeypatch):
+    # the raw stack a pair-measure check builds serves the maximal function
+    # that follows it; its scales are computed once, on the first
+    # normalized request
+    builds, normalizations = [], []
+    real_build = nalab.geometry._build_kernel_stack
+    real_scales = nalab.geometry._normalization_scales
+
+    def counting_build(grid, s):
+        builds.append(s)
+        return real_build(grid, s)
+
+    def counting_scales(grid, stack):
+        normalizations.append(len(stack))
+        return real_scales(grid, stack)
+
+    monkeypatch.setattr(nalab.geometry, "_build_kernel_stack", counting_build)
+    monkeypatch.setattr(nalab.geometry, "_normalization_scales", counting_scales)
+    grid = AnnularGrid(DEFAULT_SPACE, 80)
+    w = materialize(WeightSpec.exp_radial(-0.3), grid)
+    check_necessary(w, 2.0, 25)
+    assert builds == [25] and normalizations == []
+    maximal_dis(w, 25)
+    maximal_dis(w, 10).argmax
+    assert builds == [25] and normalizations == [25]
 
 
 # ---------------------------------------------------------------- weak/strong

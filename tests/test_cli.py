@@ -481,5 +481,33 @@ def test_console_script_wiring():
     assert "growth rate" in out.stdout
 
 
+@pytest.mark.parametrize("warnings_setting", ["", "error::RuntimeWarning"])
+def test_sweep_on_an_overflowing_kernel_exits_two(tmp_path, warnings_setting):
+    # on (3.5, 1) at j_max 120 the raw kernels of scales 19..25 hold inf
+    # pair masses: the normalized kernels are refused by scale and grid, not
+    # blamed on the constant weight, and no RuntimeWarning escapes
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "space": {"sigma": 3.5, "tau": 1.0},
+        "grid": {"j_max": 120, "n_max": 25},
+        "checker": {"id": "msw"},
+        "weight": {"variant": "constant"},
+        "axes": {},
+    }))
+    src = os.path.dirname(os.path.dirname(nalab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": warnings_setting,
+           "NALAB_OUTDIR": str(tmp_path / "out")}
+    out = subprocess.run(
+        [sys.executable, "-m", "nalab.cli", "sweep", "--config", str(cfg_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.splitlines()[-1].startswith(
+        "error: the normalized kernel of scale n=19 on AnnularGrid(sigma=3.5, tau=1.0, "
+        "j_max=120) is not finite"
+    )
+
+
 def test_default_seed_constant():
     assert CANONICAL_SEED == 1234

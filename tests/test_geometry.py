@@ -2,6 +2,7 @@
 bookkeeping, and the banded product kernel."""
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -319,6 +320,47 @@ def test_kernel_equals_dense_construction(params, j_max, normalize):
     _assert_dense_kernels(AnnularGrid(params, j_max), normalize)
 
 
+# raw kernels hold inf band entries from scale 59 on at (3.5, 1) with
+# j_max 100, from 19 on with j_max 120, and from 26 on at (9.5, 3)
+THREE_PASS_GRIDS = [
+    (DEFAULT_SPACE, 80),
+    (DEFAULT_SPACE, 120),
+    (DEFAULT_SPACE, 130),
+    (SpaceParams(0.0, 0.0), 60),
+    (SpaceParams(3.5, 1.0), 80),
+    (SpaceParams(3.5, 1.0), 100),
+    (SpaceParams(3.5, 1.0), 120),
+    (SpaceParams(9.5, 3.0), 40),
+]
+
+
+@pytest.mark.parametrize("params, j_max", THREE_PASS_GRIDS)
+def test_three_pass_stack_equals_dense_construction(params, j_max):
+    # one build of every raw scale, inf entries included, then every
+    # normalized scale whose kernel is finite; the first scale that is not
+    # is refused, naming itself and the grid
+    grid = AnnularGrid(params, j_max)
+    stack, scales = _kernel_stack(grid, j_max - 1, normalize=False)
+    assert scales is None
+    for n in range(1, j_max):
+        assert np.array_equal(stack[n - 1], _dense_kernel(grid, n, False)[0]), n
+    first_bad = 19 if (params, j_max) == (SpaceParams(3.5, 1.0), 120) else None
+    for n in range(1, first_bad or (j_max - 3) // 2 + 1):
+        kern = product_kernel(grid, n)
+        with np.errstate(over="ignore"):  # V(n) m_i of the outer rows
+            mat, scale = _dense_kernel(grid, n, True)
+        assert np.array_equal(kern.matrix, mat), n
+        assert kern.scale == scale, n
+    if first_bad:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for n in (first_bad, (j_max - 3) // 2):
+                with pytest.raises(DomainError, match=rf"scale n=19 on {re.escape(repr(grid))}"):
+                    product_kernel(grid, n)
+            for n in (1, first_bad - 1):
+                assert np.isfinite(product_kernel(grid, n).matrix).all()
+
+
 def _assert_dense_kernels(grid, normalize):
     # every admissible scale in ascending order: slices of the stack as the
     # caller left it, then one rebuild per scale beyond it
@@ -357,9 +399,9 @@ def test_ascending_scales_grow_the_stack_geometrically(monkeypatch, normalize, s
     builds = []
     real = nalab.geometry._build_kernel_stack
 
-    def counting(grid, s, normalize):
+    def counting(grid, s):
         builds.append(s)
-        return real(grid, s, normalize)
+        return real(grid, s)
 
     monkeypatch.setattr(nalab.geometry, "_build_kernel_stack", counting)
     grid = AnnularGrid(DEFAULT_SPACE, 80)
@@ -397,26 +439,30 @@ def test_kernel_against_scalar_loop(params):
 
 def test_kernels_and_grid_tables_are_read_only():
     grid = AnnularGrid(DEFAULT_SPACE, 40)
-    kern = product_kernel(grid, 3)
-    before = kern.matrix.copy()
-    with pytest.raises(ValueError):
-        kern.matrix[10, 10] = 0.0
-    with pytest.raises(ValueError):
-        kern.matrix *= 2.0
-    again = product_kernel(grid, 3)
-    assert np.shares_memory(again.matrix, kern.matrix)
-    assert np.array_equal(again.matrix, before)
     for normalize in (True, False):
-        stack, scales = _kernel_stack(grid, 5, normalize)
-        assert stack.shape == (5, 40, 40) and scales.shape == (5,)
-        whole, whole_scales = grid._kernel_stacks[normalize]
-        for arr in (whole, whole_scales, stack, scales, stack[2], scales[2:]):
-            with pytest.raises(ValueError):
-                arr[...] = 0.0
-        # a caller's view cannot be made writable again
-        for view in (stack, scales, product_kernel(grid, 4, normalize).matrix):
-            with pytest.raises(ValueError):
-                view.setflags(write=True)
+        kern = product_kernel(grid, 3, normalize)
+        before = kern.matrix.copy()
+        with pytest.raises(ValueError):
+            kern.matrix[10, 10] = 0.0
+        with pytest.raises(ValueError):
+            kern.matrix *= 2.0
+        again = product_kernel(grid, 3, normalize)
+        # raw kernels are the stack's memory; normalized ones fresh arrays
+        assert np.shares_memory(again.matrix, kern.matrix) == (not normalize)
+        assert np.array_equal(again.matrix, before)
+    stack, scales = _kernel_stack(grid, 5)
+    assert stack.shape == (5, 40, 40) and scales.shape == (5,)
+    raw, none = _kernel_stack(grid, 5, normalize=False)
+    assert none is None and np.shares_memory(raw, stack)
+    whole, whole_scales = grid._kernels
+    for arr in (whole, whole_scales, stack, scales, raw, stack[2], scales[2:]):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    # a caller's view cannot be made writable again
+    views = [stack, scales, raw] + [product_kernel(grid, 4, f).matrix for f in (True, False)]
+    for view in views:
+        with pytest.raises(ValueError):
+            view.setflags(write=True)
 
 
 def test_normalized_row_ratios():

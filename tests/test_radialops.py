@@ -13,12 +13,15 @@ from nalab.geometry import (
     DEFAULT_SPACE,
     AnnularGrid,
     SpaceParams,
+    _kernel_stack,
+    _scale_denominators,
     annular_intersection,
     product_kernel,
 )
 from nalab.radialops import (
     RadialFunction,
     _maximal_block,
+    _scale_averages,
     avg,
     distribution_mass,
     maximal_dis,
@@ -238,14 +241,26 @@ def test_avg_tracks_direct_intersection_sums():
             assert 0.25 < num / den < 4.0
 
 
+def _support(block):
+    """The rows lo..hi - 1 of a block from its first to its last nonzero row."""
+    rows = np.flatnonzero(block.reshape(len(block), -1).any(axis=1))
+    return slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
+
+
+def _scale_average(grid, n, block):
+    """Ball average at scale n, one 2-D product: the raw kernel's columns over
+    the block's support, over V(n) |Omega_i|, over the normalization scale."""
+    rows = _support(block)
+    raw = product_kernel(grid, n, normalize=False).matrix
+    den = grid.ball_volume_at(n) * grid.measures
+    if block.ndim == 2:
+        den = den[:, None]
+    return raw[:, rows] @ block[rows] / den / product_kernel(grid, n).scale
+
+
 def _direct_maximal(v, n_max):
     """Sup over scales of matrix-vector ball averages, one scale at a time."""
-    return np.stack(
-        [
-            product_kernel(GRID, n).matrix @ v / (GRID.ball_volume_at(n) * GRID.measures)
-            for n in range(1, n_max + 1)
-        ]
-    ).max(axis=0)
+    return np.stack([_scale_average(GRID, n, v) for n in range(1, n_max + 1)]).max(axis=0)
 
 
 def test_maximal_scale_gate_matches_the_kernel():
@@ -293,8 +308,7 @@ def _running_maximum(grid, block, n_max):
     best = np.full(block.shape, -np.inf)
     arg = np.zeros(block.shape, dtype=int)
     for n in range(1, n_max + 1):
-        den = grid.ball_volume_at(n) * grid.measures
-        a = product_kernel(grid, n).matrix @ block / den[:, None]
+        a = _scale_average(grid, n, block)
         arg[a > best] = n
         best = np.maximum(best, a)
     return best, arg
@@ -324,6 +338,47 @@ def test_batched_maximal_equals_per_scale_products(params, j_max):
         best, arg = _running_maximum(grid, cols[:, c : c + 1], n_max)
         assert np.array_equal(res.values, best[:, 0]), c
         assert np.array_equal(res.argmax, arg[:, 0]), c
+
+
+def _full_row_averages(grid, block, n_max):
+    """The batched averages over every kernel column, support or not."""
+    raw, _ = _kernel_stack(grid, n_max, normalize=False)
+    _, scales = _kernel_stack(grid, n_max)
+    den = _scale_denominators(grid, n_max)[:, :, None]
+    return np.matmul(raw, block) / den / scales[:, None, None]
+
+
+@pytest.mark.parametrize(
+    "params, j_max", [(DEFAULT_SPACE, 80), (DEFAULT_SPACE, 130), (SpaceParams(3.5, 1.0), 80)]
+)
+def test_scale_averages_over_the_support_equal_the_full_rows(params, j_max):
+    # products with the zero rows outside the block's support add exact
+    # zeros: a dense block takes the full product itself, and a column with
+    # one nonzero row has one term either way, so both agree bit for bit;
+    # a sparse block sums its terms in another order, to rounding
+    grid = AnnularGrid(params, j_max)
+    n_max = (j_max - 3) // 2
+    rng = np.random.default_rng(j_max)
+    dense = rng.uniform(0.0, 1.0, (j_max, 5)) * (rng.uniform(size=(j_max, 5)) < 0.7)
+    dense[[0, -1], 0] = 1.0
+    one_row = np.zeros((j_max, 4))
+    one_row[[3, 17, 9, j_max // 2], range(4)] = rng.uniform(0.5, 2.0, 4)
+    sparse = np.zeros((j_max, 6))
+    sparse[10:31] = rng.uniform(0.0, 1.0, (21, 6)) * (rng.uniform(size=(21, 6)) < 0.7)
+    sparse[10, 0] = sparse[30, 1] = 1.0
+    for block in (dense, one_row, dense[:, :1], one_row[:, 2:3]):
+        assert np.array_equal(
+            _scale_averages(grid, block, n_max), _full_row_averages(grid, block, n_max)
+        )
+    for block in (sparse, sparse[:, :1]):
+        got = _scale_averages(grid, block, n_max)
+        np.testing.assert_allclose(got, _full_row_averages(grid, block, n_max), rtol=1e-15, atol=0)
+    # scales n_min..n_max are the matching slices of the whole range
+    for block in (dense, sparse):
+        whole = _scale_averages(grid, block, n_max)
+        assert np.array_equal(_scale_averages(grid, block, n_max, 7), whole[6:])
+        assert np.array_equal(_scale_averages(grid, block, 5, 5)[0], whole[4])
+    assert not _scale_averages(grid, np.zeros((j_max, 2)), n_max).any()
 
 
 def _per_scale_argmax(v, n_max):
