@@ -329,18 +329,16 @@ def check_ap_loc(
 # ---------------------------------------------------------------------------
 
 
-def _nonneg_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for nonnegative a and b, with 0 * inf = 0 as in a direct sum.
+def _split_inf(x: np.ndarray) -> tuple:
+    """x with its infinite entries zeroed, and their mask (None if none).
 
-    An infinite entry makes every product entry it enters infinite; left in
-    a plain product, its 0 * inf terms would make those entries nan.
+    In a product with a 0/1 matrix an infinite entry must make the entries
+    it enters inf; left in, its 0 * inf terms would make them nan instead.
     """
-    a_inf, b_inf = np.isinf(a), np.isinf(b)
-    if not (a_inf.any() or b_inf.any()):
-        return a @ b
-    out = np.where(a_inf, 0.0, a) @ np.where(b_inf, 0.0, b)
-    out[(a_inf @ (b > 0)) | ((a > 0) @ b_inf)] = np.inf
-    return out
+    inf = np.isinf(x)
+    if not inf.any():
+        return x, None
+    return np.where(inf, 0.0, x), inf
 
 
 def _pair_measure_check(
@@ -358,13 +356,21 @@ def _pair_measure_check(
     With S the 0/1 indicator matrix of the family (sets x annuli), every
     Q_n(E, F) at one scale is an entry of S (P_n o w) S^T, and the
     denominators are the outer product of e^(2 rho beta n) w(E)^(alpha/p)
-    with w(F)^(1 - alpha/p), multiplied in that order.  Pairs whose
-    denominator is zero or not finite are left out and counted in
-    skipped_pairs.  The witness is the first strict maximum in (n, E, F)
-    order: the first row-major maximum of a scale replaces the best only
-    when it is strictly larger.  reevaluate() recomputes the witness pair's
-    w_j P_n(i, j) from the kernel formula on the gathered annuli and sums
-    them, independently of the kernel stack and of the matrix product.
+    with w(F)^(1 - alpha/p), multiplied in that order.  S, the raw kernel
+    and w are cut to the support columns lo..hi - 1, from the first to the
+    last annulus any set holds: an entry outside them never enters a pair.
+    Only the kernel-times-w slice and the intermediate product can hold
+    inf (an overflowed pair mass or sum); each is scanned before it enters
+    a product with S, and its inf entries make the entries they enter inf.
+    Pairs whose denominator is zero or not finite are left out and counted
+    in skipped_pairs.  The loop keeps one scale's temporaries at a time: a
+    product batched over scales, measured against it, paged in more memory
+    per call for a gain of a few percent.  The witness is the first strict
+    maximum in (n, E, F) order: the first row-major maximum of a scale
+    replaces the best only when it is strictly larger.  reevaluate()
+    recomputes the witness pair's w_j P_n(i, j) from the kernel formula on
+    the gathered annuli and sums them, independently of the kernel stack
+    and of the matrix product.
     """
     grid = w.grid
     # the default family fills the trusted window (1, j_max - n_max - 1)
@@ -375,34 +381,50 @@ def _pair_measure_check(
     require_index(family.window, 1, grid.j_max, "family window")
     two_rho = 2.0 * grid.params.rho
     sets = family.sets
-    ind = np.zeros((len(sets), w.values.size))
+    # sets are sorted: the support columns run from the least first annulus
+    # to the largest last one
+    lo, hi = min(s[0] for s in sets) - 1, max(s[-1] for s in sets)
+    member = np.zeros((len(sets), hi - lo), dtype=bool)
     rows = np.repeat(np.arange(len(sets)), [s.size for s in sets])
-    ind[rows, np.concatenate(sets) - 1] = 1.0
+    member[rows, np.concatenate(sets) - 1 - lo] = True
+    ind = member.astype(float)
     # the scalar pow that reevaluate() uses: numpy's vectorized pow can
     # differ from it in the last bit, enough to reorder exact ties
     mass = [_annuli_mass(w, s) for s in sets]
     m_e = np.array([m ** (alpha / p) for m in mass])
     m_f = np.array([m ** (1.0 - alpha / p) for m in mass])
+    e_lo, e_hi, f_lo, f_hi = (float(x) for x in (m_e.min(), m_e.max(), m_f.min(), m_f.max()))
 
     best, witness = -np.inf, None
     sup_by_n = []
     skipped = 0
-    # the raw (unscaled) kernels, taken once; the loop keeps one scale's
-    # temporaries at a time, which a product batched over scales would not
+    # the raw (unscaled) kernels on the support, taken once
     raw, _ = _kernel_stack(grid, n_max, normalize=False)
-    # an overflowed pair mass, or a sum of them, makes its pairs infinite,
-    # and an overflowed denominator skips its pairs: both handled below
-    with np.errstate(over="ignore"):
+    raw, w_sup = raw[:, lo:hi, lo:hi], w.values[lo:hi]
+    # an overflowed pair mass, or a sum of them, makes its pairs infinite;
+    # a zero or overflowed denominator skips its pairs, masked below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for n in range(1, n_max + 1):
             # Q contributions w_j P_n(i, j)
-            pair_w = raw[n - 1] * w.values
-            q = _nonneg_matmul(_nonneg_matmul(ind, pair_w), ind.T)
-            d = (math.exp(two_rho * beta * n) * m_e)[:, None] * m_f[None, :]
-            ok = (d != 0.0) & np.isfinite(d)
-            skipped += int(d.size - ok.sum())
-            vals = np.full(d.shape, -np.inf)
-            np.divide(q, d, out=vals, where=ok)
-            e, f = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            pair_w, inf = _split_inf(raw[n - 1] * w_sup)
+            q = ind @ pair_w
+            if inf is not None:
+                q[member @ inf] = np.inf
+            q, inf = _split_inf(q)
+            q = q @ ind.T
+            if inf is not None:
+                q[inf @ member.T] = np.inf
+            grow = math.exp(two_rho * beta * n)
+            d = np.multiply.outer(grow * m_e, m_f)
+            vals = q / d
+            # rounding is monotone, so the least and largest entries of d are
+            # the products of the least and largest factors; a 0 * inf entry
+            # needs a zero factor, which makes the least product 0 or nan
+            if not (grow * e_lo * f_lo > 0.0 and grow * e_hi * f_hi < math.inf):
+                bad = ~((d > 0.0) & (d < np.inf))
+                skipped += int(np.count_nonzero(bad))
+                vals[bad] = -np.inf
+            e, f = divmod(int(np.argmax(vals)), len(sets))
             sup_by_n.append(max(0.0, float(vals[e, f])))
             if vals[e, f] > best:
                 best = float(vals[e, f])

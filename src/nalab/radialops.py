@@ -150,7 +150,28 @@ def avg(f: RadialData, n: int) -> RadialFunction:
     valid_upper(j_max, n) are biased by grid truncation.
     """
     grid, vals = _data_values(f)
-    return RadialFunction(grid, _scale_averages(grid, vals[:, None], n, n)[0, :, 0])
+    block = vals[:, None]
+    avgs = _require_finite_averages(grid, block, _scale_averages(grid, block, n, n)[0])
+    return RadialFunction(grid, avgs[:, 0])
+
+
+def _require_finite_averages(
+    grid: AnnularGrid, block: np.ndarray, avgs: np.ndarray
+) -> np.ndarray:
+    """avgs, ball averages of block, unless one of them is not finite.
+
+    Finite, nonnegative data can still leave the float range: the product
+    of a kernel row with the data overflows before the division by
+    V(n) |Omega_i|.  Data that is not finite and nonnegative itself is
+    named as such.
+    """
+    if not np.all(np.isfinite(avgs)):
+        require_data(block.ravel(), block.size, "radial data")
+        raise DomainError(
+            f"ball averages of radial data with largest value {block.max():.6g} "
+            f"leave the float range on {grid!r}"
+        )
+    return avgs
 
 
 def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> np.ndarray:
@@ -162,11 +183,8 @@ def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> np.ndarr
     """
     # the normalized kernel of scale n needs 2n + 3 <= j_max (_kernel_stack)
     n_max = require_index(n_max, 1, (grid.j_max - 3) // 2, "n_max")
-    best = _scale_averages(grid, block, n_max).max(axis=0)
     # a maximum propagates inf and nan, so one gate on it covers every scale
-    if not np.all(np.isfinite(best)):
-        raise DomainError("radial data must be finite and nonnegative")
-    return best
+    return _require_finite_averages(grid, block, _scale_averages(grid, block, n_max).max(axis=0))
 
 
 def maximal_dis(f: RadialData, n_max: int, iterations: int = 1) -> MaximalResult:

@@ -441,8 +441,9 @@ def weak11_constant(f: VertexFunction, result: Optional[TreeMaximal] = None) -> 
 
     The superlevel count runs over trusted (unflagged) vertices; the sup
     over levels is attained just below a value of Mf, so it is evaluated
-    exactly by scanning distinct values.  result, when given, must be
-    tree_maximal(f); one on a tree of another shape raises DomainError.
+    exactly from the values sorted in descending order.  result, when
+    given, must be tree_maximal(f); one on a tree of another shape raises
+    DomainError.
     """
     shape = (f.tree.k, f.tree.depth)
     if result is not None and (result.tree.k, result.tree.depth) != shape:
@@ -457,11 +458,9 @@ def weak11_constant(f: VertexFunction, result: Optional[TreeMaximal] = None) -> 
     if vals.size == 0:
         return 0.0
     vals = np.sort(vals)[::-1]
-    # |{Mf >= v}| for the i-th largest distinct v is i+1 counting duplicates
-    counts = np.arange(1, vals.size + 1)
-    keep = np.ones(vals.size, dtype=bool)
-    keep[:-1] = vals[:-1] != vals[1:]  # last occurrence of each distinct value
-    return float(np.max(vals[keep] * counts[keep]) / nrm)
+    # |{Mf >= v}| is i + 1 at the last occurrence i of v in descending order;
+    # an earlier occurrence of v gives a smaller product, so it never wins
+    return float(np.max(vals * np.arange(1, vals.size + 1)) / nrm)
 
 
 @dataclass

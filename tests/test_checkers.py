@@ -555,7 +555,7 @@ def _overflowing_sum_weight(grid):
 
 
 @pytest.mark.parametrize("weight", ["exp+1", "overflow", "overflow-sum"])
-@pytest.mark.parametrize("family", ["standard", "random-unions"])
+@pytest.mark.parametrize("family", ["standard", "random-unions", "sub-window-unions"])
 @pytest.mark.parametrize("exponents", [None, (2.0, 0.5, 0.5)])
 def test_pair_measure_matches_loop_oracle(weight, family, exponents):
     grid, n_max = GRID40, 8
@@ -568,9 +568,15 @@ def test_pair_measure_matches_loop_oracle(weight, family, exponents):
         w = _overflowing_sum_weight(grid)
     if family == "standard":
         fam = SetFamily.standard(window)
-    else:
+    elif family == "random-unions":
         fam = SetFamily.random_unions(window, seed=3, count=40)
-    with np.errstate(over="ignore"):
+    else:
+        # the support starts after annulus 1 and ends before the window does
+        fam = SetFamily.random_unions((7, 29), seed=3, count=40)
+    # the overflowing weights' masses overflow outside the checker; the
+    # checker's own zero or infinite denominators must raise no warning
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         if exponents is None:
             p, alpha, beta = 2.0, 1.0, 1.0
             rep = check_necessary(w, p, n_max=n_max, family=fam)

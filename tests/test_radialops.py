@@ -1,6 +1,7 @@
 """Averaging and maximal-operator tests.  Exactness facts are asserted
 outright; measured constants carry the value they were frozen at."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,21 @@ def test_maximal_rejects_nonfinite_average():
         maximal_dis(huge, 5)
     with pytest.raises(DomainError):
         avg(huge, 5)
+
+
+@pytest.mark.parametrize("c", [1e250, 1e290])
+@pytest.mark.parametrize("op", ["maximal_dis", "avg"])
+def test_overflowing_averages_blame_the_float_range(c, op):
+    # finite, nonnegative data that passed the gate, whose kernel products
+    # overflow before the division by V(n) |Omega_i|: the refusal names the
+    # float range, the largest data value and the grid, not the data
+    f = RadialFunction(GRID, np.full(80, c))
+    message = (
+        f"ball averages of radial data with largest value {c:.6g} leave the "
+        "float range on AnnularGrid(sigma=1.0, tau=0.0, j_max=80)"
+    )
+    with pytest.raises(DomainError, match=re.escape(message)):
+        maximal_dis(f, 5) if op == "maximal_dis" else avg(f, 5)
 
 
 def test_maximal_of_one_band():

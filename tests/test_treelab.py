@@ -149,6 +149,22 @@ def test_weak11_point_mass_family_k2():
     assert max(cs) == pytest.approx(0.9, abs=1e-12)
 
 
+@pytest.mark.parametrize("k, depth", [(2, 6), (3, 4), (4, 3)])
+def test_weak11_constant_on_tied_levels_matches_every_level(k, depth):
+    # small integer data: Mf takes few distinct values, each many times, so
+    # the count at every level must be taken at the value's last occurrence
+    tree = TreeSpace(k, depth)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        f = VertexFunction(tree, rng.integers(0, 3, tree.size).astype(float))
+        res = tree_maximal(f)
+        mf = res.values[res.trusted()]
+        levels = np.unique(mf[mf > 0])
+        assert levels.size < np.count_nonzero(mf > 0)  # ties present
+        brute = max(v * np.count_nonzero(mf >= v) for v in levels) / f.norm1()
+        assert weak11_constant(f) == weak11_constant(f, res) == brute
+
+
 def test_product_measure_brute_force():
     for t in (TreeSpace(2, 3), TreeSpace(3, 2)):
         w = VertexWeight(t, np.linspace(1.0, 2.0, t.size))
