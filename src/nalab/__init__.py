@@ -59,9 +59,7 @@ from .radialops import (
 from .specfun import (
     FunctionTrace,
     JacobiParams,
-    hyp2f1,
     jacobi_phi,
-    jacobi_phi_second,
     jacobi_phi_second_trace,
     jacobi_phi_trace,
     ode_residual,

@@ -23,7 +23,8 @@ per column and level.  The denominators come from _weak_type_dens (the
 L^p(w) norm to the p) and _fs_dens (the pairing with the comparison weight
 G, computed once per block).  weak_type_ratio and fs_ratio are its m = 1
 case; the divergence sequences in experiments pass all their indicators
-as one block.
+as one block.  weak_type_ratio, strong_type_ratio and fs_ratio refuse an f
+on another grid than w's (radialops._require_same_grid).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .geometry import _kernel_stack, annular_intersection, density, valid_upper
 from .radialops import (
     RadialFunction,
     _maximal_block,
+    _require_same_grid,
     _superlevel_mass,
     maximal_dis,
     maximal_s,
@@ -244,7 +246,10 @@ def _ap_loc_sweep(w: Weight, p: float, step: float) -> tuple:
     for length in _AP_LOC_LENGTHS:
         span = int(round(length / h))
         if span < 1 or span > n_cells:
-            continue
+            raise DomainError(
+                f"ap-loc at step {step} on j_max {grid.j_max} has no interval of "
+                f"length {length}: it spans {span} of {n_cells} cells of width {h}"
+            )
         starts = np.arange(0, n_cells - span + 1, stride)
         mass = cum_m[starts + span] - cum_m[starts]
         iw = cum_w[starts + span] - cum_w[starts]
@@ -275,7 +280,9 @@ def check_ap_loc(
     step.  The sweep is repeated at halved steps; the verdict is the
     drift between coarsest and finest sup (a locally integrable profile
     converges, a singular one keeps growing as the quadrature resolves
-    the singularity).  Requires a continuum profile.
+    the singularity).  Requires a continuum profile, and a step and grid at
+    which every length spans at least one quadrature cell and fits on the
+    ray, else DomainError.
     """
     require_integer(refinements, "refinements")
     _require(
@@ -388,12 +395,6 @@ def _pair_measure_check(
     rows = np.repeat(np.arange(len(sets)), [s.size for s in sets])
     member[rows, np.concatenate(sets) - 1 - lo] = True
     ind = member.astype(float)
-    # the scalar pow that reevaluate() uses: numpy's vectorized pow can
-    # differ from it in the last bit, enough to reorder exact ties
-    mass = [_annuli_mass(w, s) for s in sets]
-    m_e = np.array([m ** (alpha / p) for m in mass])
-    m_f = np.array([m ** (1.0 - alpha / p) for m in mass])
-    e_lo, e_hi, f_lo, f_hi = (float(x) for x in (m_e.min(), m_e.max(), m_f.min(), m_f.max()))
 
     best, witness = -np.inf, None
     sup_by_n = []
@@ -402,8 +403,15 @@ def _pair_measure_check(
     raw, _ = _kernel_stack(grid, n_max, normalize=False)
     raw, w_sup = raw[:, lo:hi, lo:hi], w.values[lo:hi]
     # an overflowed pair mass, or a sum of them, makes its pairs infinite;
-    # a zero or overflowed denominator skips its pairs, masked below
+    # a zero or overflowed denominator, as from a set mass that overflows,
+    # skips its pairs, masked below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # the scalar pow that reevaluate() uses: numpy's vectorized pow can
+        # differ from it in the last bit, enough to reorder exact ties
+        mass = [_annuli_mass(w, s) for s in sets]
+        m_e = np.array([m ** (alpha / p) for m in mass])
+        m_f = np.array([m ** (1.0 - alpha / p) for m in mass])
+        e_lo, e_hi, f_lo, f_hi = (float(x) for x in (m_e.min(), m_e.max(), m_f.min(), m_f.max()))
         for n in range(1, n_max + 1):
             # Q contributions w_j P_n(i, j)
             pair_w, inf = _split_inf(raw[n - 1] * w_sup)
@@ -615,10 +623,18 @@ def check_classical_ap(w: Weight, p: float) -> CheckReport:
     of annulus j is decomposed into annular slices; the product
     (avg_B w) * (avg_B w^(-1/(p-1)))^(p-1) is evaluated through
     intersection measures, and its exponential rate in j is fitted.
-    A positive rate is the classical-condition failure detector.
+    A positive rate is the classical-condition failure detector.  The
+    largest ball reaches annulus 60: a grid with j_max < 60 would truncate
+    it, and is refused with GridRangeError.
     """
     _require(p > 1, "p > 1", p=p)
     grid = w.grid
+    js = list(_CLASSICAL_AP_RADII)
+    # B(x_j, j) reaches distance 2j - 1/2, inside annulus 2j
+    if grid.j_max < 2 * js[-1]:
+        raise GridRangeError(
+            f"classical-ap balls reach annulus {2 * js[-1]}, past j_max={grid.j_max}"
+        )
     cols = np.arange(1, grid.j_max + 1)
     dual = w.values ** (-1.0 / (p - 1.0))
 
@@ -630,7 +646,6 @@ def check_classical_ap(w: Weight, p: float) -> CheckReport:
         avg_d = float(np.dot(pieces, np.where(pieces > 0, dual, 0.0))) / vol
         return avg_w * avg_d ** (p - 1.0)
 
-    js = list(_CLASSICAL_AP_RADII)
     prods = np.array([product_at(j) for j in js])
     k = int(np.argmax(prods))
     slope, r2, verdict = _growth_verdict(prods, js)
@@ -731,6 +746,7 @@ def weak_type_ratio(
     witness.
     """
     _require(p >= 1, "p >= 1", p=p)
+    _require_same_grid(w, f)
     block = f.values[:, None]
     norm_p = _weak_type_dens(w, p, block)
     ratios = _level_set_quotients(w, block, p, n_max, norm_p)[0]  # gates n_max
@@ -763,6 +779,7 @@ def strong_type_ratio(
     """
     _require(p >= 1, "p >= 1", p=p)
     require_integer(j_cut, "j_cut")
+    _require_same_grid(w, f)
     grid = w.grid
     res = maximal_dis(f, n_max)
     hi = min(j_cut, res.window[1])
@@ -836,6 +853,7 @@ def fs_ratio(
         s >= 1.0 and k >= 1 and (s == 1.0 or k == 1),
         "s >= 1 and k >= 1, with k = 1 when s > 1", s=s, k=k,
     )
+    _require_same_grid(w, f)
     block = f.values[:, None]
     den = _fs_dens(w, s, block, k, n_max)
     ratios = _level_set_quotients(w, block, 1.0, n_max, den)[0]

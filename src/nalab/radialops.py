@@ -27,6 +27,11 @@ Superlevel masses have one core too: _superlevel_mass weighs the masks of
 many functions at many levels in one masked sum, and distribution_mass is
 its one-function, one-level case.
 
+Every operator reads its data as f.grid and f.values of a RadialFunction;
+weights.Weight is the subclass holding positive data, so a weight enters
+each operator as it is.  Operands of one quotient must share a grid
+(_require_same_grid).
+
 Scales, truncations, annulus indices and iteration counts must be integers:
 a float such as 2.0, a bool or nan raises DomainError, and an index outside
 its range GridRangeError (errors.require_index).
@@ -47,7 +52,6 @@ import numpy as np
 
 from .errors import DomainError, GridRangeError, require_data, require_index, require_integer
 from .geometry import AnnularGrid, _kernel_stack, _scale_denominators, valid_upper
-from .weights import Weight
 
 
 @dataclass
@@ -55,7 +59,7 @@ class RadialFunction:
     """Nonnegative data sampled per annulus.
 
     Operators act on moduli, so negative inputs are rejected rather than
-    silently folded.
+    silently folded.  weights.Weight narrows the gate to positive data.
     """
 
     grid: AnnularGrid
@@ -105,13 +109,13 @@ class MaximalResult:
         return np.argmax(avgs == self.values, axis=0) + 1
 
 
-RadialData = Union[RadialFunction, Weight]
+def _require_same_grid(a, b) -> None:
+    """DomainError unless the operands a and b, each with a grid, share one.
 
-
-def _data_values(f: RadialData):
-    if not hasattr(f, "grid") or not hasattr(f, "values"):
-        raise DomainError("expected radial data with a grid and values")
-    return f.grid, np.asarray(f.values, dtype=float)
+    Grids are the same when their space parameters and j_max agree.
+    """
+    if (a.grid.params, a.grid.j_max) != (b.grid.params, b.grid.j_max):
+        raise DomainError(f"operands live on incompatible grids: {a.grid!r} and {b.grid!r}")
 
 
 def _scale_averages(
@@ -142,17 +146,16 @@ def _scale_averages(
     return avgs
 
 
-def avg(f: RadialData, n: int) -> RadialFunction:
+def avg(f: RadialFunction, n: int) -> RadialFunction:
     """Ball average at integer scale n.
 
     Linear and monotone in f, and bit for bit slice n - 1 of the batched
     averages the maximal functions take.  Values at annuli above
     valid_upper(j_max, n) are biased by grid truncation.
     """
-    grid, vals = _data_values(f)
-    block = vals[:, None]
-    avgs = _require_finite_averages(grid, block, _scale_averages(grid, block, n, n)[0])
-    return RadialFunction(grid, avgs[:, 0])
+    block = f.values[:, None]
+    avgs = _require_finite_averages(f.grid, block, _scale_averages(f.grid, block, n, n)[0])
+    return RadialFunction(f.grid, avgs[:, 0])
 
 
 def _require_finite_averages(
@@ -187,7 +190,7 @@ def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> np.ndarr
     return _require_finite_averages(grid, block, _scale_averages(grid, block, n_max).max(axis=0))
 
 
-def maximal_dis(f: RadialData, n_max: int, iterations: int = 1) -> MaximalResult:
+def maximal_dis(f: RadialFunction, n_max: int, iterations: int = 1) -> MaximalResult:
     """Discrete maximal function: sup of ball averages over scales 1..n_max.
 
     iterations = k composes it k times.  Each pass reads n_max + 1 annuli
@@ -199,7 +202,7 @@ def maximal_dis(f: RadialData, n_max: int, iterations: int = 1) -> MaximalResult
     require_integer(iterations, "iteration count")
     if iterations < 1:
         raise DomainError(f"iteration count must be >= 1, got {iterations}")
-    grid, vals = _data_values(f)
+    grid = f.grid
     n_max = require_index(n_max, 1, (grid.j_max - 3) // 2, "n_max")
     hi = valid_upper(grid.j_max, n_max, iterations)
     if hi < 1:  # never at one pass: a valid n_max leaves annuli 1..j_max - n_max - 1
@@ -207,13 +210,13 @@ def maximal_dis(f: RadialData, n_max: int, iterations: int = 1) -> MaximalResult
             f"{iterations} maximal passes at n_max={n_max} exhaust a grid with "
             f"j_max={grid.j_max}"
         )
-    values = vals
+    values = f.values
     for _ in range(iterations):
         data, values = values, _maximal_block(grid, values[:, None], n_max)[:, 0]
     return MaximalResult(grid, values, n_max, (1, hi), data.copy())
 
 
-def maximal_s(w: RadialData, s: float, n_max: int) -> RadialFunction:
+def maximal_s(w: RadialFunction, s: float, n_max: int) -> RadialFunction:
     """Power-adjusted maximal function (M^dis(w^s))^(1/s).
 
     For s >= 1 this dominates maximal_dis pointwise, since every average is
@@ -224,14 +227,13 @@ def maximal_s(w: RadialData, s: float, n_max: int) -> RadialFunction:
     # the chained comparison is False for nan as well
     if not 1.0 <= s < math.inf:
         raise DomainError(f"power-adjusted maximal needs finite s >= 1, got s={s}")
-    grid, vals = _data_values(w)
-    powered = RadialFunction(grid, vals**s)  # refuses w^s that overflows
-    values = _maximal_block(grid, powered.values[:, None], n_max)[:, 0]
-    return RadialFunction(grid, values ** (1.0 / s))
+    powered = RadialFunction(w.grid, w.values**s)  # refuses w^s that overflows
+    values = _maximal_block(w.grid, powered.values[:, None], n_max)[:, 0]
+    return RadialFunction(w.grid, values ** (1.0 / s))
 
 
 def _superlevel_mass(
-    w: Weight, block: np.ndarray, window: tuple, levels: Sequence[float]
+    w: RadialFunction, block: np.ndarray, window: tuple, levels: Sequence[float]
 ) -> np.ndarray:
     """Weighted masses of the superlevel sets {g > l} inside window.
 
@@ -253,7 +255,7 @@ def _superlevel_mass(
 
 
 def distribution_mass(
-    w: Weight,
+    w: RadialFunction,
     g: Union[RadialFunction, MaximalResult],
     lam: float,
 ) -> float:
@@ -264,9 +266,7 @@ def distribution_mass(
     calls; the entry point stays while the benchmark's per-layer metrics
     name it.
     """
-    grid, gvals = _data_values(g)
-    if (grid.params, grid.j_max) != (w.grid.params, w.grid.j_max):
-        raise DomainError("operands live on incompatible grids")
-    window = g.window if isinstance(g, MaximalResult) else (1, grid.j_max)
-    lo, hi = require_index(window, 1, grid.j_max, "window")
-    return float(_superlevel_mass(w, gvals[:, None], (lo, hi), [lam])[0, 0])
+    _require_same_grid(w, g)
+    window = g.window if isinstance(g, MaximalResult) else (1, g.grid.j_max)
+    lo, hi = require_index(window, 1, g.grid.j_max, "window")
+    return float(_superlevel_mass(w, g.values[:, None], (lo, hi), [lam])[0, 0])

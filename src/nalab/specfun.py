@@ -18,7 +18,8 @@ analysis on noncompact semisimple Lie groups", 1984).  Where i lam is close
 to an integer the two terms have poles that cancel; there phi, which is
 entire in lam, is the mean of the expansion over a small circle around lam.
 Near t = 0 the expansion loses digits to cancellation like t^(-2 sigma), so
-the switch sits where tanh^2 t = 0.9, the series disk that hyp2f1 serves.
+the switch sits where tanh^2 t = 0.9: short of it the Pfaff series converges
+geometrically, at ratio 0.9 or less.
 
 The companion solution behaves like t^(-2 sigma) at the origin.  (Its
 commonly printed small-argument form has the opposite sign in the exponent;
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import DomainError, PoleError, PrecisionError
 from .geometry import SpaceParams
 
-SERIES_SWITCH = math.atanh(math.sqrt(0.9))  # tanh^2 t <= 0.9, as in hyp2f1
+SERIES_SWITCH = math.atanh(math.sqrt(0.9))  # where tanh^2 t, the Pfaff series' argument, is 0.9
 SERIES_TOL = 1e-14
 SERIES_MAX_TERMS = 2000
 _SLOW_MAX_TERMS = 40000  # Phi near t = 0 and phi near the switch converge slowly
@@ -112,12 +113,8 @@ class FunctionTrace:
             raise DomainError("trace error estimates must be finite")
 
 
-def _is_nonpositive_int(c: complex, tol: float = 1e-12) -> bool:
-    return (
-        abs(c.imag) <= tol
-        and c.real <= tol
-        and abs(c.real - round(c.real)) <= tol
-    )
+def _is_nonpositive_int(c: complex) -> bool:
+    return c.imag == 0.0 and c.real <= 0.0 and c.real == round(c.real)
 
 
 def _log_gamma(z):
@@ -217,21 +214,6 @@ def _gauss_series(a, b, c, z, max_terms=SERIES_MAX_TERMS):
                 v[keep] for v in (live, params, z, stop_scale, hold, term, total, magnitudes)
             )
     return values.reshape(shape), err.reshape(shape)
-
-
-def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
-    """Gauss hypergeometric function by direct series summation.
-
-    Restricted to |z| <= 0.9 so the series budget of SERIES_MAX_TERMS terms
-    always reaches SERIES_TOL.  nalab continues no 2F1 past that disk: phi
-    and Phi, the functions it needs there, have their own expansions.
-    """
-    if _is_nonpositive_int(complex(c)):
-        raise PoleError(f"series parameter c={c} is a nonpositive integer")
-    if abs(complex(z)) > 0.9:
-        raise DomainError(f"|z|={abs(complex(z)):.4f} > 0.9: outside the series disk")
-    val, _ = _gauss_series(a, b, c, z)
-    return complex(val)
 
 
 def _scaled_series(a, b, c, z, log_scale, scale_size):
@@ -342,7 +324,7 @@ def jacobi_phi_trace(jp: JacobiParams, ts) -> FunctionTrace:
     # arithmetic: silenced here and refused by the gate below
     with np.errstate(over="ignore", invalid="ignore"):
         # the test is exact because _gauss_series stops only on an exact zero factor
-        if _is_nonpositive_int(a, tol=0.0) or _is_nonpositive_int(b, tol=0.0):
+        if _is_nonpositive_int(a) or _is_nonpositive_int(b):
             values, err = _gauss_series(a, b, c, -np.sinh(ts) ** 2)
         else:
             values = np.empty(ts.shape, dtype=complex)
@@ -367,12 +349,8 @@ def _check_second_pole(lam: complex):
         )
 
 
-def jacobi_phi_second(jp: JacobiParams, t: float) -> complex:
-    """The companion solution Phi_lam, singular at 0, recessive at infinity."""
-    return complex(jacobi_phi_second_trace(jp, [t]).values[0])
-
-
 def jacobi_phi_second_trace(jp: JacobiParams, ts) -> FunctionTrace:
+    """The companion solution Phi_lam on ts > 0, singular at 0, recessive at infinity."""
     _check_second_pole(jp.lam)
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, finite_number, require_data, require_index_set
 from .geometry import AnnularGrid
+from .radialops import RadialFunction
 from .specfun import JacobiParams, jacobi_phi_second_trace, jacobi_phi_trace
 
 # float -> float, or strictly increasing 1-d array -> array of its shape
@@ -123,16 +124,16 @@ class WeightSpec:
 
 
 @dataclass
-class Weight:
+class Weight(RadialFunction):
     """Positive radial weight sampled on a grid's annulus midpoints.
 
+    A RadialFunction whose values must be positive, as a tree's VertexWeight
+    is a VertexFunction; so Weight.zeros and Weight.indicator are refused.
     profile, when present, is the continuum weight: it maps a float to a
     float and a strictly increasing 1-d array of distances to an array of
     the same shape.
     """
 
-    grid: AnnularGrid
-    values: np.ndarray
     profile: Optional[Profile] = None
 
     def __post_init__(self):

@@ -392,6 +392,24 @@ def test_classical_ap_overflowed_dual_fails():
     assert again == np.inf
 
 
+@pytest.mark.parametrize("j_max", [31, 40, 59])
+def test_classical_ap_refuses_a_grid_that_cuts_its_balls(j_max):
+    # B(x_30, 30), x_30 at distance 29.5, reaches annulus 60; a smaller grid
+    # cut the products and faked a rate (exp_radial(-0.75) read "pass" at
+    # j_max 40, slope -0.73)
+    w = materialize(WeightSpec.exp_radial(-0.75), AnnularGrid(DEFAULT_SPACE, j_max))
+    with pytest.raises(GridRangeError, match=rf"reach annulus 60, past j_max={j_max}$"):
+        check_classical_ap(w, 2.0)
+
+
+def test_classical_ap_on_the_smallest_grid_matches_a_larger_one():
+    spec = WeightSpec.exp_radial(-0.75)
+    rep60 = check_classical_ap(materialize(spec, GRID60), 2.0)
+    rep80 = check_classical_ap(materialize(spec, GRID80), 2.0)
+    assert rep60.meta["products"] == pytest.approx(rep80.meta["products"], rel=1e-12)
+    assert (rep60.witness, rep60.verdict) == (rep80.witness, rep80.verdict)
+
+
 # ---------------------------------------------------------------- local Ap
 
 
@@ -426,6 +444,18 @@ def test_ap_loc_flags_nonintegrable_singularity():
     assert all(b > a for a, b in zip(sups, sups[1:]))
     for got, pin in zip(sups, (11.3293, 12.5437, 13.7569, 15.0172)):
         assert got == approx_frozen(pin)
+
+
+@pytest.mark.parametrize(
+    "step, refinements, j_max", [(100.0, 3, 80), (1000.0, 0, 80), (8.0, 0, 80), (0.1, 0, 1)]
+)
+def test_ap_loc_refuses_a_length_without_an_interval(step, refinements, j_max):
+    # a length spanning no quadrature cell, or longer than the ray, has no
+    # interval; it used to be skipped, leaving a constant of -inf, a drift
+    # of nan and a verdict of "fail" when every length was skipped
+    w = materialize(WeightSpec.constant(), AnnularGrid(DEFAULT_SPACE, j_max))
+    with pytest.raises(DomainError, match=rf"^ap-loc at step {step} on j_max {j_max} has no "):
+        check_ap_loc(w, 2.0, step=step, refinements=refinements)
 
 
 def test_ap_loc_needs_a_profile():
@@ -573,9 +603,10 @@ def test_pair_measure_matches_loop_oracle(weight, family, exponents):
     else:
         # the support starts after annulus 1 and ends before the window does
         fam = SetFamily.random_unions((7, 29), seed=3, count=40)
-    # the overflowing weights' masses overflow outside the checker; the
-    # checker's own zero or infinite denominators must raise no warning
-    with np.errstate(over="ignore"), warnings.catch_warnings():
+    # the checker's overflowing masses and its zero or infinite
+    # denominators must raise no warning; the oracle's masses overflow
+    # outside any errstate of the checker
+    with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         if exponents is None:
             p, alpha, beta = 2.0, 1.0, 1.0
@@ -583,6 +614,7 @@ def test_pair_measure_matches_loop_oracle(weight, family, exponents):
         else:
             p, alpha, beta = exponents
             rep = check_large_scale(w, p, alpha, beta, n_max=n_max, family=fam)
+    with np.errstate(over="ignore"):
         best, witness, sup_by_n, skipped = _pair_measure_loop_oracle(
             w, p, alpha, beta, n_max, fam
         )
@@ -611,6 +643,28 @@ def test_pair_measure_overflow_raises_no_warning():
     for rep in (necessary, large):
         assert math.isfinite(rep.constant) and rep.verdict == "pass"
         assert rep.reevaluate() == pytest.approx(rep.constant, rel=1e-10)
+
+
+@pytest.mark.parametrize("checker", ["necessary", "large-scale"])
+def test_pair_measure_skips_an_overflowing_set_mass_without_a_warning(checker):
+    # annulus 25's mass overflows: the pairs of every set holding it are
+    # skipped and counted, at each of the n_max scales; the masses were
+    # once taken before the checker's errstate and raised numpy's overflow
+    # warning
+    w, n_max = _overflowing_weight(GRID40), 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if checker == "necessary":
+            rep = check_necessary(w, 2.0, n_max=n_max)
+        else:
+            rep = check_large_scale(w, 2.0, 0.5, 0.5, n_max=n_max)
+        again = rep.reevaluate()
+    sets = SetFamily.standard((1, GRID40.j_max - n_max - 1)).sets
+    count, held = len(sets), sum(25 in s for s in sets)
+    assert rep.meta["skipped_pairs"] == n_max * (count**2 - (count - held) ** 2)
+    assert math.isfinite(rep.constant)
+    assert 25 not in rep.witness["E"] + rep.witness["F"]
+    assert again == pytest.approx(rep.constant, rel=1e-10)
 
 
 def test_pair_measure_infinite_sup_fails():
@@ -805,6 +859,26 @@ def test_fs_ratio_reevaluates_off_grid_levels(lam, s, k):
     assert want > 0
     rep.witness["lambda"] = lam
     assert rep.reevaluate() == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# each quotient with f on another grid than w's; fs-ratio used to return a
+# number for both, and weak-type and strong-type to return one on another
+# space and crash with numpy's ValueError on another j_max
+QUOTIENTS = {
+    "weak-type": lambda w, f: weak_type_ratio(w, 2.0, f),
+    "strong-type": lambda w, f: strong_type_ratio(w, 2.0, f),
+    "fs-ratio": lambda w, f: fs_ratio(w, 2.0, f),
+}
+OTHER_GRIDS = {"j_max 60": GRID60, "space (3.5, 1)": AnnularGrid(SpaceParams(3.5, 1.0), 80)}
+
+
+@pytest.mark.parametrize("other", list(OTHER_GRIDS))
+@pytest.mark.parametrize("meter", list(QUOTIENTS))
+def test_quotients_refuse_f_on_another_grid(meter, other):
+    w = materialize(WeightSpec.exp_radial(-0.3), GRID80)
+    f = RadialFunction.indicator(OTHER_GRIDS[other], [5])
+    with pytest.raises(DomainError, match="^operands live on incompatible grids: "):
+        QUOTIENTS[meter](w, f)
 
 
 @pytest.mark.parametrize("meter", [weak_type_ratio, fs_ratio])

@@ -14,6 +14,7 @@ import pytest
 import nalab
 from nalab import cli
 from nalab.checkers import (
+    SetFamily,
     check_ap_loc,
     check_classical_ap,
     check_easy_check,
@@ -47,6 +48,11 @@ from nalab.treelab import (
 from nalab.weights import WeightSpec, materialize
 
 ENVELOPE_KEYS = {"id", "created", "seed", "space", "verdict", "reports"}
+# the benchmark's reference outcomes, which its radial workload checks
+REFERENCES = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "references.json")
+FROZEN_REL = 2e-4  # the references carry the precision of their capture
+TREE_IDS = ("tree-weak11", "kolmogorov", "vector-valued")
+RADIAL_IDS = tuple(i for i in REPRODUCE_IDS if i not in TREE_IDS)
 
 
 def test_reproduce_id_registry():
@@ -91,6 +97,18 @@ def test_run_reproduce_negative_result_exits_one(tmp_path):
     assert code == 1
     assert env["verdict"] == "fail"
     assert env["reports"][0]["id"] == "classical-ap"
+
+
+@pytest.mark.parametrize("exp_id", RADIAL_IDS)
+def test_radial_reproduce_matches_the_benchmark_reference(tmp_path, exp_id):
+    with open(REFERENCES) as fh:
+        ref = json.load(fh)["radial"][exp_id]
+    code, _, env = run_reproduce(exp_id, outdir=str(tmp_path))
+    assert code == ref["code"]
+    got, want = env["reports"], ref["reports"]
+    assert [(r["id"], r["verdict"]) for r in got] == [(r["id"], r["verdict"]) for r in want]
+    for r, w in zip(got, want):
+        assert r["constant"] == pytest.approx(w["constant"], rel=FROZEN_REL)
 
 
 def test_run_reproduce_unknown_id():
@@ -202,6 +220,40 @@ def test_sweep_single_cell_matches_direct_call(tmp_path):
     assert len(rows) == 1
     assert float(rows[0]["constant"]) == pytest.approx(0.804900, rel=2e-4)
     assert env["id"] == "sweep-msw" and len(env["cells"]) == 1
+
+
+FAMILY_BUILDERS = {
+    "standard": SetFamily.standard,
+    "singletons": SetFamily.singletons,
+    "dyadic": SetFamily.dyadic_blocks,
+    "random": lambda window: SetFamily.random_unions(window, CANONICAL_SEED, 7),
+}
+PAIR_CHECKS = {
+    "necessary": lambda w, family: check_necessary(w, 2.0, n_max=25, family=family),
+    "large-scale": lambda w, family: check_large_scale(w, 2.0, 0.5, 0.5, n_max=25, family=family),
+}
+
+
+@pytest.mark.parametrize("checker", list(PAIR_CHECKS))
+@pytest.mark.parametrize("kind", list(FAMILY_BUILDERS))
+def test_sweep_family_kinds_end_to_end(tmp_path, kind, checker):
+    # a family config reaches the checker as the SetFamily its kind names,
+    # and the witness in the envelope recomputes the constant
+    family = {"kind": kind, **({"count": 7} if kind == "random" else {})}
+    spec = {"variant": "exp_radial", "gamma": -1.0 if checker == "necessary" else 1.0}
+    cfg = ExperimentConfig.from_json(sweep_config(
+        checker={"id": checker, "params": {"family": family}}, weight=spec))
+    code, _, env = run_sweep(cfg, outdir=str(tmp_path))
+    (cell,) = env["cells"]
+    got = cell["report"]
+    fam = FAMILY_BUILDERS[kind]((1, 80 - 25 - 1))  # the trusted window of the default grid
+    w = materialize(WeightSpec.from_json(spec), AnnularGrid(DEFAULT_SPACE, 80))
+    direct = PAIR_CHECKS[checker](w, fam)
+    assert code == (1 if got["verdict"] == "fail" else 0)
+    assert got["meta"]["family"] == fam.label
+    assert (got["constant"], got["witness"]) == (direct.constant, direct.witness)
+    replayed = dataclasses.replace(direct, witness=got["witness"]).reevaluate()
+    assert abs(replayed - got["constant"]) <= 1e-10 * abs(got["constant"])
 
 
 def test_sweep_axis_column(tmp_path):

@@ -11,7 +11,8 @@ from nalab import weights
 from nalab.errors import ConfigError, DomainError
 from nalab.fitting import fit_log_slope
 from nalab.geometry import DEFAULT_SPACE, AnnularGrid, SpaceParams
-from nalab.weights import WeightSpec, materialize, weight_mass
+from nalab.radialops import RadialFunction
+from nalab.weights import Weight, WeightSpec, materialize, weight_mass
 
 GRID = AnnularGrid(DEFAULT_SPACE, 80)
 MIDS = GRID.midpoints
@@ -198,3 +199,15 @@ def test_serializable_variants_round_trip(spec):
 def test_spec_numbers_must_be_finite(bad):
     with pytest.raises(ConfigError):
         WeightSpec.from_json({"variant": "exp_strong", "p": bad})
+
+
+def test_weight_is_a_radial_function_with_positive_values():
+    # as VertexWeight is a VertexFunction on the tree
+    assert issubclass(Weight, RadialFunction)
+    with pytest.raises(DomainError, match="weight values must be finite and positive"):
+        Weight.zeros(GRID)
+    with pytest.raises(DomainError, match="weight values must be finite and positive"):
+        Weight.indicator(GRID, [3])
+    ones = Weight.ones(GRID)
+    assert isinstance(ones, Weight) and ones.profile is None
+
