@@ -603,9 +603,9 @@ def test_pair_measure_matches_loop_oracle(weight, family, exponents):
     else:
         # the support starts after annulus 1 and ends before the window does
         fam = SetFamily.random_unions((7, 29), seed=3, count=40)
-    # the checker's overflowing masses and its zero or infinite
-    # denominators must raise no warning; the oracle's masses overflow
-    # outside any errstate of the checker
+    # the checker must raise no warning, from its overflowing masses or its
+    # zero or infinite denominators; the oracle's own masses overflow, under
+    # an errstate of their own
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         if exponents is None:

@@ -261,7 +261,7 @@ def test_second_solution_small_t_exponent():
     # Phi ~ t^(-2 sigma) at the origin
     jp = JacobiParams(1.0, 0.0, 1.3)
     ts = np.array([0.05, 0.08, 0.1, 0.15, 0.2])
-    vals = np.array([abs(phi_second(jp, t)) for t in ts])
+    vals = np.abs(jacobi_phi_second_trace(jp, ts).values)
     scaled = vals * ts**2
     assert 1e-2 < scaled.min() and scaled.max() < 1e2
 
