@@ -51,7 +51,6 @@ from .treelab import (
     VertexFunction,
     tree_ball,
     tree_kolmogorov,
-    tree_maximal,
     weak11_constant,
 )
 from .weights import WeightSpec, materialize
@@ -399,9 +398,8 @@ def _pipe_kolmogorov(seed: int) -> List[CheckReport]:
     worst = 0.0
     for i in range(100):
         f, center, radius, B = draw(rng)
-        mf = tree_maximal(f)
         for q in qs:
-            rep = tree_kolmogorov(q, f, B, result=mf)
+            rep = tree_kolmogorov(q, f, B)
             holds_all = holds_all and rep.holds
             value = ratio(rep)
             if value > worst:

@@ -41,7 +41,12 @@ consecutive, every step is a vector operation on contiguous rows.
 Ball sizes are _ball_sums of the constant 1, taken once per (k, depth)
 by _local_counts, for exact division; it is the one ball-size table, read
 by the maximal function and its argmax alike.  No TreeSpace carries state
-beyond its shape arrays.  Vertex ids, radii and pair distances pass
+beyond its shape arrays.  A VertexFunction keeps a read-only float copy of
+its data, so its maximal function is a function of the object:
+tree_maximal keeps the last one in a one-entry memo keyed on the object's
+identity, and the exponents of one Kolmogorov check share one Mf and one
+sort of it.  The vector path (_tree_maximal_block) and the naive oracle
+keep no memo.  Vertex ids, radii and pair distances pass
 errors.require_index or errors.require_integer, and vertex sets
 errors.require_index_set: a bool or a float such as 2.0 raises DomainError,
 and a vertex or radius off the tree GridRangeError.
@@ -140,15 +145,19 @@ class TreeSpace:
         return f"TreeSpace(k={self.k}, depth={self.depth}, size={self.size})"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VertexFunction:
-    """Nonnegative data on the vertices of a tree."""
+    """Nonnegative data on the vertices of a tree, a read-only float copy."""
 
     tree: TreeSpace
     values: np.ndarray
+    _gate = ("vertex data", False)  # require_data's name and positive
 
     def __post_init__(self):
-        self.values = require_data(self.values, self.tree.size, "vertex data")
+        # np.array converts and copies at once; require_data then gates in place
+        values = require_data(np.array(self.values, dtype=float), self.tree.size, *self._gate)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def zeros(cls, tree: TreeSpace) -> "VertexFunction":
@@ -157,18 +166,17 @@ class VertexFunction:
     @classmethod
     def dirac(cls, tree: TreeSpace, vertices: Sequence[int]) -> "VertexFunction":
         ids = require_index(vertices, 0, tree.size - 1, "vertex")
-        return cls(tree, np.bincount(np.atleast_1d(ids), minlength=tree.size).astype(float))
+        return cls(tree, np.bincount(np.atleast_1d(ids), minlength=tree.size))
 
     def norm1(self) -> float:
         return float(self.values.sum())
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VertexWeight(VertexFunction):
     """Strictly positive data on the vertices."""
 
-    def __post_init__(self):
-        self.values = require_data(self.values, self.tree.size, "vertex weights", positive=True)
+    _gate = ("vertex weights", True)
 
     @classmethod
     def ones(cls, tree: TreeSpace) -> "VertexWeight":
@@ -191,15 +199,17 @@ class TreeMaximal:
     """Exact centered maximal function with truncation bookkeeping.
 
     boundary is True where no ball that avoids the truncation depth attains
-    the maximum.  argmax_radius, computed from data (a copy of the
-    function's values) on first read, is the smallest r in 0..2*depth whose
-    ball average equals values bit for bit.  It reads the local rows of
-    _ball_sums that the values come from: the first interior radius that
-    attains the value, else the tail's argmax.  A radius that repeats the
-    parent's ball repeats its sum and size bit for bit, so the tail's
-    argmax runs down the root path one level at a time: the first pivot
-    radius attaining P(v) where P(v) >= T(parent), else the parent's tail
-    argmax + 1 (see _tree_maximal_block for P and T).
+    the maximum.  data is the function's read-only values themselves, not a
+    copy.  argmax_radius, computed from data on first read, is the smallest
+    r in 0..2*depth whose ball average equals values bit for bit.  It reads
+    the local rows of _ball_sums that the values come from: the first
+    interior radius that attains the value, else the tail's argmax.  A
+    radius that repeats the parent's ball repeats its sum and size bit for
+    bit, so the tail's argmax runs down the root path one level at a time:
+    the first pivot radius attaining P(v) where P(v) >= T(parent), else the
+    parent's tail argmax + 1 (see _tree_maximal_block for P and T).
+    weak_sup, also computed on first read, is sup_l l*|{Mf > l}| over the
+    trusted vertices, the numerator of weak11_constant.
     """
 
     tree: TreeSpace
@@ -230,7 +240,20 @@ class TreeMaximal:
                 inherit = t < tail[s[d - 1] : lo, None]
                 np.copyto(t, tail[s[d - 1] : lo, None], where=inherit)
                 np.copyto(r, tail_arg[s[d - 1] : lo, None] + 1, where=inherit)
-        return np.where(arg < 0, tail_arg, arg)
+        arg = np.where(arg < 0, tail_arg, arg)
+        arg.flags.writeable = False
+        return arg
+
+    @functools.cached_property
+    def weak_sup(self) -> float:
+        vals = self.values[self.trusted()]
+        vals = vals[vals > 0]
+        if vals.size == 0:
+            return 0.0
+        vals = np.sort(vals)[::-1]
+        # |{Mf >= v}| is i + 1 at the last occurrence i of v in descending order;
+        # an earlier occurrence of v gives a smaller product, so it never wins
+        return float(np.max(vals * np.arange(1, vals.size + 1)))
 
 
 def tree_ball(tree: TreeSpace, x: int, r: int) -> TreeBall:
@@ -369,10 +392,19 @@ def tree_maximal(f: VertexFunction) -> TreeMaximal:
     """Exact centered maximal function over integer radii 0..2*depth.
 
     The one-column case of _tree_maximal_block: O(V) numpy work, about
-    2 + 1/(k - 1) ball averages per vertex instead of 2*depth + 1.
+    2 + 1/(k - 1) ball averages per vertex instead of 2*depth + 1.  The
+    last result is kept, keyed on f itself, so a second call on the same f
+    returns the same read-only TreeMaximal.
     """
+    return _tree_maximal_memo(f)
+
+
+@functools.lru_cache(maxsize=1)
+def _tree_maximal_memo(f: VertexFunction) -> TreeMaximal:
     values, boundary = _tree_maximal_block(f.tree, f.values[:, None])
-    return TreeMaximal(f.tree, values[:, 0], boundary[:, 0], f.values.copy())
+    values, boundary = values[:, 0], boundary[:, 0]
+    values.flags.writeable = boundary.flags.writeable = False
+    return TreeMaximal(f.tree, values, boundary, f.values)
 
 
 def tree_maximal_naive(f: VertexFunction) -> TreeMaximal:
@@ -395,7 +427,7 @@ def tree_maximal_naive(f: VertexFunction) -> TreeMaximal:
                 b_int = a
         best[v], arg[v] = bv, ar
         boundary[v] = b_int < bv
-    result = TreeMaximal(tree, best, boundary, f.values.copy())
+    result = TreeMaximal(tree, best, boundary, f.values)
     result.argmax_radius = arg  # the oracle's own, not the scan's
     return result
 
@@ -441,26 +473,20 @@ def weak11_constant(f: VertexFunction, result: Optional[TreeMaximal] = None) -> 
 
     The superlevel count runs over trusted (unflagged) vertices; the sup
     over levels is attained just below a value of Mf, so it is evaluated
-    exactly from the values sorted in descending order.  result, when
-    given, must be tree_maximal(f); one on a tree of another shape raises
-    DomainError.
+    exactly from the values sorted in descending order, once per
+    TreeMaximal (its weak_sup).  result, when given, must be a maximal
+    function of f's data, such as tree_maximal_naive(f); one on a tree of
+    another shape or of other data raises DomainError.
     """
-    shape = (f.tree.k, f.tree.depth)
-    if result is not None and (result.tree.k, result.tree.depth) != shape:
-        raise DomainError(f"maximal function on {result.tree} does not fit {f.tree}")
+    if result is not None:
+        if (result.tree.k, result.tree.depth) != (f.tree.k, f.tree.depth):
+            raise DomainError(f"maximal function on {result.tree} does not fit {f.tree}")
+        if not (result.data is f.values or np.array_equal(result.data, f.values)):
+            raise DomainError("maximal function of other data than f's")
     nrm = f.norm1()
     if nrm == 0.0:
         return 0.0
-    if result is None:
-        result = tree_maximal(f)
-    vals = result.values[result.trusted()]
-    vals = vals[vals > 0]
-    if vals.size == 0:
-        return 0.0
-    vals = np.sort(vals)[::-1]
-    # |{Mf >= v}| is i + 1 at the last occurrence i of v in descending order;
-    # an earlier occurrence of v gives a smaller product, so it never wins
-    return float(np.max(vals * np.arange(1, vals.size + 1)) / nrm)
+    return (tree_maximal(f) if result is None else result).weak_sup / nrm
 
 
 @dataclass
@@ -472,25 +498,19 @@ class KolmogorovReport:
     holds: bool
 
 
-def tree_kolmogorov(
-    q: float,
-    f: VertexFunction,
-    B: Iterable[int],
-    result: Optional[TreeMaximal] = None,
-) -> KolmogorovReport:
+def tree_kolmogorov(q: float, f: VertexFunction, B: Iterable[int]) -> KolmogorovReport:
     """Check sum_B (Mf)^q <= c^q/(1-q) * |B|^(1-q) * ||f||_1^q exactly.
 
     c is the weak-(1,1) quotient measured for this very f, which makes the
     inequality a theorem about the finite tree.  The left side runs over
-    trusted vertices of B.  result, when given, must be tree_maximal(f); it
-    saves recomputing Mf when several exponents share one f.  A result on a
-    tree of another shape raises DomainError.
+    trusted vertices of B.  Several exponents on one f share one Mf and one
+    sort of it, through tree_maximal's memo.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"Kolmogorov exponent must lie in (0,1), got {q}")
     tree = f.tree
     bv = require_index_set(B, 0, tree.size - 1, "vertex")
-    res = tree_maximal(f) if result is None else result
+    res = tree_maximal(f)
     weak_constant = weak11_constant(f, res)
     trusted = res.trusted()[bv]
     lhs = float(np.sum(res.values[bv[trusted]] ** q))

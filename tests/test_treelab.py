@@ -1,11 +1,14 @@
 """Tree backend tests: exact combinatorics, agreement with brute force, and
 the seeded weak-(1,1) family (k = 2 here; the cross-branching sweep runs in
 the acceptance suite)."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nalab import treelab
 from nalab.errors import DomainError, GridRangeError
 from nalab.treelab import (
     TreeSpace,
@@ -244,13 +247,14 @@ def test_maximal_result_from_another_tree_is_rejected():
     with pytest.raises(DomainError):
         weak11_constant(f, alien)
     with pytest.raises(DomainError):
-        tree_kolmogorov(0.5, f, range(t3.size), result=alien)
-    with pytest.raises(DomainError):
         weak11_constant(VertexFunction.zeros(t3), alien)
     # the same shape on another TreeSpace instance is the same tree
     twin = tree_maximal(VertexFunction.dirac(TreeSpace(2, 3), [5]))
     assert weak11_constant(f, twin) == weak11_constant(f) == 1.0
-    assert tree_kolmogorov(0.5, f, range(t3.size), result=twin).holds
+    # the same shape with other data is a maximal function of neither
+    g = tree_maximal(VertexFunction.dirac(t3, [6]))
+    with pytest.raises(DomainError):
+        weak11_constant(f, g)
 
 
 def test_kolmogorov_seeded_sample():
@@ -313,14 +317,51 @@ def test_maximal_block_equals_columns_bit_for_bit(k, depth):
             np.testing.assert_allclose(avg, one.values, rtol=1e-12, atol=0.0)
 
 
-def test_argmax_radius_reads_the_data_at_call_time():
-    # argmax_radius is computed on first read, from a copy of the data
+def test_vertex_data_and_maximal_function_are_read_only():
+    # f keeps its own copy: changing the caller's array moves neither f nor Mf
     tree = TreeSpace(3, 4)
-    f = VertexFunction(tree, np.random.default_rng(17).integers(0, 20, tree.size).astype(float))
-    expected = tree_maximal_naive(f).argmax_radius
+    source = np.random.default_rng(17).integers(0, 20, tree.size).astype(float)
+    f = VertexFunction(tree, source)
+    kept = source.copy()
+    expected = tree_maximal_naive(f)
     res = tree_maximal(f)
-    f.values[:] = f.values[::-1]
-    assert np.array_equal(res.argmax_radius, expected)
+    source[:] = source[::-1]
+    assert np.array_equal(f.values, kept)
+    assert np.array_equal(tree_maximal(f).values, expected.values)
+    assert np.array_equal(res.argmax_radius, expected.argmax_radius)
+    for arr in (f.values, res.values, res.boundary, res.argmax_radius):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.values = kept
+    w = VertexWeight.ones(tree)
+    with pytest.raises(ValueError):
+        w.values[0] = 2.0
+
+
+def test_maximal_memo_keeps_one_function():
+    tree = TreeSpace(2, 5)
+    rng = np.random.default_rng(5)
+    f, g = (VertexFunction(tree, rng.integers(0, 30, tree.size)) for _ in range(2))
+    for h in (f, g, f, g):
+        assert np.array_equal(tree_maximal(h).values, tree_maximal_naive(h).values)
+    assert tree_maximal(f) is tree_maximal(f)
+
+
+def test_kolmogorov_exponents_share_one_maximal_function(monkeypatch):
+    calls = []
+    block = treelab._tree_maximal_block
+
+    def counted(tree, data):
+        calls.append(tree)
+        return block(tree, data)
+
+    monkeypatch.setattr(treelab, "_tree_maximal_block", counted)
+    tree = TreeSpace(2, 6)
+    f = VertexFunction(tree, np.random.default_rng(3).uniform(0.0, 1.0, tree.size))
+    B = tree_ball(tree, 4, 3).vertices
+    assert all(tree_kolmogorov(q, f, B).holds for q in (0.3, 0.5, 0.7))
+    assert len(calls) == 1
 
 
 def _argmax_by_scan(res):
