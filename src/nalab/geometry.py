@@ -22,16 +22,25 @@ Conventions fixed here and relied on everywhere else:
   j - 1 and j, and its representative distance is the midpoint j - 1/2;
 * the intersection model clamps exp(rho (s + t - d)) by the two ball
   volumes and vanishes for d >= s + t;
+* a grid's tables are functions of (space, j_max) alone and live in one
+  record per geometry (_geometry), kept for the last geometry asked for, as
+  treelab keeps its last maximal function: read-only annulus measures, ball
+  volumes and midpoints, and the kernel slot below.  Every AnnularGrid of
+  that geometry shares the record's memory, and a grid keeps its record
+  after the memo lets it go; a refused geometry is not kept, so it is
+  refused again on every construction;
 * the raw product kernels of scales 1..s live in one read-only stack per
-  grid, built in three vectorized passes: a minimum of V(n) on the band with
-  max(m_i, m_j), read as one Toeplitz matrix per scale; a product with
-  min(m_i, m_j); and a minimum with exp(rho (n + i + j)), read as one Hankel
-  matrix per scale, so a scale costs 2 j_max - 1 exponentials instead of
-  j_max^2.  The normalization scales belong to the stack: one vector,
-  computed from its row sums on the first normalized request after a build.
-  A request beyond s rebuilds the stack at max(n, 2 s) scales, capped at the
-  largest scale the request's normalization allows, so ascending requests
-  rebuild it O(log n) times.
+  geometry, built from the record's own tables in three vectorized passes:
+  a minimum of V(n) on the band with max(m_i, m_j), read as one Toeplitz
+  matrix per scale; a product with min(m_i, m_j); and a minimum with
+  exp(rho (n + i + j)), read as one Hankel matrix per scale, so a scale
+  costs 2 j_max - 1 exponentials instead of j_max^2.  The normalization
+  scales belong to the stack: one vector, computed from its row sums on the
+  first normalized request after a build.  A request beyond s rebuilds the
+  stack at max(n, 2 s) scales, capped at the largest scale the request's
+  normalization allows, so ascending requests rebuild it O(log n) times.
+  Slice n - 1 of any stack is bit for bit the kernel of scale n, so what a
+  grid reads does not depend on which grid of its geometry grew the stack.
 """
 
 from __future__ import annotations
@@ -209,40 +218,73 @@ def ball_volume(params: SpaceParams, r: float) -> float:
     return float(_panel_integrals(params, np.minimum(1.0, r - lefts)).sum())
 
 
+def _validate_growth_band(params: SpaceParams, measures: np.ndarray):
+    # model validity: measures must track exp(2 rho j) within 5% in log scale
+    j = np.arange(15, len(measures) + 1)
+    ratio = np.log(measures[14:]) / (2.0 * params.rho * j)
+    bad = np.flatnonzero(~((ratio >= 0.95) & (ratio <= 1.05)))
+    if bad.size:
+        raise DomainError(
+            f"annulus {j[bad[0]]} breaks the exponential growth band: "
+            f"log-measure ratio {ratio[bad[0]]:.4f}"
+        )
+
+
+@dataclass(eq=False)
+class _Geometry:
+    """The tables of one (space, j_max), shared by every grid of it.
+
+    measures, volumes and midpoints are read-only; kernels is the slot
+    (raw kernel stack, its normalization scales or None) that _kernel_stack
+    grows, built from this record's tables alone.
+    """
+
+    params: SpaceParams
+    j_max: int
+    measures: np.ndarray
+    volumes: np.ndarray
+    midpoints: np.ndarray
+    kernels: tuple = ((), None)
+
+
+@functools.lru_cache(maxsize=1)
+def _geometry(params: SpaceParams, j_max: int) -> _Geometry:
+    """The record of the geometry (params, j_max), j_max a validated int.
+
+    The last record asked for is kept; a DomainError (measures beyond the
+    float range, or outside the exponential growth band) is not, so it is
+    raised again on every call.
+    """
+    measures = _panel_integrals(params, np.ones(j_max))
+    if not np.all(np.isfinite(measures)):
+        raise DomainError(
+            "annulus measures overflow float range; shrink j_max or the "
+            "growth rate rho"
+        )
+    _validate_growth_band(params, measures)
+    tables = (measures, np.cumsum(measures), np.arange(1, j_max + 1) - 0.5)
+    for arr in tables:
+        arr.setflags(write=False)
+    # a view of a read-only array cannot be made writable again
+    return _Geometry(params, j_max, *(arr.view() for arr in tables))
+
+
 class AnnularGrid:
     """Unit-width annular discretization of the radial model.
 
     Annulus j (1-based, j <= j_max) is the shell between radii j - 1 and j;
     ``measures[j-1]`` is its volume, ``midpoints[j-1] = j - 1/2`` its
-    representative distance, ``volumes[j-1]`` the ball volume V(j).
+    representative distance, ``volumes[j-1]`` the ball volume V(j).  The
+    three tables are read-only, the same memory for every grid of one
+    (space, j_max), and so is the kernel stack (_kernel_stack); a grid keeps
+    them for as long as it lives.
     """
 
     def __init__(self, params: SpaceParams, j_max: int):
         self.params = params
         self.j_max = require_index(j_max, 1, math.inf, "j_max")
-        pieces = _panel_integrals(params, np.ones(self.j_max))
-        if not np.all(np.isfinite(pieces)):
-            raise DomainError(
-                "annulus measures overflow float range; shrink j_max or the "
-                "growth rate rho"
-            )
-        self.measures = pieces
-        self.volumes = np.cumsum(pieces)
-        self.midpoints = np.arange(1, j_max + 1) - 0.5
-        # (raw kernel stack, its normalization scales or None); see _kernel_stack
-        self._kernels: tuple = ((), None)
-        self._validate_growth_band()
-
-    def _validate_growth_band(self):
-        # model validity: measures must track exp(2 rho j) within 5% in log scale
-        j = np.arange(15, self.j_max + 1)
-        ratio = np.log(self.measures[14:]) / (2.0 * self.params.rho * j)
-        bad = np.flatnonzero(~((ratio >= 0.95) & (ratio <= 1.05)))
-        if bad.size:
-            raise DomainError(
-                f"annulus {j[bad[0]]} breaks the exponential growth band: "
-                f"log-measure ratio {ratio[bad[0]]:.4f}"
-            )
+        geo = self._geometry = _geometry(params, self.j_max)
+        self.measures, self.volumes, self.midpoints = geo.measures, geo.volumes, geo.midpoints
 
     def ball_volume_at(self, n: int) -> float:
         """V(n) for integer n within the grid; a float or bool n is refused."""
@@ -289,11 +331,12 @@ def annular_intersection(grid: AnnularGrid, j, n: int, dist):
     return out if out.shape else float(out)
 
 
-def _scale_denominators(grid: AnnularGrid, n_max: int) -> np.ndarray:
+def _scale_denominators(grid, n_max: int) -> np.ndarray:
     """V(n) |Omega_i| for scales n = 1..n_max (rows) and annuli i (columns).
 
-    Row n - 1 equals grid.ball_volume_at(n) * grid.measures bit for bit.
-    Huge spaces overflow to inf; callers silence the warning.
+    grid is an AnnularGrid or its _Geometry record.  Row n - 1 equals
+    grid.ball_volume_at(n) * grid.measures bit for bit.  Huge spaces
+    overflow to inf; callers silence the warning.
     """
     return grid.volumes[:n_max, None] * grid.measures
 
@@ -306,9 +349,9 @@ class ProductKernel:
     y in annulus j and d(x, y) <= n; zero outside the band |i - j| <= n + 1.
     A normalized kernel has been divided by ``scale`` so that no row sum of
     matrix / (V(n) measure_i) exceeds 1; a raw kernel has scale 1.  A raw
-    matrix is a read-only slice of its grid's kernel stack, the same memory
-    for every caller; a normalized matrix is a fresh read-only array, that
-    slice divided by its scale.
+    matrix is a read-only slice of its geometry's kernel stack, the same
+    memory for every grid of the geometry; a normalized matrix is a fresh
+    read-only array, that slice divided by its scale.
     """
 
     n: int
@@ -316,8 +359,8 @@ class ProductKernel:
     scale: float
 
 
-def _build_kernel_stack(grid: AnnularGrid, s: int) -> np.ndarray:
-    """The raw kernels P_1..P_s of a grid as one read-only (s x j_max x j_max) array.
+def _build_kernel_stack(geo: _Geometry, s: int) -> np.ndarray:
+    """The raw kernels P_1..P_s of a geometry as one read-only (s x j_max x j_max) array.
 
     Three vectorized passes over all scales, each entry computed as a
     per-scale build would, so slice n - 1 is bit for bit the kernel of
@@ -339,26 +382,26 @@ def _build_kernel_stack(grid: AnnularGrid, s: int) -> np.ndarray:
     the pair checkers take such entries as infinite pair masses, and a
     normalized request refuses them (_kernel_stack).
     """
-    jm = grid.j_max
-    m = grid.measures
+    jm = geo.j_max
+    m = geo.measures
     step = m.itemsize
     # band[n - 1, jm - 1 + d] is V(n) for |d| <= n + 1 and 0 beyond; read
     # with strides (-1, +1) items it is the scale's band at offset d = j - i
     offsets = np.abs(np.arange(1 - jm, jm))
     ns = np.arange(1.0, s + 1)
-    band = np.where(offsets <= ns[:, None] + 1, grid.volumes[:s, None], 0.0)
+    band = np.where(offsets <= ns[:, None] + 1, geo.volumes[:s, None], 0.0)
     toeplitz = as_strided(band[:, jm - 1 :], (s, jm, jm), (band.strides[0], -step, step))
     stack = np.minimum(toeplitz, np.maximum.outer(m, m))
     with np.errstate(over="ignore"):
         stack *= np.minimum.outer(m, m)
-        caps = np.exp(grid.params.rho * (ns[:, None] + np.arange(2.0, 2 * jm + 1)))
+        caps = np.exp(geo.params.rho * (ns[:, None] + np.arange(2.0, 2 * jm + 1)))
     hankel = as_strided(caps, (s, jm, jm), (caps.strides[0], step, step))
     np.minimum(stack, hankel, out=stack)
     stack.setflags(write=False)
     return stack
 
 
-def _normalization_scales(grid: AnnularGrid, stack: np.ndarray) -> np.ndarray:
+def _normalization_scales(geo: _Geometry, stack: np.ndarray) -> np.ndarray:
     """The largest ratio of row sum to V(n) m_i of each raw kernel in stack, read-only.
 
     Every row counts, not just the interior ones: low-edge rows can exceed
@@ -367,7 +410,7 @@ def _normalization_scales(grid: AnnularGrid, stack: np.ndarray) -> np.ndarray:
     inf entry, or whose sum overflows, makes its scale inf or nan, silently.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = stack.sum(axis=2) / _scale_denominators(grid, len(stack))
+        ratios = stack.sum(axis=2) / _scale_denominators(geo, len(stack))
     scales = ratios.max(axis=1)
     scales.setflags(write=False)
     return scales
@@ -376,7 +419,8 @@ def _normalization_scales(grid: AnnularGrid, stack: np.ndarray) -> np.ndarray:
 def _kernel_stack(grid: AnnularGrid, n: int, normalize: bool = True) -> tuple:
     """The read-only raw kernels of scales 1..n on a grid, and their normalization scales.
 
-    Views of the first n entries of the grid's one stack; a stack of s < n
+    Views of the first n entries of the one stack of the grid's geometry,
+    which every grid of that geometry reads and grows; a stack of s < n
     scales is rebuilt at max(n, min(2 s, top)) scales.  n must be an integer
     in 1..top, the largest scale the normalization allows: j_max - 1 raw,
     and (j_max - 3) // 2 normalized, since a normalized kernel needs an
@@ -390,15 +434,16 @@ def _kernel_stack(grid: AnnularGrid, n: int, normalize: bool = True) -> tuple:
     normalize = bool(normalize)
     top = (grid.j_max - 3) // 2 if normalize else grid.j_max - 1
     n = require_index(n, 1, top, "kernel scale n")
-    stack, scales = grid._kernels
+    geo = grid._geometry
+    stack, scales = geo.kernels
     if len(stack) < n:
-        stack, scales = _build_kernel_stack(grid, max(n, min(2 * len(stack), top))), None
-        grid._kernels = stack, scales
+        stack, scales = _build_kernel_stack(geo, max(n, min(2 * len(stack), top))), None
+        geo.kernels = stack, scales
     if not normalize:
         return stack[:n], None
     if scales is None:
-        scales = _normalization_scales(grid, stack[:top])
-        grid._kernels = stack, scales
+        scales = _normalization_scales(geo, stack[:top])
+        geo.kernels = stack, scales
     bad = np.flatnonzero(~np.isfinite(scales[:n]))
     if bad.size:
         raise DomainError(
@@ -419,8 +464,9 @@ def product_kernel(grid: AnnularGrid, n: int, normalize: bool = True) -> Product
     the constant function 1 land in (0, 1] everywhere; this keeps the
     power-mean comparison between maximal variants exact.
 
-    A raw kernel is slice n - 1 of the grid's raw stack (_build_kernel_stack),
-    read-only and shared; a normalized kernel is that slice divided by its
+    A raw kernel is slice n - 1 of the raw stack of the grid's geometry
+    (_build_kernel_stack), read-only and the same memory for every grid of
+    the geometry; a normalized kernel is that slice divided by its
     scale, a fresh read-only array.  A scale beyond the stack rebuilds it
     (_kernel_stack), so loops over scales take _kernel_stack once instead.
     The scale must be an integer: a float or bool n is refused.

@@ -1,13 +1,16 @@
 """Averaging and maximal operators on the annular grid.
 
 The ball average at integer scale n is one formula,
-(P_n @ F) / (V(n) measure) / scale_n, with P_n the raw kernel of the
-grid's one kernel stack and scale_n its normalization scale, so that
-averages of the constant 1 lie in (0, 1] everywhere; this keeps the
-power-mean comparison between maximal variants exact.  The maximal
-function takes the pointwise supremum over scales up to a truncation n_max.
-Truncation bias is deliberate and visible: results carry the window of
-annuli unaffected by grid truncation, and the attaining scale on demand.
+(P_n @ F) / (V(n) measure) / scale_n, with P_n the raw kernel of the one
+kernel stack of the grid's geometry, which every grid of that (space, j_max)
+reads and grows, and scale_n its normalization scale, so that averages of
+the constant 1 lie in (0, 1] everywhere; this keeps the power-mean
+comparison between maximal variants exact.  A stack's slices do not depend
+on its size, so an average does not depend on what ran before it.  The
+maximal function takes the pointwise supremum over scales up to a
+truncation n_max.  Truncation bias is deliberate and visible: results carry
+the window of annuli unaffected by grid truncation, and the attaining scale
+on demand.
 
 One private core serves every average: _scale_averages takes a
 (j_max x m) block whose columns are functions and evaluates the averages of

@@ -712,6 +712,7 @@ def test_one_kernel_stack_build_per_scale_loop(monkeypatch):
         return real(grid, s)
 
     monkeypatch.setattr(nalab.geometry, "_build_kernel_stack", counting)
+    nalab.geometry._geometry.cache_clear()
     grid = AnnularGrid(DEFAULT_SPACE, 80)
     w = materialize(WeightSpec.exp_radial(-0.3), grid)
     maximal_dis(w, 25)
@@ -743,6 +744,7 @@ def test_pair_check_then_maximal_builds_the_stack_once(monkeypatch):
 
     monkeypatch.setattr(nalab.geometry, "_build_kernel_stack", counting_build)
     monkeypatch.setattr(nalab.geometry, "_normalization_scales", counting_scales)
+    nalab.geometry._geometry.cache_clear()
     grid = AnnularGrid(DEFAULT_SPACE, 80)
     w = materialize(WeightSpec.exp_radial(-0.3), grid)
     check_necessary(w, 2.0, 25)

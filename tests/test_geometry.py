@@ -29,6 +29,7 @@ from nalab.geometry import (
     valid_upper,
 )
 from nalab.radialops import RadialFunction, maximal_dis
+from nalab.weights import WeightSpec, materialize
 
 GRID = AnnularGrid(DEFAULT_SPACE, 80)
 WIN25 = 80 - 26
@@ -159,7 +160,7 @@ def test_growth_band_names_first_failing_annulus():
     )
     assert first[0] == 22
     with pytest.raises(DomainError, match=f"annulus 22 .* ratio {first[1]:.4f}"):
-        grid._validate_growth_band()
+        nalab.geometry._validate_growth_band(grid.params, grid.measures)
 
 
 def test_canonical_parameters():
@@ -404,6 +405,7 @@ def test_ascending_scales_grow_the_stack_geometrically(monkeypatch, normalize, s
         return real(grid, s)
 
     monkeypatch.setattr(nalab.geometry, "_build_kernel_stack", counting)
+    nalab.geometry._geometry.cache_clear()
     grid = AnnularGrid(DEFAULT_SPACE, 80)
     for n in range(1, sizes[-1] + 1):
         product_kernel(grid, n, normalize=normalize)
@@ -454,15 +456,103 @@ def test_kernels_and_grid_tables_are_read_only():
     assert stack.shape == (5, 40, 40) and scales.shape == (5,)
     raw, none = _kernel_stack(grid, 5, normalize=False)
     assert none is None and np.shares_memory(raw, stack)
-    whole, whole_scales = grid._kernels
-    for arr in (whole, whole_scales, stack, scales, raw, stack[2], scales[2:]):
+    whole, whole_scales = grid._geometry.kernels
+    tables = (grid.measures, grid.volumes, grid.midpoints)
+    for arr in (whole, whole_scales, stack, scales, raw, stack[2], scales[2:]) + tables:
         with pytest.raises(ValueError):
             arr[...] = 0.0
     # a caller's view cannot be made writable again
-    views = [stack, scales, raw] + [product_kernel(grid, 4, f).matrix for f in (True, False)]
+    views = [stack, scales, raw, *tables]
+    views += [product_kernel(grid, 4, f).matrix for f in (True, False)]
     for view in views:
         with pytest.raises(ValueError):
             view.setflags(write=True)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+def test_numpy_integer_j_max_builds_the_int_grid(dtype):
+    # the midpoints come from the validated int: np.int8(127) + 1 would
+    # overflow with a RuntimeWarning
+    j_max = int(np.iinfo(dtype).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nalab.geometry._geometry.cache_clear()
+        grid = AnnularGrid(DEFAULT_SPACE, dtype(j_max))
+    nalab.geometry._geometry.cache_clear()
+    ref = AnnularGrid(DEFAULT_SPACE, j_max)
+    assert type(grid.j_max) is int and grid.j_max == j_max
+    for name in ("measures", "volumes", "midpoints"):
+        assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
+
+
+def _counted_builds(monkeypatch):
+    builds = []
+    real = nalab.geometry._build_kernel_stack
+
+    def counting(geo, s):
+        builds.append(s)
+        return real(geo, s)
+
+    monkeypatch.setattr(nalab.geometry, "_build_kernel_stack", counting)
+    nalab.geometry._geometry.cache_clear()
+    return builds
+
+
+def test_grids_of_one_geometry_share_one_stack(monkeypatch):
+    builds = _counted_builds(monkeypatch)
+    a, b = AnnularGrid(DEFAULT_SPACE, 80), AnnularGrid(DEFAULT_SPACE, 80)
+    raw_a, _ = _kernel_stack(a, 25, normalize=False)
+    raw_b, _ = _kernel_stack(b, 25, normalize=False)
+    assert builds == [25]
+    assert np.shares_memory(raw_a, raw_b)
+    assert np.shares_memory(a.measures, b.measures)
+
+
+def test_grown_shared_stack_equals_a_cold_build():
+    # after 25 scales, a request at n = 30 grows the shared stack to 38; what
+    # a grid then reads at 25 is bit for bit what a cold grid builds for itself
+    nalab.geometry._geometry.cache_clear()
+    grid = AnnularGrid(DEFAULT_SPACE, 80)
+    product_kernel(grid, 25)
+    product_kernel(AnnularGrid(DEFAULT_SPACE, 80), 30)
+    assert len(grid._geometry.kernels[0]) == 38
+    warm_stack, warm_scales = _kernel_stack(grid, 25)
+    warm_mf = maximal_dis(materialize(WeightSpec.exp_radial(-0.3), grid), 25).values
+    nalab.geometry._geometry.cache_clear()
+    cold = AnnularGrid(DEFAULT_SPACE, 80)
+    cold_stack, cold_scales = _kernel_stack(cold, 25)
+    assert len(cold._geometry.kernels[0]) == 25
+    cold_mf = maximal_dis(materialize(WeightSpec.exp_radial(-0.3), cold), 25).values
+    assert np.array_equal(warm_stack, cold_stack)
+    assert np.array_equal(warm_scales, cold_scales)
+    assert np.array_equal(warm_mf, cold_mf)
+
+
+def test_held_grid_keeps_its_tables_after_eviction(monkeypatch):
+    builds = _counted_builds(monkeypatch)
+    grid = AnnularGrid(DEFAULT_SPACE, 80)
+    measures, (stack, scales) = grid.measures, _kernel_stack(grid, 10)
+    other = AnnularGrid(DEFAULT_SPACE, 60)  # evicts the record of grid
+    assert other._geometry is not grid._geometry
+    again, again_scales = _kernel_stack(grid, 10)
+    assert builds == [10]
+    assert grid.measures is measures
+    assert np.shares_memory(again, stack) and np.array_equal(again_scales, scales)
+    # a new grid of the evicted geometry gets a new record
+    assert AnnularGrid(DEFAULT_SPACE, 80)._geometry is not grid._geometry
+
+
+def test_reassigned_measures_do_not_reach_other_grids():
+    # the stack is built from the record's tables, not the instance's
+    nalab.geometry._geometry.cache_clear()
+    changed, other = AnnularGrid(DEFAULT_SPACE, 40), AnnularGrid(DEFAULT_SPACE, 40)
+    changed.measures = changed.measures * 2.0
+    kern = product_kernel(changed, 3, normalize=False).matrix
+    nalab.geometry._geometry.cache_clear()
+    ref = product_kernel(AnnularGrid(DEFAULT_SPACE, 40), 3, normalize=False).matrix
+    assert np.array_equal(kern, ref)
+    assert np.array_equal(product_kernel(other, 3, normalize=False).matrix, ref)
+    assert not np.array_equal(other.measures, changed.measures)
 
 
 def test_normalized_row_ratios():
