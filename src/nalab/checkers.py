@@ -29,6 +29,7 @@ on another grid than w's (radialops._require_same_grid).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
@@ -39,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DomainError, GridRangeError, UnsupportedError
 from .errors import require_index, require_index_set, require_integer
 from .fitting import fit_linear, fit_log_slope
-from .geometry import _kernel_stack, annular_intersection, density, valid_upper
+from .geometry import SpaceParams, _kernel_stack, annular_intersection, density, valid_upper
 from .radialops import (
     RadialFunction,
     _maximal_block,
@@ -225,21 +226,55 @@ def _growth_verdict(
 # ---------------------------------------------------------------------------
 
 
+def _cumulative_mass(cells: np.ndarray, quantity: str, step: float, j_max: int) -> np.ndarray:
+    """0 and the running sums of the cell masses, which must stay in float range."""
+    cum = np.zeros(cells.size + 1)
+    with np.errstate(over="ignore"):
+        np.cumsum(cells, out=cum[1:])
+    # the terms are nonnegative: a finite total bounds every partial sum
+    if not math.isfinite(cum[-1]):
+        raise DomainError(
+            f"ap-loc at step {step} on j_max {j_max}: the {quantity} mass of "
+            f"[0, {j_max}] overflows the float range"
+        )
+    return cum
+
+
+# a sweep's hot set is the 4 default steps at one j_max plus a cell on
+# another grid; a smaller LRU evicts, cyclically, exactly the step needed next
+@functools.lru_cache(maxsize=8)
+def _ap_loc_cells(params: SpaceParams, j_max: int, step: float) -> tuple:
+    """Cell masses dmu = density(t) h at the midpoints t of width h = step/8
+    on [0, j_max], and their cumulative sums cum_m; read-only.
+
+    They depend on the geometry and the step alone, so every weight and p
+    swept at one (space, j_max, step) shares them.  A DomainError (a mass
+    beyond the float range) is not cached.
+    """
+    h = step / 8.0
+    ts = (np.arange(int(round(j_max / h))) + 0.5) * h
+    with np.errstate(over="ignore"):
+        dmu = density(params, ts) * h
+    cum_m = _cumulative_mass(dmu, "measure", step, j_max)
+    for arr in (dmu, cum_m):
+        arr.setflags(write=False)
+    return dmu, cum_m
+
+
 def _ap_loc_sweep(w: Weight, p: float, step: float) -> tuple:
     """One interval sweep at quadrature resolution step/8; returns (sup, witness)."""
     grid = w.grid
-    t_hi = float(grid.j_max)
+    dmu, cum_m = _ap_loc_cells(grid.params, grid.j_max, step)
     h = step / 8.0
-    n_cells = int(round(t_hi / h))
-    ts = (np.arange(n_cells) + 0.5) * h
-    wv = w.profile(ts)
+    n_cells = dmu.size
+    wv = w.profile((np.arange(n_cells) + 0.5) * h)
     if np.any(~np.isfinite(wv)) or np.any(wv <= 0):
         raise DomainError("profile must be positive and finite on the ray")
-    dmu = density(grid.params, ts) * h
-    dual = wv ** (-1.0 / (p - 1.0))
-    cum_w = np.concatenate([[0.0], np.cumsum(wv * dmu)])
-    cum_d = np.concatenate([[0.0], np.cumsum(dual * dmu)])
-    cum_m = np.concatenate([[0.0], np.cumsum(dmu)])
+    with np.errstate(over="ignore"):
+        w_dmu = wv * dmu
+        dual_dmu = wv ** (-1.0 / (p - 1.0)) * dmu
+    cum_w = _cumulative_mass(w_dmu, "w", step, grid.j_max)
+    cum_d = _cumulative_mass(dual_dmu, "dual w^(-1/(p-1))", step, grid.j_max)
 
     stride = max(1, int(round(step / h)))
     best, best_witness = -np.inf, None
@@ -254,8 +289,14 @@ def _ap_loc_sweep(w: Weight, p: float, step: float) -> tuple:
         mass = cum_m[starts + span] - cum_m[starts]
         iw = cum_w[starts + span] - cum_w[starts]
         idual = cum_d[starts + span] - cum_d[starts]
-        prod = (iw / mass) * (idual / mass) ** (p - 1.0)
-        k = int(np.argmax(prod))
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = (iw / mass) * (idual / mass) ** (p - 1.0)
+        k = int(np.argmax(prod))  # argmax picks the first nan, if any
+        if not math.isfinite(prod[k]):
+            raise DomainError(
+                f"ap-loc at step {step} on j_max {grid.j_max}: the product on "
+                f"[{starts[k] * h:.6g}, {starts[k] * h + length:.6g}] leaves the float range"
+            )
         if prod[k] > best:
             best = float(prod[k])
             best_witness = {
@@ -283,6 +324,14 @@ def check_ap_loc(
     the singularity).  Requires a continuum profile, and a step and grid at
     which every length spans at least one quadrature cell and fits on the
     ray, else DomainError.
+
+    The cell masses density(t) h depend on the geometry and the step alone:
+    they are computed once per (space, j_max, step) and shared by every
+    weight and p (_ap_loc_cells); the weight's own masses are recomputed
+    per call.  A mass of the measure, of w or of w^(-1/(p-1)) over [0, j_max]
+    or an interval's product that leaves the float range is a DomainError,
+    not a sup of inf or nan.  reevaluate() recomputes the witness interval's
+    masses, density included, without the shared cells.
     """
     require_integer(refinements, "refinements")
     _require(
@@ -300,7 +349,7 @@ def check_ap_loc(
         witness = wit
     best = sups[-1]
     drift = abs(sups[-1] - sups[0]) / abs(sups[-1])
-    verdict = "pass" if np.isfinite(best) and drift <= 0.2 else "fail"
+    verdict = "pass" if drift <= 0.2 else "fail"
 
     def reeval(wit: dict) -> float:
         grid = w.grid

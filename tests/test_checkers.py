@@ -463,6 +463,95 @@ def test_ap_loc_needs_a_profile():
         check_ap_loc(Weight(GRID80, np.ones(80)), 2.0)
 
 
+def test_ap_loc_sups_rise_at_the_simple_zero_of_jacobi_v():
+    # Phi changes sign once, so w = |Phi| has a simple zero near t = 0.54 and
+    # w^(-1) is not locally integrable: the sup grows as the step halves
+    rep = check_ap_loc(
+        materialize(WeightSpec.jacobi_v(-0.3), GRID80), 2.0, step=0.05, refinements=2
+    )
+    sups = rep.meta["sup_by_step"]
+    assert rep.verdict == "fail"
+    assert all(b > a for a, b in zip(sups, sups[1:]))
+    for got, pin in zip(sups, (5.0486, 6.3906, 9.5469)):
+        assert got == approx_frozen(pin)
+
+
+@pytest.mark.parametrize(
+    "gamma, p, quantity",
+    [
+        (-1.0, 1.05, "dual"),
+        (-1.0, 1.2, "dual"),
+        (-3.0, 1.2, "dual"),
+        (-4.4, 1.5, "dual"),
+        (4.4, 2.0, "w"),
+    ],
+)
+def test_ap_loc_refuses_a_mass_beyond_the_float_range(gamma, p, quantity):
+    # w^(-1/(p-1)) dmu (or w dmu) overflows: it used to leave a constant of
+    # -inf, no witness and a drift of nan, read "fail", with RuntimeWarnings
+    w = materialize(WeightSpec.exp_radial(gamma), GRID80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        msg = rf"the {quantity} .*mass of \[0, 80\] overflows the float range"
+        with pytest.raises(DomainError, match=msg):
+            check_ap_loc(w, p)
+    if gamma == -1.0:  # at p = 1.5 the dual mass of this weight is in range
+        assert check_ap_loc(w, 1.5).constant == approx_frozen(2.374322)
+
+
+def test_ap_loc_refuses_a_product_beyond_the_float_range():
+    # finite masses, but on the dip (w = 1e-310) (avg w^(-1/4))^4 overflows
+    # before avg w scales it back: the product is inf or nan, not a sup
+    dip = WeightSpec.custom(lambda t: 1e-310 if 10.6 <= t <= 11.4 else 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        msg = r"the product on \[10.6, 11.1\] leaves the float range"
+        with pytest.raises(DomainError, match=msg):
+            check_ap_loc(materialize(dip, GRID80), 5.0, refinements=0)
+
+
+def test_ap_loc_refuses_a_measure_beyond_the_float_range():
+    # the grid gate refuses j_max 400 first; the cells gate on their own too,
+    # and a refused geometry is not cached
+    nalab.checkers._ap_loc_cells.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=r"the measure mass of \[0, 400\] overflows"):
+            nalab.checkers._ap_loc_cells(DEFAULT_SPACE, 400, 0.1)
+    assert nalab.checkers._ap_loc_cells.cache_info().currsize == 0
+
+
+def test_ap_loc_shares_its_cells_per_geometry_and_step():
+    cells = nalab.checkers._ap_loc_cells
+    a = materialize(WeightSpec.exp_radial(-0.3), GRID80)
+    b = materialize(WeightSpec.spherical_u(2.0), GRID80)
+    other = materialize(WeightSpec.exp_radial(-0.3), AnnularGrid(DEFAULT_SPACE, 20))
+
+    def run(w, **kw):
+        return check_ap_loc(w, 2.0, **kw)
+
+    cells.cache_clear()
+    first = run(a)
+    run(b)
+    run(other, step=2.0, refinements=0)
+    assert cells.cache_info()[:2] == (4, 5)  # (hits, misses): B reused A's 4 steps
+    again = run(a)
+    assert cells.cache_info()[:2] == (8, 5)
+    cells.cache_clear()
+    cold = run(a)
+    for rep in (again, cold):
+        assert rep.to_json() == first.to_json()
+        assert rep.meta["sup_by_step"] == first.meta["sup_by_step"]
+    # the witness is recomputed, density included, without the shared cells
+    cells.cache_clear()
+    assert abs(first.reevaluate() - first.constant) <= 1e-10 * abs(first.constant)
+    assert cells.cache_info().currsize == 0
+    for arr in cells(GRID80.params, GRID80.j_max, 0.1):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 # ---------------------------------------------------------------- large scale
 
 
