@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -226,58 +226,132 @@ def _growth_verdict(
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_mass(cells: np.ndarray, quantity: str, step: float, j_max: int) -> np.ndarray:
-    """0 and the running sums of the cell masses, which must stay in float range."""
-    cum = np.zeros(cells.size + 1)
-    with np.errstate(over="ignore"):
-        np.cumsum(cells, out=cum[1:])
-    # the terms are nonnegative: a finite total bounds every partial sum
-    if not math.isfinite(cum[-1]):
+def _require_finite_mass(total: float, quantity: str, step: float, j_max: int):
+    """Refuse a cell-mass total beyond the float range.
+
+    The terms are nonnegative: a finite total bounds every partial sum.
+    """
+    if not math.isfinite(total):
         raise DomainError(
             f"ap-loc at step {step} on j_max {j_max}: the {quantity} mass of "
             f"[0, {j_max}] overflows the float range"
         )
-    return cum
 
 
-# a sweep's hot set is the 4 default steps at one j_max plus a cell on
-# another grid; a smaller LRU evicts, cyclically, exactly the step needed next
+class _ApLocCells(NamedTuple):
+    """The geometry-only part of an ap-loc sweep at one step; arrays read-only.
+
+    dmu holds the cell masses; bounds the cell boundaries the scan reads,
+    ascending, and cum_m the running measure at them; lo and hi the
+    positions in bounds of every interval's first and end boundary, one
+    segment per interval length in _AP_LOC_LENGTHS order; cuts[b] and
+    cuts[b + 1] the positions of the boundaries that end in cell block b,
+    (b B, (b + 1) B] with B = _AP_LOC_BLOCK.
+    """
+
+    dmu: np.ndarray
+    bounds: np.ndarray
+    cum_m: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    cuts: np.ndarray
+
+
+# cells per block of ap-loc's per-weight arrays: 64 KB of floats, under
+# glibc's 128 KB mmap threshold, so no call maps or faults in a fresh block
+_AP_LOC_BLOCK = 8192
+
+
+# kept apart from the geometry record, which is one per space: a sweep's hot
+# set is the 4 default steps at one j_max plus a cell on another grid, and a
+# smaller LRU evicts, cyclically, exactly the step needed next
 @functools.lru_cache(maxsize=8)
-def _ap_loc_cells(params: SpaceParams, j_max: int, step: float) -> tuple:
+def _ap_loc_cells(params: SpaceParams, j_max: int, step: float) -> _ApLocCells:
     """Cell masses dmu = density(t) h at the midpoints t of width h = step/8
-    on [0, j_max], and their cumulative sums cum_m; read-only.
+    on [0, j_max], and the scan plan of the intervals of every length, whose
+    starts are the multiples of step (_ApLocCells).
 
     They depend on the geometry and the step alone, so every weight and p
     swept at one (space, j_max, step) shares them.  A DomainError (a mass
-    beyond the float range) is not cached.
+    beyond the float range) is not cached; a length that spans no cell or
+    more than all of them has no segment, and the sweep refuses it.
     """
     h = step / 8.0
-    ts = (np.arange(int(round(j_max / h))) + 0.5) * h
+    n_cells = int(round(j_max / h))
+    ts = (np.arange(n_cells) + 0.5) * h
     with np.errstate(over="ignore"):
         dmu = density(params, ts) * h
-    cum_m = _cumulative_mass(dmu, "measure", step, j_max)
-    for arr in (dmu, cum_m):
+        cum = np.zeros(n_cells + 1)
+        np.cumsum(dmu, out=cum[1:])
+    _require_finite_mass(cum[-1], "measure", step, j_max)
+    stride = max(1, int(round(step / h)))
+    starts = np.arange(0, n_cells + 1, stride)
+    read = np.zeros(n_cells + 1, dtype=bool)
+    firsts, ends = [starts[:0]], [starts[:0]]
+    for length in _AP_LOC_LENGTHS:
+        span = int(round(length / h))
+        if 1 <= span <= n_cells:
+            firsts.append(starts[: (n_cells - span) // stride + 1])
+            ends.append(firsts[-1] + span)
+            read[firsts[-1]] = read[ends[-1]] = True
+    bounds = np.flatnonzero(read)
+    rank = np.cumsum(read) - 1
+    lo, hi = rank[np.concatenate(firsts)], rank[np.concatenate(ends)]
+    edges = np.append(np.arange(0, n_cells, _AP_LOC_BLOCK), n_cells)
+    cells = _ApLocCells(dmu, bounds, cum[bounds], lo, hi, np.searchsorted(bounds, edges, "right"))
+    for arr in cells:
         arr.setflags(write=False)
-    return dmu, cum_m
+    return cells
+
+
+def _running_sum_at(cells: np.ndarray, carry, at: np.ndarray, out: np.ndarray):
+    """Write the running sum of cells, started at carry, at the offsets at into out.
+
+    The carry joins the first cell before the sum, so block by block the
+    sums are those of one sequential pass over all cells, bit for bit.
+    cells is summed in place; returns its total.
+    """
+    cells[0] += carry
+    np.cumsum(cells, out=cells)
+    out[:] = cells[at]
+    return cells[-1]
 
 
 def _ap_loc_sweep(w: Weight, p: float, step: float) -> tuple:
-    """One interval sweep at quadrature resolution step/8; returns (sup, witness)."""
+    """One interval sweep at quadrature resolution step/8; returns (sup, witness).
+
+    The weight's arrays (profile, w dmu, the dual's dmu and their running
+    sums) are taken in blocks of _AP_LOC_BLOCK cells, keeping only the sums
+    at the boundaries the scan reads.  Refusals keep their order: the
+    profile, then the w mass, then the dual mass.
+    """
     grid = w.grid
-    dmu, cum_m = _ap_loc_cells(grid.params, grid.j_max, step)
+    cells = _ap_loc_cells(grid.params, grid.j_max, step)
     h = step / 8.0
-    n_cells = dmu.size
-    wv = w.profile((np.arange(n_cells) + 0.5) * h)
-    if np.any(~np.isfinite(wv)) or np.any(wv <= 0):
+    n_cells = cells.dmu.size
+    cum_w, cum_d = np.zeros(cells.bounds.size), np.zeros(cells.bounds.size)
+    total_w = total_d = 0.0
+    bad_profile = False
+    for b, first in enumerate(range(0, n_cells, _AP_LOC_BLOCK)):
+        block = slice(first, min(first + _AP_LOC_BLOCK, n_cells))
+        wv = w.profile((np.arange(block.start, block.stop) + 0.5) * h)
+        # refused once the whole profile is taken, so that its own errors
+        # come first; until then its nan and inf pass silently
+        bad_profile = bad_profile or not (np.all(np.isfinite(wv)) and np.all(wv > 0))
+        dmu = cells.dmu[block]
+        out = slice(cells.cuts[b], cells.cuts[b + 1])
+        at = cells.bounds[out] - (first + 1)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            total_w = _running_sum_at(wv * dmu, total_w, at, cum_w[out])
+            total_d = _running_sum_at(wv ** (-1.0 / (p - 1.0)) * dmu, total_d, at, cum_d[out])
+    if bad_profile:
         raise DomainError("profile must be positive and finite on the ray")
-    with np.errstate(over="ignore"):
-        w_dmu = wv * dmu
-        dual_dmu = wv ** (-1.0 / (p - 1.0)) * dmu
-    cum_w = _cumulative_mass(w_dmu, "w", step, grid.j_max)
-    cum_d = _cumulative_mass(dual_dmu, "dual w^(-1/(p-1))", step, grid.j_max)
+    _require_finite_mass(total_w, "w", step, grid.j_max)
+    _require_finite_mass(total_d, "dual w^(-1/(p-1))", step, grid.j_max)
 
     stride = max(1, int(round(step / h)))
     best, best_witness = -np.inf, None
+    segment = 0
     for length in _AP_LOC_LENGTHS:
         span = int(round(length / h))
         if span < 1 or span > n_cells:
@@ -285,25 +359,25 @@ def _ap_loc_sweep(w: Weight, p: float, step: float) -> tuple:
                 f"ap-loc at step {step} on j_max {grid.j_max} has no interval of "
                 f"length {length}: it spans {span} of {n_cells} cells of width {h}"
             )
-        starts = np.arange(0, n_cells - span + 1, stride)
-        mass = cum_m[starts + span] - cum_m[starts]
-        iw = cum_w[starts + span] - cum_w[starts]
-        idual = cum_d[starts + span] - cum_d[starts]
+        count = (n_cells - span) // stride + 1
+        lo = cells.lo[segment : segment + count]
+        hi = cells.hi[segment : segment + count]
+        segment += count
+        mass = cells.cum_m[hi] - cells.cum_m[lo]
+        iw = cum_w[hi] - cum_w[lo]
+        idual = cum_d[hi] - cum_d[lo]
         with np.errstate(over="ignore", invalid="ignore"):
             prod = (iw / mass) * (idual / mass) ** (p - 1.0)
         k = int(np.argmax(prod))  # argmax picks the first nan, if any
+        start = k * stride * h
         if not math.isfinite(prod[k]):
             raise DomainError(
                 f"ap-loc at step {step} on j_max {grid.j_max}: the product on "
-                f"[{starts[k] * h:.6g}, {starts[k] * h + length:.6g}] leaves the float range"
+                f"[{start:.6g}, {start + length:.6g}] leaves the float range"
             )
         if prod[k] > best:
             best = float(prod[k])
-            best_witness = {
-                "start": float(starts[k] * h),
-                "length": float(length),
-                "step": float(step),
-            }
+            best_witness = {"start": float(start), "length": float(length), "step": float(step)}
     return best, best_witness
 
 
@@ -326,9 +400,11 @@ def check_ap_loc(
     ray, else DomainError.
 
     The cell masses density(t) h depend on the geometry and the step alone:
-    they are computed once per (space, j_max, step) and shared by every
-    weight and p (_ap_loc_cells); the weight's own masses are recomputed
-    per call.  A mass of the measure, of w or of w^(-1/(p-1)) over [0, j_max]
+    they are computed once per (space, j_max, step), with the scan plan,
+    and shared by every weight and p (_ap_loc_cells); the weight's own
+    masses are recomputed per call, in blocks of _AP_LOC_BLOCK cells whose
+    running sums carry over, so for a profile computed point by point the
+    sweep equals one pass over all cells bit for bit.  A mass of the measure, of w or of w^(-1/(p-1)) over [0, j_max]
     or an interval's product that leaves the float range is a DomainError,
     not a sup of inf or nan.  reevaluate() recomputes the witness interval's
     masses, density included, without the shared cells.

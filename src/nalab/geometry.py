@@ -22,32 +22,40 @@ Conventions fixed here and relied on everywhere else:
   j - 1 and j, and its representative distance is the midpoint j - 1/2;
 * the intersection model clamps exp(rho (s + t - d)) by the two ball
   volumes and vanishes for d >= s + t;
-* a grid's tables are functions of (space, j_max) alone and live in one
-  record per geometry (_geometry), kept for the last geometry asked for, as
-  treelab keeps its last maximal function: read-only annulus measures, ball
-  volumes and midpoints, and the kernel slot below.  Every AnnularGrid of
-  that geometry shares the record's memory, and a grid keeps its record
-  after the memo lets it go; a refused geometry is not kept, so it is
-  refused again on every construction;
-* the raw product kernels of scales 1..s live in one read-only stack per
-  geometry, built from the record's own tables in three vectorized passes:
-  a minimum of V(n) on the band with max(m_i, m_j), read as one Toeplitz
+* the annulus tables and the pair masses P_n(i, j) are functions of (space,
+  i, j, n) alone, never of j_max, so a grid of j_max j is the first j
+  annuli of any larger one.  They live in one record per space
+  (_geometry), kept for the last space asked for, as treelab keeps its
+  last maximal function: read-only annulus measures, ball volumes and
+  midpoints, grown to the largest j_max asked for, and the kernel slot
+  below.  Every AnnularGrid of the space reads the first j_max entries of
+  the record's memory, and a grid keeps its record after the memo lets it
+  go; a refused j_max leaves the record as it was, so it is refused again
+  on every construction;
+* the raw product kernels of scales 1..s live in one read-only (s x J x J)
+  stack per space, J the width of the record's tables when it was built,
+  built from the record's own tables in three vectorized passes: a
+  minimum of V(n) on the band with max(m_i, m_j), read as one Toeplitz
   matrix per scale; a product with min(m_i, m_j); and a minimum with
   exp(rho (n + i + j)), read as one Hankel matrix per scale, so a scale
-  costs 2 j_max - 1 exponentials instead of j_max^2.  The normalization
-  scales belong to the stack: one vector, computed from its row sums on the
-  first normalized request after a build.  A request beyond s rebuilds the
-  stack at max(n, 2 s) scales, capped at the largest scale the request's
-  normalization allows, so ascending requests rebuild it O(log n) times.
-  Slice n - 1 of any stack is bit for bit the kernel of scale n, so what a
-  grid reads does not depend on which grid of its geometry grew the stack.
+  costs 2 J - 1 exponentials instead of J^2.  A grid of j_max j reads the
+  view [:n, :j, :j].  The normalization scales belong to the grid's j_max
+  and the stack: one vector per j_max, computed from the row sums of that
+  view on its first normalized request after a build.  A request beyond s
+  rebuilds the stack at max(n, 2 s) scales, capped at the largest scale
+  the request's normalization allows, so ascending requests rebuild it
+  O(log n) times; a grid wider than the stack rebuilds it at s scales.
+  Every entry is computed elementwise, so slice [n - 1, :j, :j] of any
+  stack is bit for bit the kernel of scale n on a grid of j_max j, and
+  what a grid reads does not depend on which grid of its space grew the
+  stack.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -232,41 +240,54 @@ def _validate_growth_band(params: SpaceParams, measures: np.ndarray):
 
 @dataclass(eq=False)
 class _Geometry:
-    """The tables of one (space, j_max), shared by every grid of it.
+    """The tables and raw kernel stack of one space, shared by every grid of it.
 
-    measures, volumes and midpoints are read-only; kernels is the slot
-    (raw kernel stack, its normalization scales or None) that _kernel_stack
-    grows, built from this record's tables alone.
+    measures, volumes and midpoints are read-only and cover the first J
+    annuli, J the largest j_max asked for (_grow_tables); a grid of j_max
+    j reads their first j entries.  stack is the raw kernel stack that
+    _kernel_stack grows, (s x J' x J') with J' <= J, built from this
+    record's tables alone; scales maps a j_max to the normalization scales
+    of the grids of it, over the current stack.
     """
 
     params: SpaceParams
-    j_max: int
-    measures: np.ndarray
-    volumes: np.ndarray
-    midpoints: np.ndarray
-    kernels: tuple = ((), None)
+    measures: np.ndarray = field(default_factory=lambda: np.empty(0))
+    volumes: np.ndarray = field(default_factory=lambda: np.empty(0))
+    midpoints: np.ndarray = field(default_factory=lambda: np.empty(0))
+    stack: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 0)))
+    scales: dict = field(default_factory=dict)
 
 
 @functools.lru_cache(maxsize=1)
-def _geometry(params: SpaceParams, j_max: int) -> _Geometry:
-    """The record of the geometry (params, j_max), j_max a validated int.
+def _geometry(params: SpaceParams) -> _Geometry:
+    """The record of the space params, kept for the last space asked for.
 
-    The last record asked for is kept; a DomainError (measures beyond the
-    float range, or outside the exponential growth band) is not, so it is
-    raised again on every call.
+    It starts empty; AnnularGrid grows its tables to each j_max beyond them.
     """
-    measures = _panel_integrals(params, np.ones(j_max))
+    return _Geometry(params)
+
+
+def _grow_tables(geo: _Geometry, j_max: int):
+    """Rebuild the record's tables at j_max annuli, j_max a validated int.
+
+    Every entry is the same float at any j_max (one panel per annulus, and
+    a running sum), so the old tables are a prefix of the new ones and the
+    stack built from them stays valid.  A DomainError (measures beyond the
+    float range, or outside the exponential growth band) leaves the record
+    as it was, so the j_max is refused again on every call.
+    """
+    measures = _panel_integrals(geo.params, np.ones(j_max))
     if not np.all(np.isfinite(measures)):
         raise DomainError(
             "annulus measures overflow float range; shrink j_max or the "
             "growth rate rho"
         )
-    _validate_growth_band(params, measures)
+    _validate_growth_band(geo.params, measures)
     tables = (measures, np.cumsum(measures), np.arange(1, j_max + 1) - 0.5)
     for arr in tables:
         arr.setflags(write=False)
     # a view of a read-only array cannot be made writable again
-    return _Geometry(params, j_max, *(arr.view() for arr in tables))
+    geo.measures, geo.volumes, geo.midpoints = (arr.view() for arr in tables)
 
 
 class AnnularGrid:
@@ -275,16 +296,21 @@ class AnnularGrid:
     Annulus j (1-based, j <= j_max) is the shell between radii j - 1 and j;
     ``measures[j-1]`` is its volume, ``midpoints[j-1] = j - 1/2`` its
     representative distance, ``volumes[j-1]`` the ball volume V(j).  The
-    three tables are read-only, the same memory for every grid of one
-    (space, j_max), and so is the kernel stack (_kernel_stack); a grid keeps
-    them for as long as it lives.
+    three tables are read-only views of the first j_max entries of its
+    space's tables, the same memory for every grid of the space, and so is
+    the kernel stack (_kernel_stack); a grid keeps them for as long as it
+    lives.
     """
 
     def __init__(self, params: SpaceParams, j_max: int):
         self.params = params
-        self.j_max = require_index(j_max, 1, math.inf, "j_max")
-        geo = self._geometry = _geometry(params, self.j_max)
-        self.measures, self.volumes, self.midpoints = geo.measures, geo.volumes, geo.midpoints
+        j = self.j_max = require_index(j_max, 1, math.inf, "j_max")
+        geo = self._geometry = _geometry(params)
+        if len(geo.measures) < j:
+            _grow_tables(geo, j)
+        self.measures, self.volumes, self.midpoints = (
+            geo.measures[:j], geo.volumes[:j], geo.midpoints[:j]
+        )
 
     def ball_volume_at(self, n: int) -> float:
         """V(n) for integer n within the grid; a float or bool n is refused."""
@@ -331,12 +357,11 @@ def annular_intersection(grid: AnnularGrid, j, n: int, dist):
     return out if out.shape else float(out)
 
 
-def _scale_denominators(grid, n_max: int) -> np.ndarray:
+def _scale_denominators(grid: AnnularGrid, n_max: int) -> np.ndarray:
     """V(n) |Omega_i| for scales n = 1..n_max (rows) and annuli i (columns).
 
-    grid is an AnnularGrid or its _Geometry record.  Row n - 1 equals
-    grid.ball_volume_at(n) * grid.measures bit for bit.  Huge spaces
-    overflow to inf; callers silence the warning.
+    Row n - 1 equals grid.ball_volume_at(n) * grid.measures bit for bit.
+    Huge spaces overflow to inf; callers silence the warning.
     """
     return grid.volumes[:n_max, None] * grid.measures
 
@@ -349,9 +374,9 @@ class ProductKernel:
     y in annulus j and d(x, y) <= n; zero outside the band |i - j| <= n + 1.
     A normalized kernel has been divided by ``scale`` so that no row sum of
     matrix / (V(n) measure_i) exceeds 1; a raw kernel has scale 1.  A raw
-    matrix is a read-only slice of its geometry's kernel stack, the same
-    memory for every grid of the geometry; a normalized matrix is a fresh
-    read-only array, that slice divided by its scale.
+    matrix is a read-only (j_max x j_max) slice of its space's kernel stack,
+    the same memory for every grid of the space; a normalized matrix is a
+    fresh read-only array, that slice divided by its scale.
     """
 
     n: int
@@ -360,20 +385,21 @@ class ProductKernel:
 
 
 def _build_kernel_stack(geo: _Geometry, s: int) -> np.ndarray:
-    """The raw kernels P_1..P_s of a geometry as one read-only (s x j_max x j_max) array.
+    """The raw kernels P_1..P_s of a space as one read-only (s x J x J) array.
 
-    Three vectorized passes over all scales, each entry computed as a
-    per-scale build would, so slice n - 1 is bit for bit the kernel of
-    scale n:
+    J is the length of the record's tables.  Three vectorized passes over
+    all scales, each entry computed as a per-scale build would, so slice
+    [n - 1, :j, :j] is bit for bit the kernel of scale n on a grid of
+    j_max j:
 
-    1. the minimum of max(m_i, m_j) with an (s x (2 j_max - 1)) table that
+    1. the minimum of max(m_i, m_j) with an (s x (2 J - 1)) table that
        holds V(n) on the band |i - j| <= n + 1 and 0 off it, read as one
        Toeplitz matrix per scale through a strided view, since the band
        depends on |i - j| alone;
     2. a product with min(m_i, m_j), in place: for a > 0 rounding is
        monotone, so fl(a min(x, y)) = min(fl(a x), fl(a y)) and the band
        entries become min(m_i V(n), m_j V(n), m_i m_j) exactly;
-    3. the minimum with an (s x (2 j_max - 1)) table of exp(rho (n + i + j)),
+    3. the minimum with an (s x (2 J - 1)) table of exp(rho (n + i + j)),
        in place, read as one Hankel matrix per scale, since the cap depends
        on i + j alone.
 
@@ -382,9 +408,8 @@ def _build_kernel_stack(geo: _Geometry, s: int) -> np.ndarray:
     the pair checkers take such entries as infinite pair masses, and a
     normalized request refuses them (_kernel_stack).
     """
-    jm = geo.j_max
     m = geo.measures
-    step = m.itemsize
+    jm, step = len(m), m.itemsize
     # band[n - 1, jm - 1 + d] is V(n) for |d| <= n + 1 and 0 beyond; read
     # with strides (-1, +1) items it is the scale's band at offset d = j - i
     offsets = np.abs(np.arange(1 - jm, jm))
@@ -404,13 +429,16 @@ def _build_kernel_stack(geo: _Geometry, s: int) -> np.ndarray:
 def _normalization_scales(geo: _Geometry, stack: np.ndarray) -> np.ndarray:
     """The largest ratio of row sum to V(n) m_i of each raw kernel in stack, read-only.
 
-    Every row counts, not just the interior ones: low-edge rows can exceed
-    the interior maximum, and the power-mean guarantee needs row ratios
-    <= 1 globally.  A row whose V(n) m_i overflows reads 0; a row holding an
-    inf entry, or whose sum overflows, makes its scale inf or nan, silently.
+    stack holds the kernels of one grid, (s x j x j), slices of the
+    record's stack.  Every row counts, not just the interior ones: low-edge
+    rows can exceed the interior maximum, and the power-mean guarantee
+    needs row ratios <= 1 globally.  A row whose V(n) m_i overflows reads
+    0; a row holding an inf entry, or whose sum overflows, makes its scale
+    inf or nan, silently.
     """
+    s, j = stack.shape[:2]
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = stack.sum(axis=2) / _scale_denominators(geo, len(stack))
+        ratios = stack.sum(axis=2) / (geo.volumes[:s, None] * geo.measures[:j])
     scales = ratios.max(axis=1)
     scales.setflags(write=False)
     return scales
@@ -419,31 +447,34 @@ def _normalization_scales(geo: _Geometry, stack: np.ndarray) -> np.ndarray:
 def _kernel_stack(grid: AnnularGrid, n: int, normalize: bool = True) -> tuple:
     """The read-only raw kernels of scales 1..n on a grid, and their normalization scales.
 
-    Views of the first n entries of the one stack of the grid's geometry,
-    which every grid of that geometry reads and grows; a stack of s < n
-    scales is rebuilt at max(n, min(2 s, top)) scales.  n must be an integer
-    in 1..top, the largest scale the normalization allows: j_max - 1 raw,
-    and (j_max - 3) // 2 normalized, since a normalized kernel needs an
-    interior row (2n + 3 <= j_max).  A float or bool n is refused before
-    the stack is read.  A raw request returns None for the scales.  A
-    normalized request computes the scales of the whole stack on first use
-    after a build, and refuses with DomainError when any of scales 1..n is
-    not finite: its kernel holds an entry or a row sum beyond the float
-    range.
+    Views [:n, :j, :j] of the one stack of the grid's space, j the grid's
+    j_max, which every grid of the space reads and grows.  A stack of s < n
+    scales is rebuilt at max(n, min(2 s, top)) scales, and one narrower
+    than j at s scales, both at the width of the space's tables.  n must be
+    an integer in 1..top, the largest scale the normalization allows:
+    j_max - 1 raw, and (j_max - 3) // 2 normalized, since a normalized
+    kernel needs an interior row (2n + 3 <= j_max).  A float or bool n is
+    refused before the stack is read.  A raw request returns None for the
+    scales.  A normalized request computes the scales of the grid's j_max
+    over the whole stack on first use after a build, and refuses with
+    DomainError when any of scales 1..n is not finite: its kernel holds an
+    entry or a row sum beyond the float range.
     """
     normalize = bool(normalize)
-    top = (grid.j_max - 3) // 2 if normalize else grid.j_max - 1
+    j = grid.j_max
+    top = (j - 3) // 2 if normalize else j - 1
     n = require_index(n, 1, top, "kernel scale n")
     geo = grid._geometry
-    stack, scales = geo.kernels
-    if len(stack) < n:
-        stack, scales = _build_kernel_stack(geo, max(n, min(2 * len(stack), top))), None
-        geo.kernels = stack, scales
+    s = len(geo.stack)
+    if s < n or geo.stack.shape[1] < j:
+        geo.stack = _build_kernel_stack(geo, max(n, min(2 * s, top)) if s < n else s)
+        geo.scales = {}
+    stack = geo.stack[:, :j, :j]
     if not normalize:
         return stack[:n], None
+    scales = geo.scales.get(j)
     if scales is None:
-        scales = _normalization_scales(geo, stack[:top])
-        geo.kernels = stack, scales
+        scales = geo.scales[j] = _normalization_scales(geo, stack[:top])
     bad = np.flatnonzero(~np.isfinite(scales[:n]))
     if bad.size:
         raise DomainError(
@@ -464,11 +495,12 @@ def product_kernel(grid: AnnularGrid, n: int, normalize: bool = True) -> Product
     the constant function 1 land in (0, 1] everywhere; this keeps the
     power-mean comparison between maximal variants exact.
 
-    A raw kernel is slice n - 1 of the raw stack of the grid's geometry
-    (_build_kernel_stack), read-only and the same memory for every grid of
-    the geometry; a normalized kernel is that slice divided by its
-    scale, a fresh read-only array.  A scale beyond the stack rebuilds it
-    (_kernel_stack), so loops over scales take _kernel_stack once instead.
+    A raw kernel is slice [n - 1, :j_max, :j_max] of the raw stack of the
+    grid's space (_build_kernel_stack), read-only and the same memory for
+    every grid of the space; a normalized kernel is that slice divided by
+    its scale, a fresh read-only array.  A scale beyond the stack, or a grid
+    wider than it, rebuilds it (_kernel_stack), so loops over scales take
+    _kernel_stack once instead.
     The scale must be an integer: a float or bool n is refused.
     """
     stack, scales = _kernel_stack(grid, n, normalize)

@@ -1,8 +1,8 @@
 """Averaging and maximal operators on the annular grid.
 
 The ball average at integer scale n is one formula,
-(P_n @ F) / (V(n) measure) / scale_n, with P_n the raw kernel of the one
-kernel stack of the grid's geometry, which every grid of that (space, j_max)
+(P_n @ F) / (V(n) measure) / scale_n, with P_n the raw kernel, a slice of
+the one kernel stack of the grid's space, which every grid of that space
 reads and grows, and scale_n its normalization scale, so that averages of
 the constant 1 lie in (0, 1] everywhere; this keeps the power-mean
 comparison between maximal variants exact.  A stack's slices do not depend

@@ -31,6 +31,7 @@ from nalab.geometry import (
     AnnularGrid,
     SpaceParams,
     annular_intersection,
+    density,
     product_kernel,
 )
 from nalab.radialops import RadialFunction, maximal_dis, maximal_s
@@ -550,6 +551,81 @@ def test_ap_loc_shares_its_cells_per_geometry_and_step():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def _ap_loc_full_sweep(w, p, step):
+    """The ap-loc sweep on whole arrays: every cell's masses and their running
+    sums at once, read at every interval of every length."""
+    h = step / 8.0
+    n_cells = int(round(w.grid.j_max / h))
+    ts = (np.arange(n_cells) + 0.5) * h
+    wv = w.profile(ts)
+    dmu = density(w.grid.params, ts) * h
+    cums = [
+        np.concatenate(([0.0], np.cumsum(cells)))
+        for cells in (dmu, wv * dmu, wv ** (-1.0 / (p - 1.0)) * dmu)
+    ]
+    stride = max(1, int(round(step / h)))
+    best, witness = -np.inf, None
+    for length in (0.5, 1.0, 2.0):
+        span = int(round(length / h))
+        starts = np.arange(0, n_cells - span + 1, stride)
+        mass, iw, idual = (cum[starts + span] - cum[starts] for cum in cums)
+        prod = (iw / mass) * (idual / mass) ** (p - 1.0)
+        k = int(np.argmax(prod))
+        if prod[k] > best:
+            best = float(prod[k])
+            witness = {"start": float(starts[k] * h), "length": length, "step": step}
+    return best, witness
+
+
+# step 0.3 has spans of 13, 27 and 53 cells at a stride of 8; 0.05 has 12,800
+# cells, one block and a part; 0.0125 has 51,200, six blocks and a part
+@pytest.mark.parametrize("step", [0.3, 0.05, 0.0125])
+@pytest.mark.parametrize(
+    "spec, p",
+    [
+        (WeightSpec.exp_radial(-0.3), 1.5),
+        (WeightSpec.exp_radial(-0.3), 2.0),
+        (WeightSpec.spherical_u(2.0), 2.0),
+        (WeightSpec.jacobi_v(-0.3), 2.0),
+    ],
+    ids=["exp_radial(-0.3)-1.5", "exp_radial(-0.3)-2", "spherical_u(2)-2", "jacobi_v(-0.3)-2"],
+)
+def test_ap_loc_blocked_sweep_equals_the_full_array_sweep(step, spec, p):
+    w = materialize(spec, GRID80)
+    n_cells = nalab.checkers._ap_loc_cells(GRID80.params, 80, step).dmu.size
+    if step <= 0.05:
+        assert n_cells > nalab.checkers._AP_LOC_BLOCK and n_cells % nalab.checkers._AP_LOC_BLOCK
+    assert nalab.checkers._ap_loc_sweep(w, p, step) == _ap_loc_full_sweep(w, p, step)
+
+
+def _spiked(spikes):
+    # 1 on the ray, except value v on each interval (a, b) of spikes
+    def profile(t):
+        return next((v for a, b, v in spikes if a < t < b), 1.0)
+
+    return WeightSpec.custom(profile)
+
+
+@pytest.mark.parametrize(
+    "spikes, message",
+    [
+        # a w mass (on [40, 41]) and a dual mass (on [30, 31]) overflow in the
+        # first block; the profile is 0 in the last
+        ([(40, 41, 1e300), (30, 31, 1e-300), (79.5, 80, 0.0)], "profile must be positive"),
+        ([(40, 41, 1e300), (30, 31, 1e-300)], r"the w mass of \[0, 80\] overflows"),
+        ([(30, 31, 1e-300)], r"the dual .*mass of \[0, 80\] overflows"),
+    ],
+)
+def test_ap_loc_refusals_keep_their_order_across_blocks(spikes, message):
+    # the profile first, then the w mass, then the dual mass, wherever the
+    # blocks holding them lie
+    w = materialize(_spiked(spikes), GRID80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=message):
+            check_ap_loc(w, 2.0, step=0.0125, refinements=0)
 
 
 # ---------------------------------------------------------------- large scale

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi, roots_legendre
 
 import nalab
+import nalab.experiments
 from nalab.errors import DomainError, GridRangeError
 from nalab.geometry import (
     DEFAULT_SPACE,
@@ -456,8 +457,10 @@ def test_kernels_and_grid_tables_are_read_only():
     assert stack.shape == (5, 40, 40) and scales.shape == (5,)
     raw, none = _kernel_stack(grid, 5, normalize=False)
     assert none is None and np.shares_memory(raw, stack)
-    whole, whole_scales = grid._geometry.kernels
+    geo = grid._geometry
+    whole, whole_scales = geo.stack, geo.scales[40]
     tables = (grid.measures, grid.volumes, grid.midpoints)
+    tables += (geo.measures, geo.volumes, geo.midpoints)
     for arr in (whole, whole_scales, stack, scales, raw, stack[2], scales[2:]) + tables:
         with pytest.raises(ValueError):
             arr[...] = 0.0
@@ -515,13 +518,13 @@ def test_grown_shared_stack_equals_a_cold_build():
     grid = AnnularGrid(DEFAULT_SPACE, 80)
     product_kernel(grid, 25)
     product_kernel(AnnularGrid(DEFAULT_SPACE, 80), 30)
-    assert len(grid._geometry.kernels[0]) == 38
+    assert len(grid._geometry.stack) == 38
     warm_stack, warm_scales = _kernel_stack(grid, 25)
     warm_mf = maximal_dis(materialize(WeightSpec.exp_radial(-0.3), grid), 25).values
     nalab.geometry._geometry.cache_clear()
     cold = AnnularGrid(DEFAULT_SPACE, 80)
     cold_stack, cold_scales = _kernel_stack(cold, 25)
-    assert len(cold._geometry.kernels[0]) == 25
+    assert len(cold._geometry.stack) == 25
     cold_mf = maximal_dis(materialize(WeightSpec.exp_radial(-0.3), cold), 25).values
     assert np.array_equal(warm_stack, cold_stack)
     assert np.array_equal(warm_scales, cold_scales)
@@ -532,13 +535,13 @@ def test_held_grid_keeps_its_tables_after_eviction(monkeypatch):
     builds = _counted_builds(monkeypatch)
     grid = AnnularGrid(DEFAULT_SPACE, 80)
     measures, (stack, scales) = grid.measures, _kernel_stack(grid, 10)
-    other = AnnularGrid(DEFAULT_SPACE, 60)  # evicts the record of grid
+    other = AnnularGrid(SpaceParams(3.5, 1.0), 60)  # evicts the record of grid
     assert other._geometry is not grid._geometry
     again, again_scales = _kernel_stack(grid, 10)
     assert builds == [10]
     assert grid.measures is measures
     assert np.shares_memory(again, stack) and np.array_equal(again_scales, scales)
-    # a new grid of the evicted geometry gets a new record
+    # a new grid of the evicted space gets a new record
     assert AnnularGrid(DEFAULT_SPACE, 80)._geometry is not grid._geometry
 
 
@@ -553,6 +556,111 @@ def test_reassigned_measures_do_not_reach_other_grids():
     assert np.array_equal(kern, ref)
     assert np.array_equal(product_kernel(other, 3, normalize=False).matrix, ref)
     assert not np.array_equal(other.measures, changed.measures)
+
+
+# (3.5, 1) overflows its annulus measures from j_max 130 on: 129 is its largest
+@pytest.mark.parametrize(
+    "params, sizes", [(DEFAULT_SPACE, (20, 80, 130)), (SpaceParams(3.5, 1.0), (20, 80, 129))]
+)
+def test_grid_tables_are_prefixes_of_the_space_tables(params, sizes):
+    # a grid reads the first j_max entries of its space's tables, and they
+    # equal, bit for bit, the tables a cold build at that j_max makes
+    cold = {}
+    for j in sizes:
+        nalab.geometry._geometry.cache_clear()
+        grid = AnnularGrid(params, j)
+        cold[j] = [getattr(grid, name).copy() for name in ("measures", "volumes", "midpoints")]
+    nalab.geometry._geometry.cache_clear()
+    largest = AnnularGrid(params, sizes[-1])
+    for j in sizes:
+        grid = AnnularGrid(params, j)
+        assert grid._geometry is largest._geometry
+        for name, ref in zip(("measures", "volumes", "midpoints"), cold[j]):
+            table = getattr(grid, name)
+            assert np.array_equal(table, ref), (j, name)
+            assert np.array_equal(getattr(largest, name)[:j], ref), (j, name)
+            assert np.shares_memory(table, getattr(largest, name))
+
+
+def _cold_kernels(params, j_max, normalize):
+    # every admissible scale of a grid that is alone in a fresh record
+    nalab.geometry._geometry.cache_clear()
+    grid = AnnularGrid(params, j_max)
+    top = (j_max - 3) // 2 if normalize else j_max - 1
+    stack, scales = _kernel_stack(grid, top, normalize)
+    return stack.copy(), scales
+
+
+# (3.5, 1) at j_max 100 holds inf pair masses from scale 59 on
+@pytest.mark.parametrize(
+    "params, small, large", [(DEFAULT_SPACE, 80, 130), (SpaceParams(3.5, 1.0), 60, 100)]
+)
+@pytest.mark.parametrize("small_first", [True, False], ids=["small first", "large first"])
+def test_stack_grown_by_a_larger_grid_equals_a_cold_build(params, small, large, small_first):
+    # the larger grid takes its raw top scale, so the smaller one reads the
+    # slices of a stack it did not build, before or after it built its own
+    cold = {f: _cold_kernels(params, small, f) for f in (True, False)}
+    nalab.geometry._geometry.cache_clear()
+    if small_first:
+        grid = AnnularGrid(params, small)
+        _kernel_stack(grid, 10)
+    big = AnnularGrid(params, large)
+    _kernel_stack(big, large - 1, normalize=False)
+    grid = AnnularGrid(params, small)
+    assert grid._geometry.stack.shape == (large - 1, large, large)
+    for normalize in (True, False):
+        top = (small - 3) // 2 if normalize else small - 1
+        stack, scales = _kernel_stack(grid, top, normalize)
+        assert np.shares_memory(stack, big._geometry.stack)
+        assert np.array_equal(stack, cold[normalize][0])
+        assert np.array_equal(scales, cold[normalize][1])
+    assert grid._geometry.stack.shape == (large - 1, large, large)
+
+
+def test_refused_j_max_leaves_the_record_as_it_was(monkeypatch):
+    builds = _counted_builds(monkeypatch)
+    grid = AnnularGrid(DEFAULT_SPACE, 80)
+    stack, scales = _kernel_stack(grid, 25)
+    geo = grid._geometry
+    before = (geo.measures, geo.volumes, geo.midpoints, geo.stack)
+    for _ in range(2):  # refused again: nothing of it was kept
+        with pytest.raises(DomainError, match="overflow float range"):
+            AnnularGrid(DEFAULT_SPACE, 2000)
+    assert nalab.geometry._geometry(DEFAULT_SPACE) is geo
+    after = (geo.measures, geo.volumes, geo.midpoints, geo.stack)
+    assert all(a is b for a, b in zip(before, after))
+    again = AnnularGrid(DEFAULT_SPACE, 80)
+    again_stack, again_scales = _kernel_stack(again, 25)
+    assert builds == [25]
+    assert np.shares_memory(again.measures, grid.measures)
+    assert np.shares_memory(again_stack, stack) and np.array_equal(again_scales, scales)
+
+
+TREE_IDS = ("tree-weak11", "kolmogorov", "vector-valued")
+RADIAL_IDS = tuple(i for i in nalab.experiments.REPRODUCE_IDS if i not in TREE_IDS)
+
+
+def test_warm_radial_pass_builds_no_kernels_and_no_tables(monkeypatch, tmp_path):
+    # the nine radial ids ask for j_max 80, 120 and 130 on one space: after
+    # one pass, in any order, the record holds every table and kernel the
+    # next pass reads
+    assert len(RADIAL_IDS) == 9
+    builds = _counted_builds(monkeypatch)
+    tables = []
+    real = nalab.geometry._panel_integrals
+
+    def counting(params, widths):
+        tables.append(len(widths))
+        return real(params, widths)
+
+    monkeypatch.setattr(nalab.geometry, "_panel_integrals", counting)
+    for seed in (1, 2):
+        del builds[:], tables[:]
+        for i in np.random.default_rng(seed).permutation(len(RADIAL_IDS)):
+            nalab.experiments.run_reproduce(RADIAL_IDS[i], outdir=str(tmp_path))
+        if seed == 1:
+            assert builds and tables
+    assert builds == [] and tables == []
 
 
 def test_normalized_row_ratios():

@@ -5,10 +5,14 @@ Usage: python tools/check_reproduce_order.py CLI_DIR
 
 CLI_DIR holds ID.json for every id of nalab.experiments.REPRODUCE_IDS, each
 written by its own `nalab reproduce ID` process.  This script runs all the
-ids through run_reproduce in one process, first in REPRODUCE_IDS order and
-then reversed, and compares each envelope with the one in CLI_DIR apart
-from its `created` stamp.  It prints one line per order and exits 1 when an
-envelope differs.  Run it with src on PYTHONPATH; with
+ids through run_reproduce in one process three times: in REPRODUCE_IDS
+order, reversed, and in order again after an AnnularGrid(DEFAULT_SPACE, 200)
+has grown the space's shared tables to 200 annuli and its kernel stack to
+every raw scale of that grid, so that every grid of the space reads slices
+of tables and kernels built for a larger one.  It compares each envelope
+with the one in CLI_DIR apart from its `created` stamp, prints one line per
+pass and exits 1 when an envelope differs, or when the third pass rebuilt
+the grown stack.  Run it with src on PYTHONPATH; with
 PYTHONWARNINGS=error::RuntimeWarning a numpy warning raises.
 """
 
@@ -18,6 +22,9 @@ import sys
 import tempfile
 
 from nalab.experiments import REPRODUCE_IDS, run_reproduce
+from nalab.geometry import DEFAULT_SPACE, AnnularGrid, _geometry, product_kernel
+
+GROWN_J_MAX = 200
 
 
 def stable_text(path: str) -> str:
@@ -26,9 +33,21 @@ def stable_text(path: str) -> str:
     return json.dumps({k: v for k, v in env.items() if k != "created"}, sort_keys=True)
 
 
+def grow_shared_record():
+    """Grow the space's tables and raw kernel stack; returns the stack."""
+    product_kernel(AnnularGrid(DEFAULT_SPACE, GROWN_J_MAX), GROWN_J_MAX - 1, normalize=False)
+    return _geometry(DEFAULT_SPACE).stack
+
+
 def main(cli_dir: str) -> int:
     bad = 0
-    for name, order in (("in order", REPRODUCE_IDS), ("reversed", REPRODUCE_IDS[::-1])):
+    passes = (
+        ("in order", REPRODUCE_IDS, None),
+        ("reversed", REPRODUCE_IDS[::-1], None),
+        (f"in order from j_max {GROWN_J_MAX} slices", REPRODUCE_IDS, grow_shared_record),
+    )
+    for name, order, prepare in passes:
+        grown = prepare() if prepare else None
         with tempfile.TemporaryDirectory() as outdir:
             differ = [
                 exp_id
@@ -38,6 +57,9 @@ def main(cli_dir: str) -> int:
             ]
         print(f"{name}: {len(order) - len(differ)} of {len(order)} envelopes equal", *differ)
         bad |= bool(differ)
+        if grown is not None and _geometry(DEFAULT_SPACE).stack is not grown:
+            print(f"the j_max {GROWN_J_MAX} stack was rebuilt during the pass")
+            bad = 1
     return bad
 
 
