@@ -98,15 +98,17 @@ def _first_near_max(vals: np.ndarray) -> int:
     return int(np.argmax(vals >= _near_max_floor(float(np.max(vals)))))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SetFamily:
     """Test sets of annulus indices, all inside a fixed window.
 
-    Each set is gated once here and stored sorted and without repeats, so
-    the checkers read its masses without gating it again.
+    Each set is gated once here and stored sorted, without repeats and
+    read-only, so the checkers read its masses without gating it again.
+    The family is immutable: sets is a tuple, and its support is computed
+    on first use and kept.
     """
 
-    sets: List[np.ndarray]
+    sets: Sequence[np.ndarray]
     label: str
     window: tuple
 
@@ -114,9 +116,27 @@ class SetFamily:
         lo, hi = self.window
         if not self.sets:
             raise UnsupportedError("set family is empty")
-        self.sets = [require_index_set(s, lo, hi, "annulus") for s in self.sets]
-        if any(s.size == 0 for s in self.sets):
+        sets = tuple(require_index_set(s, lo, hi, "annulus") for s in self.sets)
+        if any(s.size == 0 for s in sets):
             raise UnsupportedError("set family contains an empty set")
+        for s in sets:
+            s.flags.writeable = False
+        object.__setattr__(self, "sets", sets)
+
+    @functools.cached_property
+    def support(self) -> tuple:
+        """(lo, hi, member, ind): the support columns lo..hi - 1, 0-based,
+        from the least first annulus of the sets to the largest last one
+        (sets are sorted), and the read-only (sets x columns) 0/1 membership
+        matrix, as bools (member) and as floats (ind)."""
+        lo, hi = min(s[0] for s in self.sets) - 1, max(s[-1] for s in self.sets)
+        member = np.zeros((len(self.sets), hi - lo), dtype=bool)
+        rows = np.repeat(np.arange(len(self.sets)), [s.size for s in self.sets])
+        member[rows, np.concatenate(self.sets) - 1 - lo] = True
+        ind = member.astype(float)
+        for arr in (member, ind):
+            arr.setflags(write=False)
+        return int(lo), int(hi), member, ind
 
     @classmethod
     def singletons(cls, window: tuple) -> "SetFamily":
@@ -334,10 +354,11 @@ def _ap_loc_sweep(w: Weight, p: float, step: float) -> tuple:
     bad_profile = False
     for b, first in enumerate(range(0, n_cells, _AP_LOC_BLOCK)):
         block = slice(first, min(first + _AP_LOC_BLOCK, n_cells))
-        wv = w.profile((np.arange(block.start, block.stop) + 0.5) * h)
+        wv = w.profile(np.arange(block.start + 0.5, block.stop) * h)
         # refused once the whole profile is taken, so that its own errors
-        # come first; until then its nan and inf pass silently
-        bad_profile = bad_profile or not (np.all(np.isfinite(wv)) and np.all(wv > 0))
+        # come first; until then its nan and inf pass silently.  min and max
+        # propagate nan, so one pair of reductions refuses nan too
+        bad_profile = bad_profile or not (wv.min() > 0 and wv.max() < math.inf)
         dmu = cells.dmu[block]
         out = slice(cells.cuts[b], cells.cuts[b + 1])
         at = cells.bounds[out] - (first + 1)
@@ -473,6 +494,14 @@ def _split_inf(x: np.ndarray) -> tuple:
     return np.where(inf, 0.0, x), inf
 
 
+# the default family of a window: it depends on the window alone, so every
+# weight, p and exponent checked on it shares it and its support matrices; a
+# pass of the reproduce ids and sweeps reads a handful of windows
+@functools.lru_cache(maxsize=8)
+def _standard_family(window: tuple) -> SetFamily:
+    return SetFamily.standard(window)
+
+
 def _pair_measure_check(
     report_id: str,
     w: Weight,
@@ -491,6 +520,11 @@ def _pair_measure_check(
     with w(F)^(1 - alpha/p), multiplied in that order.  S, the raw kernel
     and w are cut to the support columns lo..hi - 1, from the first to the
     last annulus any set holds: an entry outside them never enters a pair.
+    S and the columns depend on the family alone and are read from its
+    cached SetFamily.support.  Without a family the check takes the
+    standard family of the trusted window (1, j_max - n_max - 1) from
+    _standard_family, built and gated once per window and shared by every
+    weight, p and exponent pair.
     Only the kernel-times-w slice and the intermediate product can hold
     inf (an overflowed pair mass or sum); each is scanned before it enters
     a product with S, and its inf entries make the entries they enter inf.
@@ -508,18 +542,12 @@ def _pair_measure_check(
     # the default family fills the trusted window (1, j_max - n_max - 1)
     n_max = require_index(n_max, 1, grid.j_max - (2 if family is None else 0), "n_max")
     if family is None:
-        family = SetFamily.standard((1, valid_upper(grid.j_max, n_max)))
+        family = _standard_family((1, valid_upper(grid.j_max, n_max)))
     # SetFamily gated its sets against its window; the window must fit the grid
     require_index(family.window, 1, grid.j_max, "family window")
     two_rho = 2.0 * grid.params.rho
     sets = family.sets
-    # sets are sorted: the support columns run from the least first annulus
-    # to the largest last one
-    lo, hi = min(s[0] for s in sets) - 1, max(s[-1] for s in sets)
-    member = np.zeros((len(sets), hi - lo), dtype=bool)
-    rows = np.repeat(np.arange(len(sets)), [s.size for s in sets])
-    member[rows, np.concatenate(sets) - 1 - lo] = True
-    ind = member.astype(float)
+    lo, hi, member, ind = family.support
 
     best, witness = -np.inf, None
     sup_by_n = []
@@ -646,8 +674,10 @@ def check_easy_check(w: Weight, p: float, eta: float, n_max: int = 25) -> CheckR
     column c for j = i - n + c, w_j read through one window over the weight
     padded with nan off the grid.  In the band itsc is never empty (that
     needs |i - j| >= n + 1/2), and its cap e^(rho (n + i - j + 1/2)) and the
-    denominator depend on (n, i - j) alone.  Ratios that are not finite
-    score 0 and are counted in skipped_pairs.
+    denominator's e^(rho (n + i - j)(p - eta)) depend on k = n + i - j
+    alone: both are computed once per call over k = 2 n_max .. 0, and each
+    scale slices its last 2n + 1 entries.  Ratios that are not finite score
+    0 and are counted in skipped_pairs.
     """
     _require(eta < 1.0, "p and tilt eta < 1", p=p, eta=eta)
     grid = w.grid
@@ -659,10 +689,14 @@ def check_easy_check(w: Weight, p: float, eta: float, n_max: int = 25) -> CheckR
 
     ratios, skipped = [], 0  # per scale n, nan off the grid
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # the caps and tilts of k = n + i - j = 2 n_max .. 0; scale n reads
+        # the last 2n + 1, its columns' k = 2n .. 0
+        k = np.arange(2 * n_max, -1, -1)
+        caps, tilts = np.exp(rho * (k + 0.5)), np.exp(rho * k * (p - eta))
         for n in range(1, n_max + 1):
-            k = np.arange(2 * n, -1, -1)  # n + i - j by column
-            itsc = np.minimum(clamps[n - 1, :, None], np.exp(rho * (k + 0.5)))
-            den = np.exp(rho * k * (p - eta)) * math.exp(2.0 * rho * n * eta)
+            cols = slice(2 * (n_max - n), None)
+            itsc = np.minimum(clamps[n - 1, :, None], caps[cols])
+            den = tilts[cols] * math.exp(2.0 * rho * n * eta)
             w_j = w_js[:, n_max - n : n_max + n + 1]
             vals = w.values[:, None] * itsc / (den * w_j)
             finite = np.isfinite(vals)  # never in the n (n + 1) cells off the grid
@@ -750,7 +784,9 @@ def check_classical_ap(w: Weight, p: float) -> CheckReport:
     intersection measures, and its exponential rate in j is fitted.
     A positive rate is the classical-condition failure detector.  The
     largest ball reaches annulus 60: a grid with j_max < 60 would truncate
-    it, and is refused with GridRangeError.
+    it, and is refused with GridRangeError.  The intersections of all 26
+    balls come from one annular_intersection call, a (26 x j_max) table;
+    reevaluate() recomputes the witness ball's row by a call of its own.
     """
     _require(p > 1, "p > 1", p=p)
     grid = w.grid
@@ -763,20 +799,24 @@ def check_classical_ap(w: Weight, p: float) -> CheckReport:
     cols = np.arange(1, grid.j_max + 1)
     dual = w.values ** (-1.0 / (p - 1.0))
 
-    def product_at(j: int) -> float:
-        pieces = annular_intersection(grid, cols, j, j - 0.5)
+    def product(pieces: np.ndarray, j: int) -> float:
+        """The product on B(x_j, j), from its intersections with the annuli."""
         vol = grid.ball_volume_at(j)
         avg_w = float(np.dot(pieces, w.values)) / vol
         # annuli outside the ball add nothing, also where the dual overflowed
         avg_d = float(np.dot(pieces, np.where(pieces > 0, dual, 0.0))) / vol
         return avg_w * avg_d ** (p - 1.0)
 
-    prods = np.array([product_at(j) for j in js])
+    # one row of intersections per ball
+    radii = np.array(js)[:, None]
+    table = annular_intersection(grid, cols, radii, radii - 0.5)
+    prods = np.array([product(pieces, j) for pieces, j in zip(table, js)])
     k = int(np.argmax(prods))
     slope, r2, verdict = _growth_verdict(prods, js)
 
     def reeval(wit: dict) -> float:
-        return product_at(int(wit["j"]))
+        j = int(wit["j"])
+        return product(annular_intersection(grid, cols, j, j - 0.5), j)
 
     return CheckReport(
         id="classical-ap",

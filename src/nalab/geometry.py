@@ -332,29 +332,41 @@ def valid_upper(j_max: int, n_max: int, iterations: int = 1) -> int:
     return j_max - iterations * (n_max + 1)
 
 
-def annular_intersection(grid: AnnularGrid, j, n: int, dist):
+def annular_intersection(grid: AnnularGrid, j, n, dist):
     """Model measure of (annulus j) intersected with a ball of radius n at distance dist.
 
     Vanishes when j - 1 >= dist + n (annulus entirely outside the ball) or
     dist >= j + n (ball entirely inside the annulus hole); otherwise the
     clamp model min(measure_j, V(n), exp(rho (n + j - dist))).
-    Vectorized over j, an annulus index or a flat sequence of them, and dist
-    jointly.  Annulus indices and the scale must be integers, bools
-    excluded, and distances positive and finite.
+    Vectorized over j, n and dist, which broadcast jointly: j and n are
+    each an index, a flat sequence of them or an integer array of any
+    shape, as a column of scales against a row of annuli.  Every entry is
+    computed as the scalar call at its (j, n, dist) computes it, bit for
+    bit.  Annulus indices and scales must be integers, bools excluded, and
+    distances positive and finite; an index outside the grid raises
+    GridRangeError naming it.
     """
-    n = require_index(n, 1, grid.j_max, "scale n")
-    j_arr = np.asarray(require_index(j, 1, grid.j_max, "annulus j"))
+    n_arr = _require_indices(n, grid.j_max, "scale n")
+    j_arr = _require_indices(j, grid.j_max, "annulus j")
     d_arr = np.asarray(dist, dtype=float)
     # min and max propagate nan, so one pair of reductions refuses nan too
     if d_arr.size and not (d_arr.min() > 0 and d_arr.max() < math.inf):
         raise DomainError("center distance must be positive and finite")
-    vn = float(grid.volumes[n - 1])
+    vn = grid.volumes[n_arr - 1]
     meas = grid.measures[j_arr - 1]
-    cap = np.exp(grid.params.rho * (n + j_arr - d_arr))
+    cap = np.exp(grid.params.rho * (n_arr + j_arr - d_arr))
     val = np.minimum(np.minimum(meas, vn), cap)
-    empty = (j_arr - 1 >= d_arr + n) | (d_arr >= j_arr + n)
+    empty = (j_arr - 1 >= d_arr + n_arr) | (d_arr >= j_arr + n_arr)
     out = np.where(empty, 0.0, val)
     return out if out.shape else float(out)
+
+
+def _require_indices(x, j_max: int, name: str) -> np.ndarray:
+    """x gated by require_index against 1..j_max, as an array; an integer
+    array of more than one axis is gated flat and keeps its shape."""
+    if isinstance(x, np.ndarray) and x.ndim > 1:
+        return require_index(x.ravel(), 1, j_max, name).reshape(x.shape)
+    return np.asarray(require_index(x, 1, j_max, name))
 
 
 def _scale_denominators(grid: AnnularGrid, n_max: int) -> np.ndarray:

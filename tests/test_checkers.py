@@ -2,6 +2,7 @@
 is asserted at the precision it was recorded with; qualitative facts
 (preconditions, verdicts, monotonicity, witness reproduction) are asserted
 outright."""
+import dataclasses
 import json
 import math
 import warnings
@@ -409,6 +410,15 @@ def test_classical_ap_on_the_smallest_grid_matches_a_larger_one():
     rep80 = check_classical_ap(materialize(spec, GRID80), 2.0)
     assert rep60.meta["products"] == pytest.approx(rep80.meta["products"], rel=1e-12)
     assert (rep60.witness, rep60.verdict) == (rep80.witness, rep80.verdict)
+
+
+@pytest.mark.parametrize("spec", [WeightSpec.exp_radial(-0.75), WeightSpec.constant()], ids=str)
+def test_classical_ap_products_equal_their_reevaluation(spec):
+    # the products come from one table of all 26 balls, reevaluate() from
+    # a call of its own at the witness radius: the two agree bit for bit
+    rep = check_classical_ap(materialize(spec, GRID80), 2.0)
+    again = [dataclasses.replace(rep, witness={"j": j}).reevaluate() for j in range(5, 31)]
+    assert rep.meta["products"] == again
 
 
 # ---------------------------------------------------------------- local Ap
@@ -1072,7 +1082,9 @@ def test_fs_ratio_refuses_k_other_than_1_when_s_exceeds_1(s, k):
     assert fs_ratio(w, 1.0, f, k=k).meta["k"] == k
 
 
-def test_standard_family_gates_each_set_once(monkeypatch):
+@pytest.fixture
+def gated_sets(monkeypatch):
+    """The sets passed to SetFamily's gate while the test runs."""
     calls = []
     real = nalab.checkers.require_index_set
 
@@ -1081,8 +1093,49 @@ def test_standard_family_gates_each_set_once(monkeypatch):
         return real(x, *args)
 
     monkeypatch.setattr(nalab.checkers, "require_index_set", counting)
+    return calls
+
+
+def test_standard_family_gates_each_set_once(gated_sets):
+    calls = gated_sets
     family = SetFamily.standard((1, 54))
     assert len(calls) == len(family.sets) == 54 + 6
+
+
+def test_default_family_is_built_once_per_window(gated_sets):
+    # the default family depends on the window alone: two checks of other
+    # weights and exponents on one window gate its sets once, and share it
+    calls = gated_sets
+    nalab.checkers._standard_family.cache_clear()
+    check_necessary(materialize(WeightSpec.exp_radial(-1.0), GRID80), 2.0)
+    check_large_scale(materialize(WeightSpec.constant(), GRID80), 3.0, 0.5, 0.5)
+    assert len(calls) == 54 + 6  # the trusted window (1, 80 - 25 - 1)
+    rep = check_necessary(materialize(WeightSpec.constant(), GRID120), 1.5)
+    assert len(calls) == 60 + 94 + 7  # a new window, (1, 120 - 25 - 1)
+    assert rep.meta["family"] == "singletons+dyadic"
+
+
+def test_set_family_arrays_refuse_writes():
+    family = SetFamily([[3, 1], np.array([5, 4, 5])], "t", (1, 10))
+    assert isinstance(family.sets, tuple)
+    arrays = [*family.sets, *family.support[2:]]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        family.sets = ()
+
+
+def test_set_family_support_equals_a_fresh_construction():
+    family = SetFamily.random_unions((7, 29), seed=3, count=40)
+    lo, hi, member, ind = family.support
+    assert family.support is family.support  # computed once
+    assert (lo, hi) == (min(s.min() for s in family.sets) - 1, max(s.max() for s in family.sets))
+    fresh = np.zeros((40, hi - lo), dtype=bool)
+    for row, s in enumerate(family.sets):
+        fresh[row, s - 1 - lo] = True
+    assert member.dtype == bool and np.array_equal(member, fresh)
+    assert ind.dtype == float and np.array_equal(ind, fresh.astype(float))
 
 
 # ---------------------------------------------------------------- vector valued

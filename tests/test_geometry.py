@@ -234,10 +234,31 @@ def test_annular_intersection_refuses_non_integer_annuli(j):
         annular_intersection(GRID, j, 3, 4.0)
 
 
-@pytest.mark.parametrize("n", [2.5, 3.0, True])
+@pytest.mark.parametrize("n", [2.5, 3.0, True, np.array([[3.0]]), np.array([[True]])])
 def test_annular_intersection_refuses_non_integer_scales(n):
     with pytest.raises(DomainError):
         annular_intersection(GRID, 5, n, 4.0)
+
+
+def test_annular_intersection_over_scales_equals_its_scalar_calls():
+    # a column of scales against a row of annuli: every entry is the scalar
+    # call's, bit for bit, as classical-ap's table relies on
+    cols = np.arange(1, GRID.j_max + 1)
+    ns = np.arange(1, 31)[:, None]
+    for dist in (ns - 0.5, 7.25):
+        table = annular_intersection(GRID, cols, ns, dist)
+        assert table.shape == (30, GRID.j_max)
+        for n, row, d in zip(ns[:, 0], table, np.broadcast_to(dist, ns.shape)[:, 0]):
+            assert np.array_equal(row, annular_intersection(GRID, cols, int(n), float(d)))
+            assert row[n - 1] == annular_intersection(GRID, int(n), int(n), float(d))
+    flat = annular_intersection(GRID, 12, [3, 5, 9], 11.5)
+    assert flat.tolist() == [annular_intersection(GRID, 12, n, 11.5) for n in (3, 5, 9)]
+
+
+@pytest.mark.parametrize("ns, bad", [([[3], [81], [0]], 81), ([[2, 0]], 0)])
+def test_annular_intersection_names_a_bad_scale_inside_an_array(ns, bad):
+    with pytest.raises(GridRangeError, match=rf"^scale n={bad} outside 1\.\.80$"):
+        annular_intersection(GRID, np.arange(1, 6), np.array(ns), 4.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import loggamma
 
 from nalab.errors import DomainError
-from nalab.geometry import SpaceParams
+from nalab.geometry import AnnularGrid, SpaceParams
 from nalab.specfun import (
     SERIES_SWITCH,
     FunctionTrace,
@@ -23,6 +23,7 @@ from nalab.specfun import (
     ode_residual,
     spherical_profile,
 )
+from nalab.weights import WeightSpec, materialize
 
 mp.mp.dps = 30
 
@@ -203,6 +204,23 @@ def test_terminating_series_exact_on_the_whole_grid():
     exact = 1.0 + 1.5 * np.sinh(ts) ** 2
     assert np.abs(tr.values / exact - 1.0).max() < 1e-14
     assert np.all(np.isfinite(tr.err))
+
+
+@pytest.mark.parametrize("space", [(1.0, 0.0), (3.5, 1.0), (0.5, 0.5)], ids=str)
+def test_phi_is_one_at_lambda_i_rho(space):
+    # the conventions Herz's L^p norms (H_p) rely on: JacobiParams.rho is
+    # sigma + tau + 1, the space's homogeneous dimension (twice its geometric
+    # rho), and phi at lam = +-i rho is the constant 1, exactly, at every t;
+    # spherical_u(1) is that phi, so it materializes as the constant weight
+    params = SpaceParams(*space)
+    ts = np.arange(61.0)
+    for sign in (1, -1):
+        jp = JacobiParams(params.sigma, params.tau, sign * 1j * params.homogeneous_dim)
+        assert jp.rho == params.sigma + params.tau + 1.0 == params.homogeneous_dim
+        assert np.all(jacobi_phi_trace(jp, ts).values == 1.0)
+    grid = AnnularGrid(params, 80)
+    ones = materialize(WeightSpec.spherical_u(1.0), grid).values
+    assert np.array_equal(ones, materialize(WeightSpec.constant(), grid).values)
 
 
 def test_nonterminating_trace_against_mpmath():
