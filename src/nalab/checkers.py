@@ -262,23 +262,25 @@ class _ApLocCells(NamedTuple):
     """The geometry-only part of an ap-loc sweep at one step; arrays read-only.
 
     dmu holds the cell masses; bounds the cell boundaries the scan reads,
-    ascending, and cum_m the running measure at them; lo and hi the
-    positions in bounds of every interval's first and end boundary, one
-    segment per interval length in _AP_LOC_LENGTHS order; cuts[b] and
-    cuts[b + 1] the positions of the boundaries that end in cell block b,
-    (b B, (b + 1) B] with B = _AP_LOC_BLOCK.
+    ascending; lo and hi the positions in bounds of every interval's first
+    and end boundary, one segment per interval length in _AP_LOC_LENGTHS
+    order, and mass every interval's measure mass, the difference of the
+    running measure at its two boundaries; cuts[b] and cuts[b + 1] the
+    positions of the boundaries that end in cell block b, (b B, (b + 1) B]
+    with B = _AP_LOC_BLOCK.
     """
 
     dmu: np.ndarray
     bounds: np.ndarray
-    cum_m: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    mass: np.ndarray
     cuts: np.ndarray
 
 
-# cells per block of ap-loc's per-weight arrays: 64 KB of floats, under
-# glibc's 128 KB mmap threshold, so no call maps or faults in a fresh block
+# cells per block of ap-loc's per-weight arrays: 64 KB of floats, and 128 KB
+# for the complex running sums, glibc's initial mmap threshold, which the
+# first freed mapping raises: a warm call maps or faults in no block
 _AP_LOC_BLOCK = 8192
 
 
@@ -288,8 +290,8 @@ _AP_LOC_BLOCK = 8192
 @functools.lru_cache(maxsize=8)
 def _ap_loc_cells(params: SpaceParams, j_max: int, step: float) -> _ApLocCells:
     """Cell masses dmu = density(t) h at the midpoints t of width h = step/8
-    on [0, j_max], and the scan plan of the intervals of every length, whose
-    starts are the multiples of step (_ApLocCells).
+    on [0, j_max], the scan plan of the intervals of every length, whose
+    starts are the multiples of step, and their measure masses (_ApLocCells).
 
     They depend on the geometry and the step alone, so every weight and p
     swept at one (space, j_max, step) shares them.  A DomainError (a mass
@@ -298,9 +300,8 @@ def _ap_loc_cells(params: SpaceParams, j_max: int, step: float) -> _ApLocCells:
     """
     h = step / 8.0
     n_cells = int(round(j_max / h))
-    ts = (np.arange(n_cells) + 0.5) * h
     with np.errstate(over="ignore"):
-        dmu = density(params, ts) * h
+        dmu = density(params, (np.arange(n_cells) + 0.5) * h) * h
         cum = np.zeros(n_cells + 1)
         np.cumsum(dmu, out=cum[1:])
     _require_finite_mass(cum[-1], "measure", step, j_max)
@@ -315,42 +316,35 @@ def _ap_loc_cells(params: SpaceParams, j_max: int, step: float) -> _ApLocCells:
             ends.append(firsts[-1] + span)
             read[firsts[-1]] = read[ends[-1]] = True
     bounds = np.flatnonzero(read)
-    rank = np.cumsum(read) - 1
-    lo, hi = rank[np.concatenate(firsts)], rank[np.concatenate(ends)]
+    first, end = np.concatenate(firsts), np.concatenate(ends)
     edges = np.append(np.arange(0, n_cells, _AP_LOC_BLOCK), n_cells)
-    cells = _ApLocCells(dmu, bounds, cum[bounds], lo, hi, np.searchsorted(bounds, edges, "right"))
+    cells = _ApLocCells(
+        dmu, bounds, np.searchsorted(bounds, first), np.searchsorted(bounds, end),
+        cum[end] - cum[first], np.searchsorted(bounds, edges, "right"),
+    )
     for arr in cells:
         arr.setflags(write=False)
     return cells
 
 
-def _running_sum_at(cells: np.ndarray, carry, at: np.ndarray, out: np.ndarray):
-    """Write the running sum of cells, started at carry, at the offsets at into out.
-
-    The carry joins the first cell before the sum, so block by block the
-    sums are those of one sequential pass over all cells, bit for bit.
-    cells is summed in place; returns its total.
-    """
-    cells[0] += carry
-    np.cumsum(cells, out=cells)
-    out[:] = cells[at]
-    return cells[-1]
-
-
 def _ap_loc_sweep(w: Weight, p: float, step: float) -> tuple:
     """One interval sweep at quadrature resolution step/8; returns (sup, witness).
 
-    The weight's arrays (profile, w dmu, the dual's dmu and their running
-    sums) are taken in blocks of _AP_LOC_BLOCK cells, keeping only the sums
-    at the boundaries the scan reads.  Refusals keep their order: the
-    profile, then the w mass, then the dual mass.
+    The weight's cell masses w dmu and w^(-1/(p-1)) dmu are the real and
+    imaginary parts of one complex array, taken in blocks of _AP_LOC_BLOCK
+    cells, so one complex running sum carries both (complex addition adds
+    the parts apart, so each part is the real running sum bit for bit),
+    kept only at the boundaries the scan reads; an interval's two sums are
+    one complex difference there.  Refusals keep their order: the profile,
+    then the w mass, then the dual mass.
     """
     grid = w.grid
     cells = _ap_loc_cells(grid.params, grid.j_max, step)
     h = step / 8.0
     n_cells = cells.dmu.size
-    cum_w, cum_d = np.zeros(cells.bounds.size), np.zeros(cells.bounds.size)
-    total_w = total_d = 0.0
+    cum = np.zeros(cells.bounds.size, dtype=complex)
+    z = np.empty(min(n_cells, _AP_LOC_BLOCK), dtype=complex)
+    total = 0j
     bad_profile = False
     for b, first in enumerate(range(0, n_cells, _AP_LOC_BLOCK)):
         block = slice(first, min(first + _AP_LOC_BLOCK, n_cells))
@@ -360,15 +354,21 @@ def _ap_loc_sweep(w: Weight, p: float, step: float) -> tuple:
         # propagate nan, so one pair of reductions refuses nan too
         bad_profile = bad_profile or not (wv.min() > 0 and wv.max() < math.inf)
         dmu = cells.dmu[block]
+        zb = z[: dmu.size]
         out = slice(cells.cuts[b], cells.cuts[b + 1])
-        at = cells.bounds[out] - (first + 1)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            total_w = _running_sum_at(wv * dmu, total_w, at, cum_w[out])
-            total_d = _running_sum_at(wv ** (-1.0 / (p - 1.0)) * dmu, total_d, at, cum_d[out])
+            np.multiply(wv, dmu, out=zb.real)
+            np.multiply(wv ** (-1.0 / (p - 1.0)), dmu, out=zb.imag)
+            # the carry joins the first cell before the sum, so block by
+            # block the sums are those of one pass over all cells
+            zb[0] += total
+            np.cumsum(zb, out=zb)
+        cum[out] = zb[cells.bounds[out] - (first + 1)]
+        total = zb[-1]
     if bad_profile:
         raise DomainError("profile must be positive and finite on the ray")
-    _require_finite_mass(total_w, "w", step, grid.j_max)
-    _require_finite_mass(total_d, "dual w^(-1/(p-1))", step, grid.j_max)
+    _require_finite_mass(total.real, "w", step, grid.j_max)
+    _require_finite_mass(total.imag, "dual w^(-1/(p-1))", step, grid.j_max)
 
     stride = max(1, int(round(step / h)))
     best, best_witness = -np.inf, None
@@ -381,14 +381,13 @@ def _ap_loc_sweep(w: Weight, p: float, step: float) -> tuple:
                 f"length {length}: it spans {span} of {n_cells} cells of width {h}"
             )
         count = (n_cells - span) // stride + 1
-        lo = cells.lo[segment : segment + count]
-        hi = cells.hi[segment : segment + count]
+        part = slice(segment, segment + count)
         segment += count
-        mass = cells.cum_m[hi] - cells.cum_m[lo]
-        iw = cum_w[hi] - cum_w[lo]
-        idual = cum_d[hi] - cum_d[lo]
+        mass = cells.mass[part]
         with np.errstate(over="ignore", invalid="ignore"):
-            prod = (iw / mass) * (idual / mass) ** (p - 1.0)
+            d = cum[cells.hi[part]]
+            d -= cum[cells.lo[part]]  # in place: one complex temporary fewer
+            prod = (d.real / mass) * (d.imag / mass) ** (p - 1.0)
         k = int(np.argmax(prod))  # argmax picks the first nan, if any
         start = k * stride * h
         if not math.isfinite(prod[k]):
@@ -420,15 +419,17 @@ def check_ap_loc(
     which every length spans at least one quadrature cell and fits on the
     ray, else DomainError.
 
-    The cell masses density(t) h depend on the geometry and the step alone:
-    they are computed once per (space, j_max, step), with the scan plan,
-    and shared by every weight and p (_ap_loc_cells); the weight's own
-    masses are recomputed per call, in blocks of _AP_LOC_BLOCK cells whose
-    running sums carry over, so for a profile computed point by point the
-    sweep equals one pass over all cells bit for bit.  A mass of the measure, of w or of w^(-1/(p-1)) over [0, j_max]
-    or an interval's product that leaves the float range is a DomainError,
-    not a sup of inf or nan.  reevaluate() recomputes the witness interval's
-    masses, density included, without the shared cells.
+    The cell masses density(t) h and every interval's measure mass depend
+    on the geometry and the step alone: they are computed once per (space,
+    j_max, step), with the scan plan, and shared by every weight and p
+    (_ap_loc_cells).  The weight's own masses are recomputed per call, both
+    in one complex running sum, in blocks of _AP_LOC_BLOCK cells whose sums
+    carry over, so for a profile computed point by point the sweep equals
+    two real passes over all cells bit for bit.  A mass of the measure, of
+    w or of w^(-1/(p-1)) over [0, j_max] or an interval's product that
+    leaves the float range is a DomainError, not a sup of inf or nan.
+    reevaluate() recomputes the witness interval's masses, density
+    included, without the shared cells.
     """
     require_integer(refinements, "refinements")
     _require(

@@ -264,41 +264,60 @@ def _phi_pfaff(jp: JacobiParams, ts: np.ndarray):
     return _scaled_series(a, b, c, np.tanh(ts) ** 2, log_scale, abs(il - jp.rho) * log_2cosh)
 
 
+def _circle_radii(ts: np.ndarray) -> np.ndarray:
+    """Each t's circle radius, from t alone: CIRCLE_RADIUS up to t =
+    1/CIRCLE_RADIUS, else 2^-ceil(log2 t), so r t <= 1 at every t."""
+    mantissa, exponent = np.frexp(ts)  # t = mantissa 2^exponent, mantissa in [1/2, 1)
+    ceil_log2 = exponent - (mantissa == 0.5)
+    return np.where(ts <= 1.0 / CIRCLE_RADIUS, CIRCLE_RADIUS, np.ldexp(1.0, -ceil_log2))
+
+
 def _phi_connection(jp: JacobiParams, ts: np.ndarray):
     """phi_lam at ts > 0 from the Harish-Chandra expansion; values and errors.
 
-    Where i lam lies within r/2 of an integer, r = min(CIRCLE_RADIUS,
-    1/t_max), phi is the mean of the expansion over CIRCLE_NODES points of
-    the circle |lam' - lam| = r.  phi is entire in lam, so the mean misses
-    it only by aliasing, about (r t)^N / N! <= 1/N! < 1e-23 of the terms,
-    which the rounding term of the error estimate covers; the terms grow
-    like 1/r where they cancel, and their rounding with them.
+    Where i lam lies within r/2 of an integer, phi at t is the mean of the
+    expansion over CIRCLE_NODES points of the circle |lam' - lam| = r, with
+    r = _circle_radii(t) taken from t alone; one set of nodes serves each
+    radius.  phi is entire in lam, so the mean misses it only by aliasing,
+    about (r t)^N / N! <= 1/N! < 1e-23 of the terms, which the rounding term
+    of the error estimate covers; the terms grow like 1/r where they cancel,
+    and their rounding with them.  The mean is a running sum over the nodes,
+    in one order at any batch size, so phi at t does not depend on the other
+    points asked with it.
     """
     lam = complex(jp.lam)
-    r = min(CIRCLE_RADIUS, 1.0 / float(ts.max()))
     il = 1j * lam
-    if abs(il - round(il.real)) < r / 2.0:
-        k = np.arange(CIRCLE_NODES)
-        weights = np.ones(CIRCLE_NODES)
-        if lam.real == 0.0:
-            # phi_lam is real, and the terms at nodes mirrored in the
-            # imaginary axis are conjugate: the right half circle suffices,
-            # with weight 2 off the axis
-            k = np.arange(-CIRCLE_NODES // 4, CIRCLE_NODES // 4 + 1)
-            weights = np.where(np.abs(k) == CIRCLE_NODES // 4, 1.0, 2.0)
-        nodes = lam + r * np.exp(2j * np.pi * k / CIRCLE_NODES)
-    else:
-        nodes, weights = np.array([lam]), np.ones(1)
-    ils = 1j * np.concatenate([nodes, -nodes])[:, None]
-    weights = np.concatenate([weights, weights])[:, None] / weights.sum()
-    log_c, c_size = _log_c(jp.sigma, jp.tau, ils)
-    blocks = []
-    step = max(1, _BLOCK // ils.size)
-    for i in range(0, ts.size, step):
-        terms, terms_err = _second_terms(jp.sigma, jp.tau, ils, ts[i : i + step], log_c, c_size)
-        terms_err += _EPS * np.abs(terms)  # the rounding of the weighted sum
-        blocks.append(((weights * terms).sum(axis=0), (weights * terms_err).sum(axis=0)))
-    values, err = (np.concatenate(part) for part in zip(*blocks))
+    values = np.empty(ts.shape, dtype=complex)
+    err = np.empty(ts.shape)
+    radii = _circle_radii(ts)
+    # the distinct radii, by a sort: numpy's unique would import numpy.ma
+    ordered = np.sort(radii)
+    for r in ordered[np.append(True, ordered[1:] != ordered[:-1])]:
+        if abs(il - round(il.real)) < r / 2.0:
+            k = np.arange(CIRCLE_NODES)
+            weights = np.ones(CIRCLE_NODES)
+            if lam.real == 0.0:
+                # phi_lam is real, and the terms at nodes mirrored in the
+                # imaginary axis are conjugate: the right half circle
+                # suffices, with weight 2 off the axis
+                k = np.arange(-CIRCLE_NODES // 4, CIRCLE_NODES // 4 + 1)
+                weights = np.where(np.abs(k) == CIRCLE_NODES // 4, 1.0, 2.0)
+            nodes = lam + r * np.exp(2j * np.pi * k / CIRCLE_NODES)
+        else:
+            nodes, weights = np.array([lam]), np.ones(1)
+        ils = 1j * np.concatenate([nodes, -nodes])[:, None]
+        weights = np.concatenate([weights, weights])[:, None] / weights.sum()
+        log_c, c_size = _log_c(jp.sigma, jp.tau, ils)
+        step = max(1, _BLOCK // ils.size)
+        at = np.flatnonzero(radii == r)
+        for i in range(0, at.size, step):
+            part = at[i : i + step]
+            terms, terms_err = _second_terms(jp.sigma, jp.tau, ils, ts[part], log_c, c_size)
+            terms_err += _EPS * np.abs(terms)  # the rounding of the weighted sum
+            # the last running sum over the nodes, not sum(axis=0): numpy
+            # sums a lone column pairwise and several columns row by row
+            values[part] = np.cumsum(weights * terms, axis=0)[-1]
+            err[part] = np.cumsum(weights * terms_err, axis=0)[-1]
     return (values.real if lam.real == 0.0 else values), err
 
 

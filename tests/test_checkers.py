@@ -557,10 +557,16 @@ def test_ap_loc_shares_its_cells_per_geometry_and_step():
     cells.cache_clear()
     assert abs(first.reevaluate() - first.constant) <= 1e-10 * abs(first.constant)
     assert cells.cache_info().currsize == 0
-    for arr in cells(GRID80.params, GRID80.j_max, 0.1):
+    shared = cells(GRID80.params, GRID80.j_max, 0.1)
+    for arr in shared:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
+    # the interval masses are the differences of a fresh running measure
+    h = 0.1 / 8.0
+    dmu = density(GRID80.params, (np.arange(shared.dmu.size) + 0.5) * h) * h
+    cum_m = np.concatenate(([0.0], np.cumsum(dmu)))[shared.bounds]
+    assert np.array_equal(shared.mass, cum_m[shared.hi] - cum_m[shared.lo])
 
 
 def _ap_loc_full_sweep(w, p, step):
@@ -590,21 +596,28 @@ def _ap_loc_full_sweep(w, p, step):
 
 
 # step 0.3 has spans of 13, 27 and 53 cells at a stride of 8; 0.05 has 12,800
-# cells, one block and a part; 0.0125 has 51,200, six blocks and a part
+# cells on j_max 80, one block and a part; 0.0125 has 51,200, six blocks and
+# a part.  On j_max 130 spherical_u(2.5) is taken past t = 100, where its
+# phi needs a circle radius from t alone to read the same bits in any block
 @pytest.mark.parametrize("step", [0.3, 0.05, 0.0125])
 @pytest.mark.parametrize(
-    "spec, p",
+    "spec, p, j_max",
     [
-        (WeightSpec.exp_radial(-0.3), 1.5),
-        (WeightSpec.exp_radial(-0.3), 2.0),
-        (WeightSpec.spherical_u(2.0), 2.0),
-        (WeightSpec.jacobi_v(-0.3), 2.0),
+        (WeightSpec.exp_radial(-0.3), 1.5, 80),
+        (WeightSpec.exp_radial(-0.3), 2.0, 80),
+        (WeightSpec.spherical_u(2.0), 2.0, 80),
+        (WeightSpec.jacobi_v(-0.3), 2.0, 80),
+        (WeightSpec.spherical_u(2.5), 2.5, 130),
     ],
-    ids=["exp_radial(-0.3)-1.5", "exp_radial(-0.3)-2", "spherical_u(2)-2", "jacobi_v(-0.3)-2"],
+    ids=[
+        "exp_radial(-0.3)-1.5", "exp_radial(-0.3)-2", "spherical_u(2)-2", "jacobi_v(-0.3)-2",
+        "spherical_u(2.5)-2.5-j130",
+    ],
 )
-def test_ap_loc_blocked_sweep_equals_the_full_array_sweep(step, spec, p):
-    w = materialize(spec, GRID80)
-    n_cells = nalab.checkers._ap_loc_cells(GRID80.params, 80, step).dmu.size
+def test_ap_loc_blocked_sweep_equals_the_full_array_sweep(step, spec, p, j_max):
+    grid = GRID80 if j_max == 80 else AnnularGrid(DEFAULT_SPACE, j_max)
+    w = materialize(spec, grid)
+    n_cells = nalab.checkers._ap_loc_cells(grid.params, j_max, step).dmu.size
     if step <= 0.05:
         assert n_cells > nalab.checkers._AP_LOC_BLOCK and n_cells % nalab.checkers._AP_LOC_BLOCK
     assert nalab.checkers._ap_loc_sweep(w, p, step) == _ap_loc_full_sweep(w, p, step)

@@ -402,3 +402,20 @@ def test_phi_within_1e13_of_the_local_envelope(space, lam):
         envelope = fine[np.abs(fine_ts - t) <= 0.5].max()
         assert abs(v - ref) <= 1e-13 * envelope, t
         assert abs(v - ref) <= e, t
+
+
+@pytest.mark.parametrize(
+    "lam, ts",
+    [(5j, (50.0, 99.5, 101.0, 129.5)), (3j, (50.0, 99.5, 101.0, 129.5, 300.0))],
+    ids=["spherical_u(2.5)", "3i"],
+)
+def test_phi_at_t_does_not_depend_on_its_batch(lam, ts):
+    # near i*Z phi is a mean over a circle whose radius comes from t alone
+    # (1/100 up to t = 100, then 2^-ceil(log2 t)): a batch reaching past 100,
+    # where a radius taken from its largest t would shrink, or holding one
+    # point, which numpy would sum pairwise, reads the same bits at every t
+    jp = JacobiParams(1.0, 0.0, lam)
+    batch = jacobi_phi_trace(jp, ts)
+    for t, v, e in zip(ts, batch.values, batch.err):
+        alone = jacobi_phi_trace(jp, [t])
+        assert (alone.values[0], alone.err[0]) == (v, e), t
