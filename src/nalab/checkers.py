@@ -336,7 +336,10 @@ def _ap_loc_sweep(w: Weight, p: float, step: float) -> tuple:
     the parts apart, so each part is the real running sum bit for bit),
     kept only at the boundaries the scan reads; an interval's two sums are
     one complex difference there.  Refusals keep their order: the profile,
-    then the w mass, then the dual mass.
+    then the w mass, then the dual mass, then each length's products, whose
+    argmax finds a nan or an inf first.  The sup is the largest product;
+    the witness the first interval within _TIE_REL of it, lengths in
+    _AP_LOC_LENGTHS order and starts ascending.
     """
     grid = w.grid
     cells = _ap_loc_cells(grid.params, grid.j_max, step)
@@ -371,7 +374,7 @@ def _ap_loc_sweep(w: Weight, p: float, step: float) -> tuple:
     _require_finite_mass(total.imag, "dual w^(-1/(p-1))", step, grid.j_max)
 
     stride = max(1, int(round(step / h)))
-    best, best_witness = -np.inf, None
+    prods, sups = [], []
     segment = 0
     for length in _AP_LOC_LENGTHS:
         span = int(round(length / h))
@@ -389,16 +392,20 @@ def _ap_loc_sweep(w: Weight, p: float, step: float) -> tuple:
             d -= cum[cells.lo[part]]  # in place: one complex temporary fewer
             prod = (d.real / mass) * (d.imag / mass) ** (p - 1.0)
         k = int(np.argmax(prod))  # argmax picks the first nan, if any
-        start = k * stride * h
         if not math.isfinite(prod[k]):
+            start = k * stride * h
             raise DomainError(
                 f"ap-loc at step {step} on j_max {grid.j_max}: the product on "
                 f"[{start:.6g}, {start + length:.6g}] leaves the float range"
             )
-        if prod[k] > best:
-            best = float(prod[k])
-            best_witness = {"start": float(start), "length": float(length), "step": float(step)}
-    return best, best_witness
+        prods.append(prod)
+        sups.append(float(prod[k]))
+    best = max(sups)
+    floor = _near_max_floor(best)
+    i = next(i for i, s in enumerate(sups) if s >= floor)
+    start = int(np.argmax(prods[i] >= floor)) * stride * h
+    witness = {"start": float(start), "length": float(_AP_LOC_LENGTHS[i]), "step": float(step)}
+    return best, witness
 
 
 def check_ap_loc(

@@ -112,8 +112,17 @@ def require_index_set(x, lo, hi, name: str) -> np.ndarray:
     """The distinct indices of x, sorted, as an int64 array; x as in require_index.
 
     The indices are marked in a boolean mask over lo..hi, not passed to
-    numpy's unique, whose first call in a process imports numpy.ma.
+    numpy's unique, whose first call in a process imports numpy.ma.  A
+    nonempty flat int64 array already strictly increasing inside lo..hi,
+    such as a tree ball's vertices, is the mask's result itself: it comes
+    back as a copy, unmarked.  Every other input, every refused one among
+    them, takes the mask.
     """
+    if (
+        type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.int64 and x.size
+        and lo <= x[0] and x[-1] <= hi and (x[1:] > x[:-1]).all()
+    ):
+        return x.copy()
     mask = np.zeros(max(hi - lo + 1, 0), dtype=bool)
     mask[require_index(x, lo, hi, name) - lo] = True
     return (np.flatnonzero(mask) + lo).astype(np.int64, copy=False)

@@ -42,14 +42,16 @@ Ball sizes are _ball_sums of the constant 1, taken once per (k, depth)
 by _local_counts, for exact division; it is the one ball-size table, read
 by the maximal function and its argmax alike.  No TreeSpace carries state
 beyond its shape arrays.  A VertexFunction keeps a read-only float copy of
-its data, so its maximal function is a function of the object:
-tree_maximal keeps the last one in a one-entry memo keyed on the object's
-identity, and the exponents of one Kolmogorov check share one Mf and one
-sort of it.  The vector path (_tree_maximal_block) and the naive oracle
-keep no memo.  Vertex ids, radii and pair distances pass
-errors.require_index or errors.require_integer, and vertex sets
-errors.require_index_set: a bool or a float such as 2.0 raises DomainError,
-and a vertex or radius off the tree GridRangeError.
+its data, so its maximal function and its norm are functions of the
+object: tree_maximal keeps the last Mf in a one-entry memo keyed on the
+object's identity, the object keeps its norm, and the Mf its trusted
+mask, each taken on first call, so the exponents of one Kolmogorov check
+share one Mf, one sort of it, one trusted mask and one norm.  The vector
+path (_tree_maximal_block) and the naive oracle keep no memo.  Vertex ids,
+radii and pair distances pass errors.require_index or
+errors.require_integer, and vertex sets errors.require_index_set: a bool
+or a float such as 2.0 raises DomainError, and a vertex or radius off the
+tree GridRangeError.
 """
 
 from __future__ import annotations
@@ -169,6 +171,12 @@ class VertexFunction:
         return cls(tree, np.bincount(np.atleast_1d(ids), minlength=tree.size))
 
     def norm1(self) -> float:
+        return self._norm1
+
+    @functools.cached_property
+    def _norm1(self) -> float:
+        # the values are read-only, so one sum serves every call; taken on
+        # first call, so a function never normed sums nothing
         return float(self.values.sum())
 
 
@@ -209,7 +217,8 @@ class TreeMaximal:
     the first pivot radius attaining P(v) where P(v) >= T(parent), else the
     parent's tail argmax + 1 (see _tree_maximal_block for P and T).
     weak_sup, also computed on first read, is sup_l l*|{Mf > l}| over the
-    trusted vertices, the numerator of weak11_constant.
+    trusted vertices, the numerator of weak11_constant.  trusted() is
+    ~boundary, taken on first call and kept read-only.
     """
 
     tree: TreeSpace
@@ -218,7 +227,13 @@ class TreeMaximal:
     data: np.ndarray
 
     def trusted(self) -> np.ndarray:
-        return ~self.boundary
+        return self._trusted
+
+    @functools.cached_property
+    def _trusted(self) -> np.ndarray:
+        trusted = ~self.boundary
+        trusted.flags.writeable = False
+        return trusted
 
     @functools.cached_property
     def argmax_radius(self) -> np.ndarray:
@@ -247,12 +262,12 @@ class TreeMaximal:
     @functools.cached_property
     def weak_sup(self) -> float:
         vals = self.values[self.trusted()]
-        vals = vals[vals > 0]
         if vals.size == 0:
             return 0.0
         vals = np.sort(vals)[::-1]
         # |{Mf >= v}| is i + 1 at the last occurrence i of v in descending order;
-        # an earlier occurrence of v gives a smaller product, so it never wins
+        # an earlier occurrence of v gives a smaller product, so it never wins,
+        # and zeros sort last with products 0: an all-zero Mf gives 0.0
         return float(np.max(vals * np.arange(1, vals.size + 1)))
 
 
@@ -503,20 +518,21 @@ def tree_kolmogorov(q: float, f: VertexFunction, B: Iterable[int]) -> Kolmogorov
 
     c is the weak-(1,1) quotient measured for this very f, which makes the
     inequality a theorem about the finite tree.  The left side runs over
-    trusted vertices of B.  Several exponents on one f share one Mf and one
-    sort of it, through tree_maximal's memo.
+    trusted vertices of B.  Several exponents on one f share one Mf, one
+    sort of it and one trusted mask, through tree_maximal's memo, and one
+    norm, kept by f.  c is weak11_constant's quotient, taken from that Mf
+    without its check that the Mf fits f, which holds by construction; B
+    passes the index-set gate, whose fast path takes a ball's sorted
+    vertices as they are.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"Kolmogorov exponent must lie in (0,1), got {q}")
-    tree = f.tree
-    bv = require_index_set(B, 0, tree.size - 1, "vertex")
+    bv = require_index_set(B, 0, f.tree.size - 1, "vertex")
     res = tree_maximal(f)
-    weak_constant = weak11_constant(f, res)
-    trusted = res.trusted()[bv]
-    lhs = float(np.sum(res.values[bv[trusted]] ** q))
-    rhs = (
-        weak_constant**q / (1.0 - q) * bv.size ** (1.0 - q) * f.norm1() ** q
-    )
+    nrm = f.norm1()
+    weak_constant = res.weak_sup / nrm if nrm else 0.0  # weak11_constant(f, res)
+    lhs = float(np.sum(res.values[bv[res.trusted()[bv]]] ** q))
+    rhs = weak_constant**q / (1.0 - q) * bv.size ** (1.0 - q) * nrm ** q
     return KolmogorovReport(
         q=float(q),
         lhs=lhs,

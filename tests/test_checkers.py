@@ -571,7 +571,8 @@ def test_ap_loc_shares_its_cells_per_geometry_and_step():
 
 def _ap_loc_full_sweep(w, p, step):
     """The ap-loc sweep on whole arrays: every cell's masses and their running
-    sums at once, read at every interval of every length."""
+    sums at once, read at every interval of every length; the witness is the
+    first interval, lengths in order, within 1e-12 (relative) of the sup."""
     h = step / 8.0
     n_cells = int(round(w.grid.j_max / h))
     ts = (np.arange(n_cells) + 0.5) * h
@@ -582,17 +583,16 @@ def _ap_loc_full_sweep(w, p, step):
         for cells in (dmu, wv * dmu, wv ** (-1.0 / (p - 1.0)) * dmu)
     ]
     stride = max(1, int(round(step / h)))
-    best, witness = -np.inf, None
+    intervals = []
     for length in (0.5, 1.0, 2.0):
         span = int(round(length / h))
         starts = np.arange(0, n_cells - span + 1, stride)
         mass, iw, idual = (cum[starts + span] - cum[starts] for cum in cums)
         prod = (iw / mass) * (idual / mass) ** (p - 1.0)
-        k = int(np.argmax(prod))
-        if prod[k] > best:
-            best = float(prod[k])
-            witness = {"start": float(starts[k] * h), "length": length, "step": step}
-    return best, witness
+        intervals += [(float(v), float(s * h), length) for v, s in zip(prod, starts)]
+    best = max(v for v, _, _ in intervals)
+    start, length = next((s, n) for v, s, n in intervals if v >= best - 1e-12 * abs(best))
+    return best, {"start": start, "length": length, "step": step}
 
 
 # step 0.3 has spans of 13, 27 and 53 cells at a stride of 8; 0.05 has 12,800

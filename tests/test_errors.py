@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nalab.checkers import (
     SetFamily,
@@ -187,6 +189,52 @@ def test_require_index_set_names_the_index_outside_the_range(x, bad):
         require_index_set(x, 1, 5, "j")
 
 
+@st.composite
+def _int64_index_arrays(draw):
+    # (x, lo, hi): sorted and distinct, unsorted, with repeats, out of range
+    # at either end, or empty
+    lo = draw(st.integers(-5, 5))
+    hi = lo + draw(st.integers(0, 20))
+    base = sorted(set(draw(st.lists(st.integers(lo, hi), min_size=1, max_size=12))))
+    kind = draw(st.sampled_from(["sorted", "unsorted", "repeats", "below", "above", "empty"]))
+    if kind == "unsorted":
+        xs = draw(st.permutations(base))
+        assume(xs != base)
+    elif kind == "repeats":
+        xs = sorted(base + [draw(st.sampled_from(base))])
+    elif kind in ("below", "above"):
+        off = draw(st.integers(1, 3))
+        xs = sorted(base + [lo - off if kind == "below" else hi + off])
+    else:
+        xs = base if kind == "sorted" else []
+    return np.array(xs, dtype=np.int64), lo, hi
+
+
+def _outcome(gate, x, lo, hi):
+    try:
+        return gate(x, lo, hi, "j")
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(case=_int64_index_arrays())
+@settings(max_examples=200, deadline=None)
+def test_require_index_set_on_int64_arrays_equals_the_list_path(case):
+    # a sorted distinct int64 array in range skips the mask; it must come out
+    # as the mask would give it, a fresh array, and every other array as before
+    x, lo, hi = case
+    kept = x.copy()
+    got = _outcome(require_index_set, x, lo, hi)
+    want = _outcome(require_index_set, list(x), lo, hi)
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and got == want
+        return
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    if got.size:
+        got[0] += 1
+    assert np.array_equal(x, kept)
+
+
 def test_index_set_entry_points_load_no_numpy_ma():
     # numpy's unique imports numpy.ma on its first call, 12-17 ms
     src = os.path.dirname(os.path.dirname(nalab.__file__))
@@ -196,10 +244,11 @@ def test_index_set_entry_points_load_no_numpy_ma():
         "from nalab.checkers import SetFamily\n"
         "from nalab.geometry import DEFAULT_SPACE, AnnularGrid\n"
         "from nalab.treelab import TreeSpace, VertexFunction, VertexWeight\n"
-        "from nalab.treelab import tree_kolmogorov, tree_product_measure\n"
+        "from nalab.treelab import tree_ball, tree_kolmogorov, tree_product_measure\n"
         "from nalab.weights import WeightSpec, materialize, weight_mass\n"
         "tree = TreeSpace(2, 4)\n"
         "tree_kolmogorov(0.5, VertexFunction.dirac(tree, [3]), [2, 1, 2])\n"
+        "tree_kolmogorov(0.5, VertexFunction.dirac(tree, [3]), tree_ball(tree, 0, 2).vertices)\n"
         "tree_product_measure(VertexWeight.ones(tree), [1, 2], [3, 3], 2)\n"
         "weight_mass(materialize(WeightSpec.constant(), AnnularGrid(DEFAULT_SPACE, 40)), [3, 1])\n"
         "SetFamily.standard((1, 20))\n"

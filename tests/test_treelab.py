@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nalab import treelab
-from nalab.errors import DomainError, GridRangeError
+from nalab.errors import DomainError, GridRangeError, require_index_set
 from nalab.treelab import (
+    TreeMaximal,
     TreeSpace,
     VertexFunction,
     VertexWeight,
@@ -168,6 +169,30 @@ def test_weak11_constant_on_tied_levels_matches_every_level(k, depth):
         assert weak11_constant(f) == weak11_constant(f, res) == brute
 
 
+def _weak_sup_by_levels(res):
+    # sup over the levels v > 0 of v |{trusted Mf >= v}|, level by level
+    mf = res.values[~res.boundary]
+    return max((v * np.count_nonzero(mf >= v) for v in mf[mf > 0]), default=0.0)
+
+
+def test_weak_sup_with_zeros_among_the_trusted_values():
+    # Mf is zero only where f is zero throughout the tree: every ball of
+    # radius 2 * depth is the whole tree.  Zeros sort last, with product 0
+    tree = TreeSpace(2, 4)
+    zero = tree_maximal(VertexFunction.zeros(tree))
+    assert not zero.boundary.all()
+    assert zero.weak_sup == _weak_sup_by_levels(zero) == 0.0
+    assert weak11_constant(VertexFunction.zeros(tree)) == 0.0
+    # a TreeMaximal built by hand, zeros and ties among its trusted values
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        values = rng.integers(0, 4, tree.size).astype(float)
+        boundary = rng.uniform(size=tree.size) < 0.3
+        res = TreeMaximal(tree, values, boundary, values)
+        assert (values[~boundary] == 0).any()
+        assert res.weak_sup == _weak_sup_by_levels(res)
+
+
 def test_product_measure_brute_force():
     for t in (TreeSpace(2, 3), TreeSpace(3, 2)):
         w = VertexWeight(t, np.linspace(1.0, 2.0, t.size))
@@ -257,8 +282,21 @@ def test_maximal_result_from_another_tree_is_rejected():
         weak11_constant(f, g)
 
 
+def _kolmogorov_reference(q, f, B):
+    # the check's three numbers by their long path: the index-set gate's
+    # mask (B as a list), a fresh trusted mask and norm, and the weak-(1,1)
+    # quotient through weak11_constant's fit check
+    bv = require_index_set(list(B), 0, f.tree.size - 1, "vertex")
+    res = tree_maximal(f)
+    weak_constant = weak11_constant(f, res)
+    lhs = float(np.sum(res.values[bv[(~res.boundary)[bv]]] ** q))
+    rhs = weak_constant**q / (1.0 - q) * bv.size ** (1.0 - q) * float(f.values.sum()) ** q
+    return lhs, rhs, weak_constant
+
+
 def test_kolmogorov_seeded_sample():
-    # a 20-case slice of the 100-case acceptance sweep
+    # a 20-case slice of the 100-case acceptance sweep; the shared mask,
+    # norm and gate give the long path's numbers bit for bit
     t = TreeSpace(2, 8)
     rng = np.random.default_rng(1234)
     for _ in range(20):
@@ -267,7 +305,9 @@ def test_kolmogorov_seeded_sample():
         radius = int(rng.integers(0, 2 * t.depth + 1))
         B = tree_ball(t, center, radius).vertices
         for q in (0.3, 0.5, 0.7):
-            assert tree_kolmogorov(q, f, B).holds
+            rep = tree_kolmogorov(q, f, B)
+            assert rep.holds
+            assert (rep.lhs, rep.rhs, rep.weak_constant) == _kolmogorov_reference(q, f, B)
 
 
 @given(data=_tree_data(st.integers(0, 1000).map(float), ks=(8, 9), depths=(1, 2)))
@@ -329,7 +369,10 @@ def test_vertex_data_and_maximal_function_are_read_only():
     assert np.array_equal(f.values, kept)
     assert np.array_equal(tree_maximal(f).values, expected.values)
     assert np.array_equal(res.argmax_radius, expected.argmax_radius)
-    for arr in (f.values, res.values, res.boundary, res.argmax_radius):
+    assert res.trusted() is res.trusted()
+    assert np.array_equal(res.trusted(), ~res.boundary)
+    assert f.norm1() == float(f.values.sum())
+    for arr in (f.values, res.values, res.boundary, res.argmax_radius, res.trusted()):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
