@@ -16,15 +16,17 @@ change in the data does not move the witness; the constant stays the sup.
 
 The level-set quotients l^p w({Mf > l}) / D(f) (weak-type, fs-ratio) have
 one evaluation path, _level_set_quotients: it takes a (j_max x m) block
-whose columns are functions and their denominators, computes their maximal
-functions in one radialops._maximal_block call and the masses of their
-superlevel sets at every level in one masked sum, and returns the quotients
-per column and level.  The denominators come from _weak_type_dens (the
-L^p(w) norm to the p) and _fs_dens (the pairing with the comparison weight
-G, computed once per block).  weak_type_ratio and fs_ratio are its m = 1
-case; the divergence sequences in experiments pass all their indicators
-as one block.  weak_type_ratio, strong_type_ratio and fs_ratio refuse an f
-on another grid than w's (radialops._require_same_grid).
+whose columns are maximal functions Mf and the denominators of their
+functions f, computes the masses of their superlevel sets at every level in
+one masked sum, and returns the quotients per column and level.  The
+denominators come from _weak_type_dens (the L^p(w) norm to the p) and
+_fs_dens (the pairing with the comparison weight G, computed once per
+block).  weak_type_ratio and fs_ratio are its m = 1 case, with Mf from
+radialops._maximal_block, which their reevaluate() calls again; the
+divergence sequences in experiments pass all their indicators as one block,
+with the maximal functions read from the geometry's table
+(radialops._indicator_maxima).  weak_type_ratio, strong_type_ratio and
+fs_ratio refuse an f on another grid than w's (radialops._require_same_grid).
 """
 
 from __future__ import annotations
@@ -819,7 +821,7 @@ def check_classical_ap(w: Weight, p: float) -> CheckReport:
     radii = np.array(js)[:, None]
     table = annular_intersection(grid, cols, radii, radii - 0.5)
     prods = np.array([product(pieces, j) for pieces, j in zip(table, js)])
-    k = int(np.argmax(prods))
+    k = _first_near_max(prods)
     slope, r2, verdict = _growth_verdict(prods, js)
 
     def reeval(wit: dict) -> float:
@@ -828,7 +830,7 @@ def check_classical_ap(w: Weight, p: float) -> CheckReport:
 
     return CheckReport(
         id="classical-ap",
-        constant=float(prods[k]),
+        constant=float(prods.max()),
         witness={"j": js[k]},
         verdict=verdict,
         slope=slope,
@@ -849,16 +851,16 @@ def _zero_report(report_id: str, witness: dict, verdict: str, meta: dict) -> Che
 
 
 def _level_set_quotients(
-    w: Weight, block: np.ndarray, power: float, n_max: int, dens: np.ndarray, levels=_LAMBDA_GRID
+    w: Weight, mf: np.ndarray, power: float, n_max: int, dens: np.ndarray, levels=_LAMBDA_GRID
 ) -> np.ndarray:
-    """l^power w({M f > l}) / den over M's valid window, for every column f
-    of the (j_max x m) block (rows), with its denominator den in dens, and
-    every level l (columns).
+    """l^power w({M f > l}) / den over M's valid window, for every column
+    M f of the (j_max x m) block mf of maximal functions at truncation n_max
+    (rows), with the denominator den of f in dens, and every level l
+    (columns).
 
     A zero denominator gives inf or nan without a warning; callers report
     it before reading the quotients.
     """
-    mf = _maximal_block(w.grid, block, n_max)
     window = (1, valid_upper(w.grid.j_max, n_max))
     nums = levels**power * _superlevel_mass(w, mf, window, levels)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -887,21 +889,23 @@ def _level_set_ratio(
 ) -> CheckReport:
     """Report of a level-set quotient of one function.
 
-    ratios are its quotients over _LAMBDA_GRID; the first maximizer is the
-    witness.  quotients(levels) recomputes them at any positive levels
-    through _level_set_quotients, and reevaluate() calls it at the witness
-    level, recomputing every maximal function the quotient needs.
+    ratios are its quotients over _LAMBDA_GRID; the constant is their sup
+    and the witness the first level within _TIE_REL of it.  quotients(levels)
+    recomputes them at any positive levels through _level_set_quotients,
+    and reevaluate() calls it at the witness level, recomputing every
+    maximal function the quotient needs.
     """
-    k = int(np.argmax(ratios))
+    k = _first_near_max(ratios)
+    best = float(ratios.max())
 
     def reeval(wit: dict) -> float:
         return float(quotients(np.array([float(wit["lambda"])]))[0, 0])
 
     return CheckReport(
         id=report_id,
-        constant=float(ratios[k]),
+        constant=best,
         witness={"lambda": float(_LAMBDA_GRID[k])},
-        verdict="pass" if np.isfinite(ratios[k]) else "fail",
+        verdict="pass" if np.isfinite(best) else "fail",
         meta=meta,
         _reeval=reeval,
     )
@@ -922,13 +926,15 @@ def weak_type_ratio(
     _require_same_grid(w, f)
     block = f.values[:, None]
     norm_p = _weak_type_dens(w, p, block)
-    ratios = _level_set_quotients(w, block, p, n_max, norm_p)[0]  # gates n_max
+    mf = _maximal_block(w.grid, block, n_max)  # gates n_max
+    ratios = _level_set_quotients(w, mf, p, n_max, norm_p)[0]
     if norm_p[0] == 0.0:
         meta = {"p": p, "degenerate": "zero function"}
         return _zero_report("weak-type", {"lambda": None}, "pass", meta)
     meta = {"p": p, "n_max": n_max, "window": (1, valid_upper(w.grid.j_max, n_max))}
     return _level_set_ratio("weak-type", ratios, lambda levels: _level_set_quotients(
-        w, block, p, n_max, _weak_type_dens(w, p, block), levels), meta)
+        w, _maximal_block(w.grid, block, n_max), p, n_max, _weak_type_dens(w, p, block),
+        levels), meta)
 
 
 def strong_type_ratio(
@@ -1029,7 +1035,7 @@ def fs_ratio(
     _require_same_grid(w, f)
     block = f.values[:, None]
     den = _fs_dens(w, s, block, k, n_max)
-    ratios = _level_set_quotients(w, block, 1.0, n_max, den)[0]
+    ratios = _level_set_quotients(w, _maximal_block(w.grid, block, n_max), 1.0, n_max, den)[0]
     support_hi = int(np.max(np.nonzero(f.values)[0]) + 1) if np.any(f.values) else 0
     if den[0] == 0.0:
         verdict = "pass" if support_hi == 0 else "info"
@@ -1039,7 +1045,8 @@ def fs_ratio(
     meta = {"s": s, "k": k, "n_max": n_max, "g_window": (1, g_hi),
             "support_inside_window": support_hi <= g_hi}
     return _level_set_ratio("fs-ratio", ratios, lambda levels: _level_set_quotients(
-        w, block, 1.0, n_max, _fs_dens(w, s, block, k, n_max), levels), meta)
+        w, _maximal_block(w.grid, block, n_max), 1.0, n_max, _fs_dens(w, s, block, k, n_max),
+        levels), meta)
 
 
 def _space_of(f: Union[VertexFunction, RadialFunction]) -> tuple:

@@ -45,7 +45,7 @@ from .checkers import (
 from .errors import ConfigError, finite_number
 from .fitting import fit_linear, fit_log_slope
 from .geometry import DEFAULT_SPACE, AnnularGrid, SpaceParams, valid_upper
-from .radialops import RadialFunction, maximal_dis
+from .radialops import RadialFunction, _indicator_maxima, _maximal_block, maximal_dis
 from .treelab import (
     TreeSpace,
     VertexFunction,
@@ -228,30 +228,38 @@ def _pipe_apnot(seed: int) -> List[CheckReport]:
 def _divergence_sequence(
     report_id: str,
     quotients: Callable,
+    n_max: int,
     witness: dict,
     meta: dict,
     relative: bool,
 ) -> CheckReport:
     """Constants c_j of the indicators 1_(Omega_j), j = 10..40, and their growth.
 
-    w is exp_radial(-1) on a j_max 120 grid.  quotients(w, F) returns the
-    level-set quotients of every column of the block F over the lambda grid,
-    through checkers._level_set_quotients; the 31 indicators go through it
-    as one block, the columns of an identity matrix, and c_j is the sup of
-    its row.  The linear rate is fitted to c_j / c_10 when relative, else to
-    c_j; reevaluate() recomputes c_(j_hi) as a one-column block, the path of
-    the single-function checker.
+    w is exp_radial(-1) on a j_max 120 grid.  quotients(w, F, mf, n_max)
+    returns the level-set quotients of every column of the block F, given
+    the block mf of their maximal functions at truncation n_max, over the
+    lambda grid, through checkers._level_set_quotients; c_j is the sup of
+    its row.  The 31 indicators go through it as one block, the columns of
+    an identity matrix, with their maximal functions read from the
+    geometry's table (radialops._indicator_maxima).  The linear rate is
+    fitted to c_j / c_10 when relative, else to c_j; reevaluate() recomputes
+    c_(j_hi) as a one-column block whose maximal function comes from
+    _maximal_block, the path of the single-function checker.
     """
     grid = _canonical_grid(120)
     w = materialize(WeightSpec.exp_radial(-1.0), grid)
-
-    def constants(js) -> np.ndarray:
-        return quotients(w, np.eye(grid.j_max)[:, np.asarray(js) - 1]).max(axis=1)
-
+    eye = np.eye(grid.j_max)
     js = np.arange(10, 41)
-    consts = constants(js)
+    cols = js - 1
+    mf = _indicator_maxima(grid, n_max)[:, cols]
+    consts = quotients(w, eye[:, cols], mf, n_max).max(axis=1)
     growth = float(consts[-1] / consts[0])
     fit = fit_linear(js.astype(float), consts / consts[0] if relative else consts)
+
+    def reeval(wit: dict) -> float:
+        f = eye[:, [int(wit["j_hi"]) - 1]]
+        return float(quotients(w, f, _maximal_block(grid, f, n_max), n_max).max())
+
     return CheckReport(
         id=report_id,
         constant=float(consts[-1]),
@@ -260,7 +268,7 @@ def _divergence_sequence(
         slope=fit.slope,
         r2=fit.r2,
         meta={**meta, "growth_ratio": growth, "constants": [float(c) for c in consts]},
-        _reeval=lambda wit: float(constants([int(wit["j_hi"])])[0]),
+        _reeval=reeval,
     )
 
 
@@ -271,8 +279,8 @@ def _pipe_growthnec(seed: int) -> List[CheckReport]:
     )
     growth = _divergence_sequence(
         "weak-type-growth",
-        lambda w, F: _level_set_quotients(w, F, 2.0, 42, _weak_type_dens(w, 2.0, F)),
-        {"n_max": 42}, {"p": 2.0}, relative=True,
+        lambda w, F, mf, n: _level_set_quotients(w, mf, 2.0, n, _weak_type_dens(w, 2.0, F)),
+        42, {"n_max": 42}, {"p": 2.0}, relative=True,
     )
     return [nec, growth]
 
@@ -281,9 +289,8 @@ def _pipe_fs_failure(seed: int) -> List[CheckReport]:
     """s = 1 two-weight constants c_j grow linearly: no uniform bound."""
     rep = _divergence_sequence(
         "fs-divergence",
-        lambda w, F: _level_set_quotients(
-            w, F, 1.0, CANONICAL_N_MAX, _fs_dens(w, 1.0, F, 1, CANONICAL_N_MAX)),
-        {"s": 1.0, "k": 1}, {}, relative=False,
+        lambda w, F, mf, n: _level_set_quotients(w, mf, 1.0, n, _fs_dens(w, 1.0, F, 1, n)),
+        CANONICAL_N_MAX, {"s": 1.0, "k": 1}, {}, relative=False,
     )
     return [rep]
 

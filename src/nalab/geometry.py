@@ -41,7 +41,9 @@ Conventions fixed here and relied on everywhere else:
   costs 2 J - 1 exponentials instead of J^2.  A grid of j_max j reads the
   view [:n, :j, :j].  The normalization scales belong to the grid's j_max
   and the stack: one vector per j_max, computed from the row sums of that
-  view on its first normalized request after a build.  A request beyond s
+  view on its first normalized request after a build; the tables of
+  indicator maxima (radialops._indicator_maxima) are kept the same way, one
+  per (j_max, n_max).  A request beyond s
   rebuilds the stack at max(n, 2 s) scales, capped at the largest scale
   the request's normalization allows, so ascending requests rebuild it
   O(log n) times; a grid wider than the stack rebuilds it at s scales.
@@ -247,7 +249,10 @@ class _Geometry:
     j reads their first j entries.  stack is the raw kernel stack that
     _kernel_stack grows, (s x J' x J') with J' <= J, built from this
     record's tables alone; scales maps a j_max to the normalization scales
-    of the grids of it, over the current stack.
+    of the grids of it, over the current stack, and maxima maps a (j_max,
+    n_max) to the read-only table of the maximal functions of the annulus
+    indicators (radialops._indicator_maxima).  A rebuild of the stack
+    empties both.
     """
 
     params: SpaceParams
@@ -256,6 +261,7 @@ class _Geometry:
     midpoints: np.ndarray = field(default_factory=lambda: np.empty(0))
     stack: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 0)))
     scales: dict = field(default_factory=dict)
+    maxima: dict = field(default_factory=dict)
 
 
 @functools.lru_cache(maxsize=1)
@@ -480,7 +486,7 @@ def _kernel_stack(grid: AnnularGrid, n: int, normalize: bool = True) -> tuple:
     s = len(geo.stack)
     if s < n or geo.stack.shape[1] < j:
         geo.stack = _build_kernel_stack(geo, max(n, min(2 * s, top)) if s < n else s)
-        geo.scales = {}
+        geo.scales, geo.maxima = {}, {}
     stack = geo.stack[:, :j, :j]
     if not normalize:
         return stack[:n], None

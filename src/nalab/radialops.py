@@ -26,9 +26,14 @@ function on first read and takes the smallest scale that attains the
 value.  maximal_dis is the core's m = 1 case, bit-identical to a
 matrix-vector product, applied once per iteration for the iterated maximal
 function; the other columns of a larger block agree with it to rounding.
-Superlevel masses have one core too: _superlevel_mass weighs the masks of
-many functions at many levels in one masked sum, and distribution_mass is
-its one-function, one-level case.
+The maximal functions of the annulus indicators depend on the geometry
+alone: _indicator_maxima keeps them as one read-only table per (j_max,
+n_max) on the record of the space (geometry._Geometry), each column bit for
+bit what _maximal_block gives on its one-hot column, so the divergence
+sequences read them there instead of multiplying the kernel by an identity
+block.  Superlevel masses have one core too: _superlevel_mass weighs the
+masks of many functions at many levels in one masked sum, and
+distribution_mass is its one-function, one-level case.
 
 Every operator reads its data as f.grid and f.values of a RadialFunction;
 weights.Weight is the subclass holding positive data, so a weight enters
@@ -193,6 +198,37 @@ def _maximal_block(grid: AnnularGrid, block: np.ndarray, n_max: int) -> np.ndarr
     return _require_finite_averages(grid, block, _scale_averages(grid, block, n_max).max(axis=0))
 
 
+def _indicator_maxima(grid: AnnularGrid, n_max: int) -> np.ndarray:
+    """The read-only (j_max x j_max) table whose column j - 1 is M 1_(Omega_j).
+
+    M is the maximal function at truncation n_max, and each column is bit
+    for bit _maximal_block of its one-hot column: a product with a one-hot
+    column reads each kernel entry exactly, so the table is a running max
+    over scales of raw kernel / (V(n) |Omega_i|) / scale, taken in one
+    (j_max x j_max) buffer per scale.  The table depends on the geometry
+    alone: it is kept on the record of the grid's space per (j_max, n_max)
+    until the kernel stack is rebuilt.  n_max and the kernels are refused
+    as _maximal_block refuses them.
+    """
+    n_max = require_index(n_max, 1, (grid.j_max - 3) // 2, "n_max")
+    stack, scales = _kernel_stack(grid, n_max)  # a rebuild empties the tables
+    maxima = grid._geometry.maxima
+    key = (grid.j_max, n_max)
+    if key not in maxima:
+        table, avgs = np.zeros(stack.shape[1:]), np.empty(stack.shape[1:])
+        # V(n) |Omega_i| may overflow to inf; the kernel entries, finite
+        # once the scales are (_kernel_stack), then average to 0
+        with np.errstate(over="ignore"):
+            dens = _scale_denominators(grid, n_max)
+            for kernel, den, scale in zip(stack, dens, scales):
+                np.divide(kernel, den[:, None], out=avgs)
+                avgs /= scale
+                np.maximum(table, avgs, out=table)
+        table.setflags(write=False)
+        maxima[key] = table.view()  # a view cannot be made writable again
+    return maxima[key]
+
+
 def maximal_dis(f: RadialFunction, n_max: int, iterations: int = 1) -> MaximalResult:
     """Discrete maximal function: sup of ball averages over scales 1..n_max.
 
@@ -251,9 +287,12 @@ def _superlevel_mass(
     lo, hi = window
     sl = slice(lo - 1, max(lo - 1, hi))  # a window with hi < lo is empty
     wmu = w.values[sl] * w.grid.measures[sl]
+    # the sum's rounding follows the block's memory layout: every block, a
+    # table's columns too, enters in C order
+    block = np.ascontiguousarray(block[sl])
     # a masked sum, not a product with the 0/1 masks: w |Omega| may overflow
     # to inf, and a masked-out inf must add 0, not nan
-    masks = block[sl].T[:, None, :] > levels[:, None]
+    masks = block.T[:, None, :] > levels[:, None]
     return np.where(masks, wmu, 0.0).sum(axis=-1)
 
 

@@ -8,6 +8,7 @@ import math
 import warnings
 
 import nalab.checkers
+import nalab.experiments
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from nalab.checkers import (
     weak_type_ratio,
 )
 from nalab.errors import DomainError, GridRangeError, UnsupportedError
+from nalab.experiments import _PIPELINES, CANONICAL_SEED
 from nalab.geometry import (
     DEFAULT_SPACE,
     AnnularGrid,
@@ -151,6 +153,32 @@ def test_witness_is_the_first_near_maximum():
     assert first(np.array([0.5, 1.0 - 1e-11, 1.0 - 1e-13, 1.0, 1.0 + 2e-16])) == 2
     assert first(np.array([0.0, 2.0, np.inf, np.inf])) == 2
     assert first(np.zeros(3)) == 0
+
+
+def test_level_set_witness_is_the_first_near_maximal_level():
+    # hand-built quotients over the 51 levels 2^-40..2^10: a last-bit
+    # smaller value at 2^-20 ties with the sup at 2^-10 and names the witness
+    ratios = np.linspace(0.1, 0.5, 51)
+    ratios[20], ratios[30] = 1.0 - 1e-14, 1.0
+    rep = nalab.checkers._level_set_ratio("weak-type", ratios, None, {})
+    assert rep.witness == {"lambda": 2.0**-20}
+    assert rep.constant == 1.0 and rep.verdict == "pass"
+    ratios[[25, 27]] = math.inf
+    rep = nalab.checkers._level_set_ratio("fs-ratio", ratios, None, {})
+    assert rep.witness == {"lambda": 2.0**-15}
+    assert rep.constant == math.inf and rep.verdict == "fail"
+
+
+def test_classical_ap_witness_is_the_first_near_maximal_ball():
+    # e^(-0.52 t) at p = 2: the products climb to their sup at the last
+    # ball, j = 30, and the one before it lies within 1e-12 of it
+    w = Weight(GRID80, np.exp(-0.52 * GRID80.midpoints))
+    rep = check_classical_ap(w, 2.0)
+    prods = np.array(rep.meta["products"])
+    assert rep.constant == prods.max() == prods[-1]
+    assert prods[-2] >= (1 - 1e-12) * prods[-1] > prods[-3]
+    assert rep.witness == {"j": 29}
+    assert abs(rep.reevaluate() - prods[-2]) <= 1e-12 * prods[-2]
 
 
 # each gate with a value it once let through: nan and inf compare like
@@ -1252,14 +1280,24 @@ def test_witness_reproduction(notstrong_reports, fs_s1_reports):
         assert abs(again - rep.constant) / abs(rep.constant) <= 1e-10, rep.id
 
 
-# the maximal functions each reevaluator must recompute, by checkers name:
-# weak-type recomputes M f, fs-ratio M f and G = M w, the vector checks their blocks
+# the maximal functions each reevaluator must recompute, by name in the
+# module that calls them: weak-type recomputes M f, fs-ratio M f and G = M w,
+# the vector checks their blocks; the divergence sequences of ex-growthnec
+# and thm-fs-failure read M of their indicators from the geometry's table,
+# so only their audit may call _maximal_block
 RECOMPUTED = {
     "strong-type": ("maximal_dis",),
     "weak-type": ("_maximal_block",),
     "fs-ratio": ("_maximal_block", "maximal_dis"),
     "vector-radial": ("_maximal_block",),
     "vector-tree": ("_tree_maximal_block",),
+    "weak-type-growth": ("_maximal_block",),
+    "fs-divergence": ("_maximal_block",),
+}
+# (pipeline, index of the report in it)
+DIVERGENCE_REPORTS = {
+    "weak-type-growth": ("ex-growthnec", 1),
+    "fs-divergence": ("thm-fs-failure", 0),
 }
 
 
@@ -1275,20 +1313,25 @@ def test_reevaluate_recomputes_maximal_functions(monkeypatch, notstrong_reports,
     elif case == "vector-radial":
         fs = [RadialFunction.indicator(GRID80, [j]) for j in (3, 5)]
         rep = vector_valued_ratio(2.0, 2.0, fs, backend="radial")
-    else:
+    elif case == "vector-tree":
         tree = TreeSpace(2, 5)
         rng = np.random.default_rng(5)
         fs = [VertexFunction.dirac(tree, rng.integers(0, tree.size, 4)) for _ in range(3)]
         rep = vector_valued_ratio(3.0, 2.0, fs, backend="tree")
+    module = nalab.experiments if case in DIVERGENCE_REPORTS else nalab.checkers
     calls = {}
     for maximal in RECOMPUTED[case]:
-        real = getattr(nalab.checkers, maximal)
+        real = getattr(module, maximal)
 
         def counting(*args, _real=real, _name=maximal, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(nalab.checkers, maximal, counting)
+        monkeypatch.setattr(module, maximal, counting)
+    if case in DIVERGENCE_REPORTS:
+        exp_id, index = DIVERGENCE_REPORTS[case]
+        rep = _PIPELINES[exp_id](CANONICAL_SEED)[index]
+        assert rep.id == case and not calls, f"{case} replayed its audit's arithmetic"
     assert abs(rep.reevaluate() - rep.constant) <= 1e-10 * abs(rep.constant)
     for maximal in RECOMPUTED[case]:
         assert calls.get(maximal), f"{rep.id} replayed a stored {maximal} result"

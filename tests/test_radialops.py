@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nalab.geometry
 from nalab.errors import DomainError, GridRangeError
 from nalab.fitting import fit_log_slope
 from nalab.geometry import (
@@ -21,6 +22,7 @@ from nalab.geometry import (
 )
 from nalab.radialops import (
     RadialFunction,
+    _indicator_maxima,
     _maximal_block,
     _scale_averages,
     avg,
@@ -468,3 +470,75 @@ def test_numpy_integer_scales_are_accepted():
     assert np.array_equal(res.values, maximal_dis(_F, 7).values) and res.n_max == 7
     it = maximal_dis(_F, np.int16(5), iterations=np.int64(2))
     assert np.array_equal(it.values, maximal_dis(_F, 5, iterations=2).values)
+
+
+# SpaceParams(3.5, 1) has no grid at j_max 130: its annulus measures overflow
+TABLE_CASES = [
+    pytest.param(params, j_max, n_max, id=f"{params.sigma}-{params.tau}-{j_max}-{n_max}")
+    for params in (DEFAULT_SPACE, SpaceParams(3.5, 1), SpaceParams.from_mk(4, 2))
+    for j_max, n_max in ((40, 5), (80, 25), (120, 42), (130, 62))
+    if (params, j_max) != (SpaceParams(3.5, 1), 130)
+]
+
+
+def _result_or_refusal(call):
+    try:
+        return call()
+    except (DomainError, GridRangeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_table_is_the_one_hot_block(grid, n_max):
+    table = _result_or_refusal(lambda: _indicator_maxima(grid, n_max))
+    j = grid.j_max
+    for cols in (np.arange(j), np.arange(9, 40), np.array([0, j // 2, j - 1])):
+        block = _result_or_refusal(lambda: _maximal_block(grid, np.eye(j)[:, cols], n_max))
+        if isinstance(block, tuple):
+            assert table == block
+        else:
+            assert np.array_equal(table[:, cols], block)
+    return table
+
+
+@pytest.mark.parametrize("params, j_max, n_max", TABLE_CASES)
+def test_indicator_maxima_are_the_maximal_block_of_one_hot_columns(params, j_max, n_max):
+    # bit for bit, before and after a wider grid rebuilds the space's stack;
+    # a kernel beyond the float range is refused by both alike
+    nalab.geometry._geometry.cache_clear()
+    grid = AnnularGrid(params, j_max)
+    before = _assert_table_is_the_one_hot_block(grid, n_max)
+    product_kernel(AnnularGrid(params, j_max + 8), 1, normalize=False)
+    assert grid._geometry.maxima == {}
+    after = _assert_table_is_the_one_hot_block(grid, n_max)
+    if isinstance(before, tuple):
+        assert after == before
+    else:
+        assert np.array_equal(after, before)
+
+
+def test_indicator_maxima_are_one_read_only_table_per_key():
+    nalab.geometry._geometry.cache_clear()
+    grid = AnnularGrid(DEFAULT_SPACE, 80)
+    table = _indicator_maxima(grid, 25)
+    assert _indicator_maxima(AnnularGrid(DEFAULT_SPACE, 80), 25) is table
+    assert set(grid._geometry.maxima) == {(80, 25)}
+    other = _indicator_maxima(AnnularGrid(DEFAULT_SPACE, 60), 25)
+    assert other is not table
+    assert set(grid._geometry.maxima) == {(80, 25), (60, 25)}
+    with pytest.raises(ValueError):
+        table[...] = 0.0
+    with pytest.raises(ValueError):
+        table.setflags(write=True)
+    # a rebuild of the stack empties the tables; the next request builds anew
+    product_kernel(grid, 30)
+    rebuilt = _indicator_maxima(grid, 25)
+    assert rebuilt is not table and np.array_equal(rebuilt, table)
+    assert set(grid._geometry.maxima) == {(80, 25)}
+
+
+@pytest.mark.parametrize("n_max", [0, 39, 2.0, True, math.nan])
+def test_indicator_maxima_refuse_n_max_as_the_maximal_block_does(n_max):
+    # n_max must be an integer in 1..(j_max - 3) // 2 = 1..38
+    tables = _result_or_refusal(lambda: _indicator_maxima(GRID, n_max))
+    block = _result_or_refusal(lambda: _maximal_block(GRID, np.eye(80), n_max))
+    assert isinstance(tables, tuple) and tables == block

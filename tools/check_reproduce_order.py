@@ -11,8 +11,11 @@ has grown the space's shared tables to 200 annuli and its kernel stack to
 every raw scale of that grid, so that every grid of the space reads slices
 of tables and kernels built for a larger one.  It compares each envelope
 with the one in CLI_DIR apart from its `created` stamp, prints one line per
-pass and exits 1 when an envelope differs, or when the third pass rebuilt
-the grown stack.  Run it with src on PYTHONPATH; with
+pass and exits 1 when an envelope differs, when the third pass rebuilt
+the grown stack, or unless that pass built the tables of indicator maxima
+of the divergence sequences, (j_max, n_max) = (120, 42) and (120, 25), from
+slices of it: growing the stack empties the space's tables, and the pass
+must leave both.  Run it with src on PYTHONPATH; with
 PYTHONWARNINGS=error::RuntimeWarning a numpy warning raises.
 """
 
@@ -25,6 +28,8 @@ from nalab.experiments import REPRODUCE_IDS, run_reproduce
 from nalab.geometry import DEFAULT_SPACE, AnnularGrid, _geometry, product_kernel
 
 GROWN_J_MAX = 200
+# the (j_max, n_max) of the indicator maxima of ex-growthnec and thm-fs-failure
+DIVERGENCE_TABLES = {(120, 42), (120, 25)}
 
 
 def stable_text(path: str) -> str:
@@ -48,6 +53,9 @@ def main(cli_dir: str) -> int:
     )
     for name, order, prepare in passes:
         grown = prepare() if prepare else None
+        if grown is not None and _geometry(DEFAULT_SPACE).maxima:
+            print(f"growing the stack to j_max {GROWN_J_MAX} kept older indicator tables")
+            bad = 1
         with tempfile.TemporaryDirectory() as outdir:
             differ = [
                 exp_id
@@ -57,8 +65,15 @@ def main(cli_dir: str) -> int:
             ]
         print(f"{name}: {len(order) - len(differ)} of {len(order)} envelopes equal", *differ)
         bad |= bool(differ)
-        if grown is not None and _geometry(DEFAULT_SPACE).stack is not grown:
+        if grown is None:
+            continue
+        geo = _geometry(DEFAULT_SPACE)
+        if geo.stack is not grown:
             print(f"the j_max {GROWN_J_MAX} stack was rebuilt during the pass")
+            bad = 1
+        missing = sorted(DIVERGENCE_TABLES - set(geo.maxima))
+        if missing:
+            print(f"the pass built no indicator table for (j_max, n_max) in {missing}")
             bad = 1
     return bad
 
