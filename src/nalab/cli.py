@@ -30,14 +30,14 @@ from .experiments import (
     REPRODUCE_IDS,
     make_envelope,
     report_dir,
-    run_checker,
+    run_recipe,
     run_reproduce,
     run_sweep,
     write_json_report,
 )
-from .geometry import DEFAULT_SPACE, AnnularGrid, SpaceParams, ball_volume
+from .geometry import SpaceParams, ball_volume
 from .specfun import JacobiParams, jacobi_phi_trace
-from .weights import WeightSpec, materialize
+from .weights import WeightSpec
 
 # sysexits.h EX_SOFTWARE: an internal error, never a verdict or a usage code
 EXIT_CRASH = 70
@@ -100,14 +100,18 @@ def _cmd_weight_check(args) -> int:
         with open(text) as fh:
             text = fh.read()
     spec = WeightSpec.from_json(text)
-    grid = AnnularGrid(DEFAULT_SPACE, args.j_max)
-    w = materialize(spec, grid)
 
     cond = args.condition
+    takes = CHECKERS[cond].params
     # options left out fall back to the checker table's defaults
     given = {k: getattr(args, k) for k in ("p", "s", "eta", "alpha", "beta", "n_max")}
     params = {k: v for k, v in given.items() if v is not None}
-    rep = run_checker(cond, w, params, _seed(args))
+    refused = [f"--{k.replace('_', '-')}" for k in params if k not in takes]
+    if refused:
+        raise ConfigError(f"{cond} takes no option {', '.join(refused)}")
+    if "n_max" in takes:
+        params.setdefault("n_max", CANONICAL_N_MAX)
+    rep = run_recipe((spec, args.j_max, cond, params, {}), _seed(args))
     env = make_envelope(f"weight-{cond}", _seed(args), [rep], weight=spec.to_json())
     path = os.path.join(report_dir(), f"weight-{cond}.json")
     write_json_report(env, path)
@@ -192,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
             f"--{name}", type=finite, help="default: the checker's sweep default"
         )
     p_check.add_argument("--j-max", type=int, default=CANONICAL_J_MAX)
-    p_check.add_argument("--n-max", type=int, default=CANONICAL_N_MAX)
+    p_check.add_argument("--n-max", type=int, help="default: 25 if the checker takes it")
     p_check.set_defaults(func=_cmd_weight_check)
 
     p_rep = sub.add_parser(

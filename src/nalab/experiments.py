@@ -9,6 +9,14 @@ sweeps a flat CSV with one row per parameter cell.  Exit codes follow
 Several canonical runs end in verdict "fail" by design: they reproduce
 negative results (a weight failing a condition, a divergent constant
 sequence), and the failing report is the expected outcome.
+
+The reproduce ids that are checker calls and nothing more (ex-trivial,
+ex-blesa, ex-beta-eq-alpha, ex-spherical, ex-notstrong, ex-apnot) are rows
+of one recipe table, _RECIPES: a weight spec, j_max, a CHECKERS id, the
+params that differ from its defaults and meta for the report, each run by
+run_recipe through run_checker, as sweeps and `weight check` are.
+ex-growthnec takes its necessary report from one such row; its divergence
+sequence, thm-fs-failure, mf-lower and the three tree ids keep their code.
 """
 
 from __future__ import annotations
@@ -66,6 +74,7 @@ __all__ = [
     "make_envelope",
     "report_dir",
     "run_checker",
+    "run_recipe",
     "run_reproduce",
     "run_sweep",
     "write_json_report",
@@ -162,67 +171,64 @@ def write_json_report(env: dict, path: str):
         fh.write(text)
 
 
-def _canonical_grid(j_max: int = CANONICAL_J_MAX) -> AnnularGrid:
-    return AnnularGrid(DEFAULT_SPACE, j_max)
-
-
 # ---------------------------------------------------------------------------
 # canonical reproduction pipelines
 # ---------------------------------------------------------------------------
 
 
-def _pipe_trivial(seed: int) -> List[CheckReport]:
+def run_recipe(row: tuple, seed: int) -> CheckReport:
+    """Run one recipe row (weight spec, j_max, checker id, params, meta).
+
+    The spec is materialized on AnnularGrid(DEFAULT_SPACE, j_max) and the
+    checker runs through run_checker, so params need hold only the values
+    that differ from the CHECKERS defaults; meta is added to the report's.
+    """
+    spec, j_max, cid, params, meta = row
+    w = materialize(spec, AnnularGrid(DEFAULT_SPACE, j_max))
+    rep = run_checker(cid, w, params, seed)
+    rep.meta.update(meta)
+    return rep
+
+
+# The reproduce ids that are checker calls and nothing more, as rows of
+# run_recipe; ex-growthnec takes its necessary report from one such row.
+_RECIPES = {
     # constant weight: the maximal function fixes it, both conditions pass
-    w = materialize(WeightSpec.constant(), _canonical_grid())
-    return [check_msw(w, 2.0), check_ap_loc(w, 2.0)]
-
-
-def _pipe_blesa(seed: int) -> List[CheckReport]:
+    "ex-trivial": (
+        (WeightSpec.constant(), CANONICAL_J_MAX, "msw", {}, {}),
+        (WeightSpec.constant(), CANONICAL_J_MAX, "ap-loc", {}, {}),
+    ),
     # decaying exponential family; admissible power s shrinks with the decay
-    grid = _canonical_grid()
-    out = []
-    for gamma, s in ((-0.3, 2.0), (-0.5, 2.0), (-1.0, 1.0)):
-        rep = check_msw(materialize(WeightSpec.exp_radial(gamma), grid), s)
-        rep.meta["gamma"] = gamma
-        out.append(rep)
-    return out
-
-
-def _pipe_beta_eq_alpha(seed: int) -> List[CheckReport]:
-    w = materialize(WeightSpec.exp_strong(2.0), _canonical_grid())
-    return [check_easy_check(w, 2.0, -1.0)]
-
-
-def _pipe_spherical(seed: int) -> List[CheckReport]:
+    "ex-blesa": (
+        (WeightSpec.exp_radial(-0.3), CANONICAL_J_MAX, "msw", {}, {"gamma": -0.3}),
+        (WeightSpec.exp_radial(-0.5), CANONICAL_J_MAX, "msw", {}, {"gamma": -0.5}),
+        (WeightSpec.exp_radial(-1.0), CANONICAL_J_MAX, "msw", {"s": 1.0}, {"gamma": -1.0}),
+    ),
+    "ex-beta-eq-alpha": (
+        (WeightSpec.exp_strong(2.0), CANONICAL_J_MAX, "easy-check", {"eta": -1.0}, {}),
+    ),
     # eigenfunction profiles standing in for their exponential envelopes
-    grid = _canonical_grid()
-    u = materialize(WeightSpec.spherical_u(2.0), grid)
-    v = materialize(WeightSpec.jacobi_v(-0.3), grid)
-    return [check_easy_check(u, 2.0, -1.0), check_msw(v, 2.0)]
+    "ex-spherical": (
+        (WeightSpec.spherical_u(2.0), CANONICAL_J_MAX, "easy-check", {"eta": -1.0}, {}),
+        (WeightSpec.jacobi_v(-0.3), CANONICAL_J_MAX, "msw", {}, {}),
+    ),
+    # weak-(2,2) holds while the strong partial sums grow linearly; the
+    # [20, 60] fit needs Mf alive out to j = 60: scales must reach n >= j - 2
+    # and the valid window must still cover 60
+    "ex-notstrong": (
+        (WeightSpec.eta_product(WeightSpec.exp_strong(2.0)), CANONICAL_J_MAX,
+         "weak-type", {}, {}),
+        (WeightSpec.eta_product(WeightSpec.exp_strong(2.0)), 130,
+         "strong-type", {"n_max": 62}, {}),
+    ),
+    "ex-apnot": (
+        (WeightSpec.exp_radial(-0.75), CANONICAL_J_MAX, "classical-ap", {}, {}),
+    ),
+}
 
 
-def _pipe_notstrong(seed: int) -> List[CheckReport]:
-    """Weak-(2,2) holds while the strong partial sums grow linearly."""
-    spec = WeightSpec.eta_product(WeightSpec.exp_strong(2.0))
-    grid = _canonical_grid()
-    weak = weak_type_ratio(
-        materialize(spec, grid), 2.0, RadialFunction.indicator(grid, [1])
-    )
-    # the [20, 60] fit needs Mf alive out to j = 60: scales must reach
-    # n >= j - 2 and the valid window must still cover 60
-    deep = _canonical_grid(130)
-    strong = strong_type_ratio(
-        materialize(spec, deep),
-        2.0,
-        RadialFunction.indicator(deep, [1]),
-        n_max=62,
-    )
-    return [weak, strong]
-
-
-def _pipe_apnot(seed: int) -> List[CheckReport]:
-    w = materialize(WeightSpec.exp_radial(-0.75), _canonical_grid())
-    return [check_classical_ap(w, 2.0)]
+def _recipe_pipeline(rows: tuple) -> Callable:
+    return lambda seed: [run_recipe(row, seed) for row in rows]
 
 
 def _divergence_sequence(
@@ -246,7 +252,7 @@ def _divergence_sequence(
     c_(j_hi) as a one-column block whose maximal function comes from
     _maximal_block, the path of the single-function checker.
     """
-    grid = _canonical_grid(120)
+    grid = AnnularGrid(DEFAULT_SPACE, 120)
     w = materialize(WeightSpec.exp_radial(-1.0), grid)
     eye = np.eye(grid.j_max)
     js = np.arange(10, 41)
@@ -274,8 +280,8 @@ def _divergence_sequence(
 
 def _pipe_growthnec(seed: int) -> List[CheckReport]:
     """Growth condition passes, yet weak-type constants diverge along j."""
-    nec = check_necessary(
-        materialize(WeightSpec.exp_radial(-1.0), _canonical_grid()), 2.0
+    nec = run_recipe(
+        (WeightSpec.exp_radial(-1.0), CANONICAL_J_MAX, "necessary", {}, {}), seed
     )
     growth = _divergence_sequence(
         "weak-type-growth",
@@ -297,7 +303,7 @@ def _pipe_fs_failure(seed: int) -> List[CheckReport]:
 
 def _pipe_mf_lower(seed: int) -> List[CheckReport]:
     """Decay rate of M applied to the innermost-annulus indicator."""
-    grid = _canonical_grid()
+    grid = AnnularGrid(DEFAULT_SPACE, CANONICAL_J_MAX)
     f = RadialFunction.indicator(grid, [1])
     res = maximal_dis(f, 30)
     js = np.arange(5, 31)
@@ -458,12 +464,7 @@ def _pipe_vector_valued(seed: int) -> List[CheckReport]:
 
 
 _PIPELINES = {
-    "ex-trivial": _pipe_trivial,
-    "ex-blesa": _pipe_blesa,
-    "ex-beta-eq-alpha": _pipe_beta_eq_alpha,
-    "ex-spherical": _pipe_spherical,
-    "ex-notstrong": _pipe_notstrong,
-    "ex-apnot": _pipe_apnot,
+    **{exp_id: _recipe_pipeline(rows) for exp_id, rows in _RECIPES.items()},
     "ex-growthnec": _pipe_growthnec,
     "thm-fs-failure": _pipe_fs_failure,
     "mf-lower": _pipe_mf_lower,

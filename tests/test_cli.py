@@ -22,6 +22,7 @@ from nalab.checkers import (
     check_msw,
     check_necessary,
     fs_ratio,
+    strong_type_ratio,
     vector_valued_ratio,
     weak_type_ratio,
 )
@@ -121,6 +122,71 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     code, path, _ = run_reproduce("ex-beta-eq-alpha")
     assert code == 0
     assert (tmp_path / "ex-beta-eq-alpha.json").exists()
+
+
+def _direct_trivial():
+    w = materialize(WeightSpec.constant(), AnnularGrid(DEFAULT_SPACE, 80))
+    return [check_msw(w, 2.0), check_ap_loc(w, 2.0)]
+
+
+def _direct_blesa():
+    grid = AnnularGrid(DEFAULT_SPACE, 80)
+    out = []
+    for gamma, s in ((-0.3, 2.0), (-0.5, 2.0), (-1.0, 1.0)):
+        rep = check_msw(materialize(WeightSpec.exp_radial(gamma), grid), s)
+        rep.meta["gamma"] = gamma
+        out.append(rep)
+    return out
+
+
+def _direct_spherical():
+    grid = AnnularGrid(DEFAULT_SPACE, 80)
+    u = materialize(WeightSpec.spherical_u(2.0), grid)
+    v = materialize(WeightSpec.jacobi_v(-0.3), grid)
+    return [check_easy_check(u, 2.0, -1.0), check_msw(v, 2.0)]
+
+
+def _direct_notstrong():
+    spec = WeightSpec.eta_product(WeightSpec.exp_strong(2.0))
+    grid, deep = AnnularGrid(DEFAULT_SPACE, 80), AnnularGrid(DEFAULT_SPACE, 130)
+    weak = weak_type_ratio(materialize(spec, grid), 2.0, RadialFunction.indicator(grid, [1]))
+    strong = strong_type_ratio(
+        materialize(spec, deep), 2.0, RadialFunction.indicator(deep, [1]), n_max=62
+    )
+    return [weak, strong]
+
+
+def _direct_on_80(spec, check):
+    return lambda: [check(materialize(spec, AnnularGrid(DEFAULT_SPACE, 80)))]
+
+
+# the reports of the recipe ids by direct checker calls, written out as the
+# hand-made pipelines the recipe table replaced; of ex-growthnec, the
+# necessary report
+DIRECT_RECIPES = {
+    "ex-trivial": _direct_trivial,
+    "ex-blesa": _direct_blesa,
+    "ex-beta-eq-alpha": _direct_on_80(
+        WeightSpec.exp_strong(2.0), lambda w: check_easy_check(w, 2.0, -1.0)
+    ),
+    "ex-spherical": _direct_spherical,
+    "ex-notstrong": _direct_notstrong,
+    "ex-apnot": _direct_on_80(
+        WeightSpec.exp_radial(-0.75), lambda w: check_classical_ap(w, 2.0)
+    ),
+    "ex-growthnec": _direct_on_80(
+        WeightSpec.exp_radial(-1.0), lambda w: check_necessary(w, 2.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("exp_id", list(DIRECT_RECIPES))
+def test_recipe_reports_equal_direct_checker_calls(exp_id):
+    want = DIRECT_RECIPES[exp_id]()
+    got = _PIPELINES[exp_id](CANONICAL_SEED)[: len(want)]
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    for rep in got:
+        assert abs(rep.reevaluate() - rep.constant) <= 1e-10 * abs(rep.constant)
 
 
 @pytest.fixture(scope="module")
@@ -371,11 +437,9 @@ def test_cli_weight_check_matches_direct_call(tmp_path, monkeypatch, capsys, con
     payload = json.loads((tmp_path / f"weight-{cond}.json").read_text())
     grid = AnnularGrid(SpaceParams.from_mk(2, 1), 80)
     rep = CLI_CONDITIONS[cond](materialize(WeightSpec.from_json(spec), grid)).to_json()
-    (got,) = payload["reports"]
     assert payload["id"] == f"weight-{cond}"
-    assert (got["id"], got["constant"], got["witness"], got["verdict"]) == (
-        rep["id"], rep["constant"], rep["witness"], rep["verdict"]
-    )
+    # the whole report, meta, slope and r2 included, as it reads from disk
+    assert payload["reports"] == [json.loads(json.dumps(rep))]
     assert code == (1 if rep["verdict"] == "fail" else 0)
 
 
@@ -439,6 +503,18 @@ REFUSED_INPUTS = {
     "config seed negative": ({"seed": -1}, "seed"),
     "config seed not integral": ({"seed": 1.5}, "seed"),
     "option seed negative": (["--seed", "-1", "reproduce", "kolmogorov"], "--seed"),
+    # an option the condition does not take is refused, never dropped from a
+    # run that reads as if it had not been given
+    "msw given p and eta": (
+        check_msw_spec('{"variant": "constant"}', "--p", "7", "--eta", "0.5"),
+        "msw takes no option --p, --eta"),
+    "classical-ap given n_max and s": (
+        ["weight", "check", "--spec", '{"variant": "constant"}',
+         "--condition", "classical-ap", "--n-max", "3", "--s", "9"],
+        "classical-ap takes no option --s, --n-max"),
+    "ap-loc given n_max": (
+        ["weight", "check", "--spec", '{"variant": "constant"}',
+         "--condition", "ap-loc", "--n-max", "5"], "ap-loc takes no option --n-max"),
     # the trusted window (1, j_max - n_max - 1) holds no annulus
     "weight check grid too small": (
         ["weight", "check", "--spec", '{"variant": "constant"}',
