@@ -69,13 +69,14 @@ def _space_from_args(args) -> SpaceParams:
 
 def _cmd_space_info(args) -> int:
     sp = _space_from_args(args)
+    volumes = [(r, ball_volume(sp, r)) for r in (1, 5, 10)]  # refused before any output
     print(f"sigma        {sp.sigma:g}")
     print(f"tau          {sp.tau:g}")
     print(f"rho          {sp.rho:g}")
     print(f"growth rate  {sp.homogeneous_dim:g}  (large balls ~ exp(rate * r))")
     print(f"dimension    {sp.ell:g}  (small balls ~ r^dimension)")
-    for r in (1, 5, 10):
-        print(f"{f'V({r})':<13}{ball_volume(sp, r):.6e}")
+    for r, vol in volumes:
+        print(f"{f'V({r})':<13}{vol:.6e}")
     return 0
 
 
@@ -85,7 +86,15 @@ def _cmd_jacobi_eval(args) -> int:
     if args.tmax < args.step:
         raise ConfigError(f"--tmax must be at least one step, got {args.tmax}")
     jp = JacobiParams(args.sigma, args.tau, complex(args.lambda_re, args.lambda_im))
-    ts = np.arange(0.0, args.tmax + 0.5 * args.step, args.step)
+    try:
+        ts = np.arange(0.0, args.tmax + 0.5 * args.step, args.step)
+    except (ValueError, MemoryError):
+        # numpy refuses a length past its size limit, and malloc one past memory
+        points = (args.tmax + 0.5 * args.step) / args.step
+        raise ConfigError(
+            f"--tmax {args.tmax:g} at --step {args.step:g} is a grid of "
+            f"{points:.3g} points, too many to build"
+        ) from None
     trace = jacobi_phi_trace(jp, ts)
     writer = csv.writer(sys.stdout)
     writer.writerow(["t", "phi_re", "phi_im", "abs_err"])

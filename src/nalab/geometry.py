@@ -200,10 +200,19 @@ def _panel_integrals(params: SpaceParams, widths: np.ndarray) -> np.ndarray:
 
     One density call for all panels.  Panel 0 starts at the origin and takes
     the Gauss-Jacobi rule; entries overflow to inf for fast-growing spaces,
-    without a floating-point warning, and callers gate on finiteness.
+    without a floating-point warning, and callers gate on finiteness.  The
+    rule itself needs the mass 2^(2 sigma + 2) of its weight as a float, so
+    a space with 2 sigma + 2 >= 1024 (m + k >= 1023) raises DomainError.
     """
+    beta = 2.0 * params.sigma + 1.0
+    if beta + 1.0 >= 1024.0:  # 2.0 ** 1024 is past the largest float
+        raise DomainError(
+            f"space sigma={params.sigma:g}, tau={params.tau:g} leaves the float "
+            f"range: the origin panel's Gauss-Jacobi weight t^{beta:g} has mass "
+            f"2^{beta + 1.0:g}, and 2 sigma + 2 must stay below 1024"
+        )
     splits = max(1, math.ceil(2.0 * params.rho / _PANEL_MAX_EFOLDS))
-    x, w, x_first, w_first = _unit_rules(2.0 * params.sigma + 1.0, splits)
+    x, w, x_first, w_first = _unit_rules(beta, splits)
     nodes = np.arange(len(widths), dtype=float)[:, None] + widths[:, None] * x
     weights = widths[:, None] * w
     nodes[0] = widths[0] * x_first

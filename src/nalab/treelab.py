@@ -38,6 +38,16 @@ path as the tail is carried.  The pair measure needs every radius up to
 row by the same identity.  Because the children of consecutive parents are
 consecutive, every step is a vector operation on contiguous rows.
 
+Data enter as a C-contiguous block whose first axis runs over the
+vertices: the values of one function, shape (V,), or m functions side by
+side, shape (V, m), as vector_valued_ratio passes them.  Every row of
+_ball_sums has the block's trailing shape, a level of k children per
+parent is reshape(-1, k, *trailing), and a parent's row broadcasts over
+its children through a new axis after the first; the ball-size table is
+1-D and takes the block's rank by a reshape.  So one function and m
+functions run the same code, elementwise in the same order, and column c
+of the (V, m) result is bit for bit the result of column c alone.
+
 Ball sizes are _ball_sums of the constant 1, taken once per (k, depth)
 by _local_counts, for exact division; it is the one ball-size table, read
 by the maximal function and its argmax alike.  No TreeSpace carries state
@@ -239,7 +249,7 @@ class TreeMaximal:
     def argmax_radius(self) -> np.ndarray:
         tree = self.tree
         D, k, s = tree.depth, tree.k, tree._level_starts.tolist()
-        avgs = [a[:, 0] for a in _local_averages(tree, self.data[:, None])]
+        avgs = _local_averages(tree, self.data)
         arg = np.full(tree.size, -1)
         for r in range(D):  # interior: row r's vertices at depth < depth - r
             n = s[D - r]
@@ -268,7 +278,7 @@ class TreeMaximal:
         # |{Mf >= v}| is i + 1 at the last occurrence i of v in descending order;
         # an earlier occurrence of v gives a smaller product, so it never wins,
         # and zeros sort last with products 0: an all-zero Mf gives 0.0
-        return float(np.max(vals * np.arange(1, vals.size + 1)))
+        return float((vals * np.arange(1, vals.size + 1)).max())
 
 
 def tree_ball(tree: TreeSpace, x: int, r: int) -> TreeBall:
@@ -285,12 +295,13 @@ def tree_ball(tree: TreeSpace, x: int, r: int) -> TreeBall:
 
 
 def _ball_sums(tree: TreeSpace, block: np.ndarray) -> list:
-    """Local ball sums of the columns of a C-contiguous (V x m) block.
+    """Local ball sums of a C-contiguous block of vertex data, (V,) or (V, m).
 
-    Row r, for r = 0 .. depth + 1, holds the sums over B(v, r) of the
-    vertices at depth <= depth - r + 1, the prefix of the breadth-first
-    numbering up to the start of level depth - r + 2; deeper vertices
-    inherit their ball of radius r from the parent (module docstring).
+    Row r, for r = 0 .. depth + 1, has the block's trailing shape and holds
+    the sums over B(v, r) of the vertices at depth <= depth - r + 1, the
+    prefix of the breadth-first numbering up to the start of level
+    depth - r + 2; deeper vertices inherit their ball of radius r from the
+    parent (module docstring).
     With sub(v, j) the sum over the vertices j levels below v, one
     top-down step per radius gives
 
@@ -306,7 +317,7 @@ def _ball_sums(tree: TreeSpace, block: np.ndarray) -> list:
     all rows together are O(V) work.
     """
     D, k, s = tree.depth, tree.k, tree._level_starts.tolist()
-    m = block.shape[1]
+    trail = block.shape[1:]
     sub, rows = block, [block]
     for r in range(1, D + 1):
         n = s[D - r + 1]  # the vertices with descendants r levels down
@@ -316,7 +327,7 @@ def _ball_sums(tree: TreeSpace, block: np.ndarray) -> list:
         ball = sub.copy()
         ball[:n] += nxt
         # the k consecutive children of parent p each get B(p, r - 1)
-        ball[1:].reshape(-1, k, m)[...] += rows[-1][: (len(ball) - 1) // k, None]
+        ball[1:].reshape(-1, k, *trail)[...] += rows[-1][: (len(ball) - 1) // k, None]
         ball[0] = rows[-1][0] + nxt[0]
         rows.append(ball)
         sub = nxt
@@ -325,54 +336,62 @@ def _ball_sums(tree: TreeSpace, block: np.ndarray) -> list:
 
 
 def _all_ball_sums(tree: TreeSpace, block: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield B(v, r) for every vertex, for r = 0 .. 2*depth, as V x m rows.
+    """Yield B(v, r) for every vertex, for r = 0 .. 2*depth, in the block's shape.
 
     The local row r of _ball_sums, and below it B(v, r) = B(parent, r - 1)
     read from the row before.
     """
-    (V, m), k = block.shape, tree.k
+    V, trail, k = len(block), block.shape[1:], tree.k
     rows = _ball_sums(tree, block)
     prev = None
     for r in range(2 * tree.depth + 1):
         local = rows[min(r, tree.depth + 1)]
         n = len(local)
-        cur = np.empty((V, m))
+        cur = np.empty(block.shape)
         cur[:n] = local
         if n < V:
-            cur[n:].reshape(-1, k, m)[...] = prev[(n - 1) // k : (V - 1) // k, None]
+            cur[n:].reshape(-1, k, *trail)[...] = prev[(n - 1) // k : (V - 1) // k, None]
         yield cur
         prev = cur
 
 
 @functools.lru_cache(maxsize=16)
 def _local_counts(k: int, depth: int) -> tuple:
-    """The local rows of _ball_sums on the constant 1, the ball sizes; read-only."""
+    """The local rows of _ball_sums on the constant 1, the ball sizes; read-only.
+
+    Each row is 1-D, one size per vertex; _local_averages reshapes it to
+    the rank of the block it divides.
+    """
     tree = TreeSpace(k, depth)
-    rows = _ball_sums(tree, np.ones((tree.size, 1)))
+    rows = _ball_sums(tree, np.ones(tree.size))
     for row in rows:
         row.flags.writeable = False
     return tuple(rows)
 
 
 def _local_averages(tree: TreeSpace, block: np.ndarray) -> list:
-    """The local rows of _ball_sums of a C-contiguous block, divided by the
-    ball sizes: the one expression for the averages that the maximal
-    function and its argmax both read."""
+    """The local rows of _ball_sums of a C-contiguous block, (V,) or (V, m),
+    divided by the ball sizes: the one expression for the averages that the
+    maximal function and its argmax both read.  The 1-D size rows take the
+    block's rank by a reshape, (n,) or (n, 1), and broadcast over its
+    trailing axis."""
     D = tree.depth
     avgs, counts = _ball_sums(tree, block), _local_counts(tree.k, D)
+    shape = (-1,) + (1,) * (block.ndim - 1)  # a size row at the block's rank
     # in place; row 0 is the caller's, row D + 1 views row D's root (same count)
-    avgs[0] = avgs[0] / counts[0]
+    avgs[0] = avgs[0] / counts[0].reshape(shape)
     for a, c in zip(avgs[1 : D + 1], counts[1 : D + 1]):
-        a /= c
+        a /= c.reshape(shape)
     return avgs
 
 
 def _tree_maximal_block(tree: TreeSpace, block: np.ndarray) -> tuple:
-    """Maximal functions of the columns of a (V x m) block of vertex data.
+    """Maximal functions of a block of vertex data: one function, shape (V,),
+    or the m columns of a (V, m) block.
 
-    Returns (values, boundary), each V x m, with the meaning of the
-    TreeMaximal fields.  The averages of the local rows of _ball_sums split
-    three ways for v at depth d.  The interior radii r < depth - d give
+    Returns (values, boundary), each of the block's shape, with the meaning
+    of the TreeMaximal fields.  The averages of the local rows of _ball_sums
+    split three ways for v at depth d.  The interior radii r < depth - d give
     balls clear of the truncation depth.  The pivot radii depth - d and
     depth - d + 1 give P(v), the larger of their two averages.  Every
     larger radius repeats the parent's ball one radius down, so the tail
@@ -381,14 +400,14 @@ def _tree_maximal_block(tree: TreeSpace, block: np.ndarray) -> tuple:
     """
     D, k, s = tree.depth, tree.k, tree._level_starts.tolist()
     block = np.ascontiguousarray(block, dtype=float)
-    V, m = block.shape
+    trail = block.shape[1:]
     avgs = _local_averages(tree, block)
-    tail = np.empty((V, m))
+    tail = np.empty(block.shape)
     for d in range(D + 1):  # level d's pivots: rows D - d and D - d + 1
         lo, hi = s[d], s[d + 1]
         np.maximum(avgs[D - d][lo:hi], avgs[D - d + 1][lo:hi], out=tail[lo:hi])
         if d:
-            level = tail[lo:hi].reshape(-1, k, m)
+            level = tail[lo:hi].reshape(-1, k, *trail)
             np.maximum(level, tail[s[d - 1] : lo, None], out=level)
     # interior: row r's vertices at depth < depth - r, a prefix of the row;
     # their best gathers in row 0 above the leaves
@@ -397,7 +416,7 @@ def _tree_maximal_block(tree: TreeSpace, block: np.ndarray) -> tuple:
         n = s[D - r]
         np.maximum(inner[:n], avgs[r][:n], out=inner[:n])
     top = tail[: s[D]]
-    boundary = np.ones((V, m), dtype=bool)
+    boundary = np.ones(block.shape, dtype=bool)
     np.greater(top, inner, out=boundary[: s[D]])
     np.maximum(top, inner, out=top)
     return tail, boundary
@@ -406,9 +425,11 @@ def _tree_maximal_block(tree: TreeSpace, block: np.ndarray) -> tuple:
 def tree_maximal(f: VertexFunction) -> TreeMaximal:
     """Exact centered maximal function over integer radii 0..2*depth.
 
-    The one-column case of _tree_maximal_block: O(V) numpy work, about
-    2 + 1/(k - 1) ball averages per vertex instead of 2*depth + 1.  The
-    last result is kept, keyed on f itself, so a second call on the same f
+    _tree_maximal_block on f's 1-D values themselves: O(V) numpy work, about
+    2 + 1/(k - 1) ball averages per vertex instead of 2*depth + 1, bit for
+    bit column 0 of the (V, 1) block of the same data.  The values and
+    flags it returns are 1-D and read-only, as is argmax_radius.  The last
+    result is kept, keyed on f itself, so a second call on the same f
     returns the same read-only TreeMaximal.
     """
     return _tree_maximal_memo(f)
@@ -416,8 +437,7 @@ def tree_maximal(f: VertexFunction) -> TreeMaximal:
 
 @functools.lru_cache(maxsize=1)
 def _tree_maximal_memo(f: VertexFunction) -> TreeMaximal:
-    values, boundary = _tree_maximal_block(f.tree, f.values[:, None])
-    values, boundary = values[:, 0], boundary[:, 0]
+    values, boundary = _tree_maximal_block(f.tree, f.values)
     values.flags.writeable = boundary.flags.writeable = False
     return TreeMaximal(f.tree, values, boundary, f.values)
 
@@ -478,7 +498,7 @@ def tree_product_measure(
     wf[fy] = w.values[fy]
     # below[r] is the mass of the pairs at distance below r, for r up to
     # 2 * depth + 1, past the diameter
-    below = np.array([0.0] + [s[ex].sum() for s in _all_ball_sums(tree, wf[:, None])])
+    below = np.array([0.0] + [s[ex].sum() for s in _all_ball_sums(tree, wf)])
     lo, hi = below[np.minimum([n, n + 1], below.size - 1)]
     return float(lo if mode == "less-than" else hi - lo)
 
@@ -531,7 +551,7 @@ def tree_kolmogorov(q: float, f: VertexFunction, B: Iterable[int]) -> Kolmogorov
     res = tree_maximal(f)
     nrm = f.norm1()
     weak_constant = res.weak_sup / nrm if nrm else 0.0  # weak11_constant(f, res)
-    lhs = float(np.sum(res.values[bv[res.trusted()[bv]]] ** q))
+    lhs = float((res.values[bv[res.trusted()[bv]]] ** q).sum())
     rhs = weak_constant**q / (1.0 - q) * bv.size ** (1.0 - q) * nrm ** q
     return KolmogorovReport(
         q=float(q),

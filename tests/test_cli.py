@@ -490,6 +490,19 @@ REFUSED_INPUTS = {
     "jacobi step nan": (JACOBI + ["--step", "nan"], "--step"),
     "jacobi lambda-im nan": (JACOBI + ["--lambda-im", "nan"], "--lambda-im"),
     "space sigma inf": (["space", "info", "--sigma", "inf", "--tau", "0"], "--sigma"),
+    # numpy refuses either grid's length: a usage error naming the point count
+    "jacobi grid of 1e21 points": (JACOBI + ["--tmax", "1e12", "--step", "1e-9"],
+                                   "grid of 1e+21 points"),
+    "jacobi grid of 5e300 points": (JACOBI + ["--tmax", "5", "--step", "1e-300"],
+                                    "grid of 5e+300 points"),
+    # the origin panel's Gauss-Jacobi mass 2^(2 sigma + 2) overflows at
+    # 2 sigma + 2 >= 1024, that is m + k >= 1023
+    "space m + k 1024": (["space", "info", "--m", "1022", "--k", "2"],
+                         "sigma=511.5, tau=0.5 leaves the float range"),
+    "space sigma 511": (["space", "info", "--sigma", "511", "--tau", "0"],
+                        "sigma=511, tau=0 leaves the float range"),
+    "sweep space m + k 1024": ({"space": {"m": 1022, "k": 2}},
+                               "sigma=511.5, tau=0.5 leaves the float range"),
     "f indicator a number": (f_params(5), "indicator"),
     "f indicator a string": (f_params("12"), "indicator"),
     "random family count a string": (family_params({"kind": "random", "count": "x"}),

@@ -185,6 +185,13 @@ def test_parameter_gates():
     for r in (-1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             ball_volume(DEFAULT_SPACE, r)
+    # the origin panel's Gauss-Jacobi weight has mass 2^(2 sigma + 2), a float
+    # only below 2 sigma + 2 = 1024: m + k = 1023 and sigma = 511 are refused,
+    # the largest sigma below 511 is not
+    for p in (SpaceParams.from_mk(1022, 1), SpaceParams(511.0, 0.0)):
+        with pytest.raises(DomainError, match=f"sigma={p.sigma:g}, tau={p.tau:g} leaves"):
+            ball_volume(p, 1.0)
+    assert 0.0 < ball_volume(SpaceParams(np.nextafter(511.0, 0.0), 0.0), 1.0) < math.inf
 
 
 def test_density_small_t_coefficient():

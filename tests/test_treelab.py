@@ -67,9 +67,9 @@ def test_local_counts_match_every_ball():
         counts = _local_counts(k, depth)
         assert len(counts) == depth + 2
         for r, row in enumerate(counts):
-            assert row.shape == (t._level_starts[min(depth - r + 2, depth + 1)], 1)
+            assert row.shape == (t._level_starts[min(depth - r + 2, depth + 1)],)
             for v in range(len(row)):
-                assert row[v, 0] == len(tree_ball(t, v, r)), (k, depth, v, r)
+                assert row[v] == len(tree_ball(t, v, r)), (k, depth, v, r)
 
 
 def test_ball_nesting_and_boundary_flag():
@@ -167,6 +167,7 @@ def test_weak11_constant_on_tied_levels_matches_every_level(k, depth):
         assert levels.size < np.count_nonzero(mf > 0)  # ties present
         brute = max(v * np.count_nonzero(mf >= v) for v in levels) / f.norm1()
         assert weak11_constant(f) == weak11_constant(f, res) == brute
+        assert res.weak_sup == _weak_sup_by_np_max(res)
 
 
 def _weak_sup_by_levels(res):
@@ -175,13 +176,20 @@ def _weak_sup_by_levels(res):
     return max((v * np.count_nonzero(mf >= v) for v in mf[mf > 0]), default=0.0)
 
 
+def _weak_sup_by_np_max(res):
+    # the sorted products' maximum through np.max, as weak_sup took it before
+    # it called ndarray.max: the same reduction, so the same float
+    vals = np.sort(res.values[~res.boundary])[::-1]
+    return float(np.max(vals * np.arange(1, vals.size + 1))) if vals.size else 0.0
+
+
 def test_weak_sup_with_zeros_among_the_trusted_values():
     # Mf is zero only where f is zero throughout the tree: every ball of
     # radius 2 * depth is the whole tree.  Zeros sort last, with product 0
     tree = TreeSpace(2, 4)
     zero = tree_maximal(VertexFunction.zeros(tree))
     assert not zero.boundary.all()
-    assert zero.weak_sup == _weak_sup_by_levels(zero) == 0.0
+    assert zero.weak_sup == _weak_sup_by_levels(zero) == _weak_sup_by_np_max(zero) == 0.0
     assert weak11_constant(VertexFunction.zeros(tree)) == 0.0
     # a TreeMaximal built by hand, zeros and ties among its trusted values
     rng = np.random.default_rng(23)
@@ -190,7 +198,7 @@ def test_weak_sup_with_zeros_among_the_trusted_values():
         boundary = rng.uniform(size=tree.size) < 0.3
         res = TreeMaximal(tree, values, boundary, values)
         assert (values[~boundary] == 0).any()
-        assert res.weak_sup == _weak_sup_by_levels(res)
+        assert res.weak_sup == _weak_sup_by_levels(res) == _weak_sup_by_np_max(res)
 
 
 def test_product_measure_brute_force():
@@ -285,10 +293,12 @@ def test_maximal_result_from_another_tree_is_rejected():
 def _kolmogorov_reference(q, f, B):
     # the check's three numbers by their long path: the index-set gate's
     # mask (B as a list), a fresh trusted mask and norm, and the weak-(1,1)
-    # quotient through weak11_constant's fit check
+    # quotient through weak11_constant's fit check, its sup and the left
+    # side reduced by np.max and np.sum
     bv = require_index_set(list(B), 0, f.tree.size - 1, "vertex")
     res = tree_maximal(f)
     weak_constant = weak11_constant(f, res)
+    assert weak_constant == _weak_sup_by_np_max(res) / float(f.values.sum())
     lhs = float(np.sum(res.values[bv[(~res.boundary)[bv]]] ** q))
     rhs = weak_constant**q / (1.0 - q) * bv.size ** (1.0 - q) * float(f.values.sum()) ** q
     return lhs, rhs, weak_constant
@@ -419,23 +429,47 @@ def _argmax_by_scan(res):
     return arg
 
 
-@pytest.mark.parametrize("kind", ["integer", "uniform", "dirac", "exp+30", "exp-30"])
-@pytest.mark.parametrize(
-    "k, depth", [(2, 8), (3, 8), (4, 8), (2, 1), (5, 3), (8, 4), (2, 12), (3, 5)]
-)
-def test_argmax_radius_matches_the_scan_over_every_radius(k, depth, kind):
-    # float data included: ties between radii are decided on the same sums
-    tree = TreeSpace(k, depth)
-    rng = np.random.default_rng([k, depth])
-    vals = {
+DATA_KINDS = ["integer", "uniform", "dirac", "exp+30", "exp-30"]
+
+
+def _kind_data(tree, kind):
+    rng = np.random.default_rng([tree.k, tree.depth])
+    return {
         "integer": lambda: rng.integers(0, 20, tree.size).astype(float),
         "uniform": lambda: rng.uniform(0.0, 1.0, tree.size),
         "dirac": lambda: VertexFunction.dirac(tree, rng.integers(0, tree.size, 10)).values,
         "exp+30": lambda: np.exp(30.0 * rng.uniform(0.0, 1.0, tree.size)),
         "exp-30": lambda: np.exp(-30.0 * rng.uniform(0.0, 1.0, tree.size)),
     }[kind]()
-    res = tree_maximal(VertexFunction(tree, vals))
+
+
+@pytest.mark.parametrize("kind", DATA_KINDS)
+@pytest.mark.parametrize(
+    "k, depth", [(2, 8), (3, 8), (4, 8), (2, 1), (5, 3), (8, 4), (2, 12), (3, 5)]
+)
+def test_argmax_radius_matches_the_scan_over_every_radius(k, depth, kind):
+    # float data included: ties between radii are decided on the same sums
+    tree = TreeSpace(k, depth)
+    res = tree_maximal(VertexFunction(tree, _kind_data(tree, kind)))
     assert np.array_equal(res.argmax_radius, _argmax_by_scan(res))
+
+
+@pytest.mark.parametrize("kind", DATA_KINDS)
+@pytest.mark.parametrize(
+    "k, depth", [(k, d) for k in (2, 3, 4, 5) for d in (1, 2, 3, 4, 5, 6)] + [(2, 8)]
+)
+def test_single_function_is_the_one_column_block(k, depth, kind):
+    # tree_maximal runs the block code on the 1-D values; every field is
+    # 1-D, read-only and, bit for bit, column 0 of the (V, 1) block's
+    tree = TreeSpace(k, depth)
+    f = VertexFunction(tree, _kind_data(tree, kind))
+    res = tree_maximal(f)
+    values, boundary = _tree_maximal_block(tree, f.values[:, None])
+    assert np.array_equal(res.values, values[:, 0])
+    assert np.array_equal(res.boundary, boundary[:, 0])
+    assert np.array_equal(res.argmax_radius, _argmax_by_scan(res))
+    for arr in (res.values, res.boundary, res.argmax_radius):
+        assert arr.shape == (tree.size,) and not arr.flags.writeable
 
 
 @pytest.mark.parametrize("k, depth", [(2, 5), (3, 3), (4, 3)])
